@@ -20,7 +20,6 @@ from .analysis import (
     recompose,
 )
 from .relaxation import (
-    EigSolverFailure,
     InitialRateWindowWarning,
     NotPositiveDefiniteWarning,
     RelaxationMatrix,
@@ -31,6 +30,7 @@ from .relaxation import (
     evolve_exact,
     evolve_ode,
     initial_rate,
+    propagate,
 )
 from .scenario import (
     ConfigError,

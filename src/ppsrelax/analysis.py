@@ -12,12 +12,12 @@ rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .relaxation import RelaxationMatrix, RelaxationRates, evolve_exact
+from .relaxation import RelaxationMatrix, RelaxationRates, linear_step, propagate
 from .spins import ModeVector, PpsLabel, SpinSystem, equilibrium_modes, pps_modes
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "Deviation",
     "DeviationReport",
     "PpsComparison",
+    "decompose_rows",
     "decompose",
     "recompose",
     "closed_form_auto",
@@ -78,15 +79,23 @@ class DeviationReport:
         )
 
 
-def decompose(m: ModeVector, label: PpsLabel) -> CoefficientTriple:
-    """Coefficients (a, b, c) of a state read against a state label.
+def decompose_rows(modes, label: PpsLabel) -> np.ndarray:
+    """Coefficient rows (a, b, c) [..., 3] of mode rows [..., 3] read
+    against a state label.
 
     With sign pattern (s1, s2, s12): a = s12*c12, b = c1 - s1*a,
     c = c2 - s2*a.
     """
+    modes = np.asarray(modes, dtype=float)
     s = label.sign_pattern
-    a = s.s12 * m.c12
-    return CoefficientTriple(a=a, b=m.c1 - s.s1 * a, c=m.c2 - s.s2 * a)
+    a = s.s12 * modes[..., 2]
+    return np.stack((a, modes[..., 0] - s.s1 * a, modes[..., 1] - s.s2 * a), axis=-1)
+
+
+def decompose(m: ModeVector, label: PpsLabel) -> CoefficientTriple:
+    """Scalar form of :func:`decompose_rows`."""
+    a, b, c = decompose_rows(m.to_tuple(), label).tolist()
+    return CoefficientTriple(a=a, b=b, c=c)
 
 
 def recompose(t: CoefficientTriple, label: PpsLabel) -> ModeVector:
@@ -99,18 +108,20 @@ def recompose(t: CoefficientTriple, label: PpsLabel) -> ModeVector:
     )
 
 
-def _linear_deviation(
+#: Rate-matrix entries holding auto-correlation rates (rho, sigma12); the
+#: others hold the interference rates delta1, delta2.
+AUTO_BLOCK = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
+
+
+def _block_deviation(
     entries: np.ndarray, label: PpsLabel, sys: SpinSystem, tau: float
 ) -> Deviation:
     """Deviation of (a, b, c) from (k, 0, 0) after a linearized step
-    M0 - E tau (M0 - M_inf) under an arbitrary 3x3 rate block E."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    m0 = np.array(pps_modes(label, sys).to_tuple())
-    dev = m0 - np.array(equilibrium_modes(sys).to_tuple())
-    evolved = ModeVector.from_sequence(m0 - tau * (entries @ dev))
-    triple = decompose(evolved, label)
-    return Deviation(triple.a - sys.k, triple.b, triple.c)
+    under the rate block ``entries``."""
+    m0 = pps_modes(label, sys).to_tuple()
+    m_inf = equilibrium_modes(sys).to_tuple()
+    a, b, c = decompose_rows(linear_step(entries, m0, m_inf, tau), label).tolist()
+    return Deviation(a - sys.k, b, c)
 
 
 def closed_form_auto(
@@ -118,15 +129,7 @@ def closed_form_auto(
 ) -> Deviation:
     """Initial-rate deviation from auto-correlation rates alone
     (delta1 = delta2 = 0)."""
-    auto = replace(rates, delta1=0.0, delta2=0.0)
-    entries = np.array(
-        [
-            [auto.rho1, auto.sigma12, 0.0],
-            [auto.sigma12, auto.rho2, 0.0],
-            [0.0, 0.0, auto.rho12],
-        ]
-    )
-    return _linear_deviation(entries, label, sys, tau)
+    return _block_deviation(np.where(AUTO_BLOCK, rates.matrix(), 0.0), label, sys, tau)
 
 
 def closed_form_cross(
@@ -134,14 +137,7 @@ def closed_form_cross(
 ) -> Deviation:
     """Initial-rate deviation from the interference rates alone
     (rho = sigma = 0 in the rate block)."""
-    entries = np.array(
-        [
-            [0.0, 0.0, rates.delta1],
-            [0.0, 0.0, rates.delta2],
-            [rates.delta1, rates.delta2, 0.0],
-        ]
-    )
-    return _linear_deviation(entries, label, sys, tau)
+    return _block_deviation(np.where(AUTO_BLOCK, 0.0, rates.matrix()), label, sys, tau)
 
 
 def deviation_report(
@@ -159,20 +155,28 @@ def deviation_report(
 @dataclass(frozen=True)
 class PpsComparison:
     """Coefficient trajectories of several pseudo-pure states on a shared
-    time grid, for rate-comparison plots and tables."""
+    time grid, for rate-comparison plots and tables. ``coefficients``
+    maps each state to its (a, b, c) rows [T, 3]."""
 
     times: np.ndarray
-    triples: dict[PpsLabel, tuple[CoefficientTriple, ...]]
+    coefficients: dict[PpsLabel, np.ndarray]
     k: float
 
+    @property
+    def triples(self) -> dict[PpsLabel, tuple[CoefficientTriple, ...]]:
+        return {
+            label: tuple(CoefficientTriple(*row) for row in rows.tolist())
+            for label, rows in self.coefficients.items()
+        }
+
     def a(self, label: PpsLabel) -> np.ndarray:
-        return np.array([t.a for t in self.triples[label]])
+        return self.coefficients[label][:, 0]
 
     def b(self, label: PpsLabel) -> np.ndarray:
-        return np.array([t.b for t in self.triples[label]])
+        return self.coefficients[label][:, 1]
 
     def c(self, label: PpsLabel) -> np.ndarray:
-        return np.array([t.c for t in self.triples[label]])
+        return self.coefficients[label][:, 2]
 
     def a_deviation(self, label: PpsLabel) -> np.ndarray:
         """a(t) minus the preparation value k."""
@@ -191,11 +195,8 @@ def compare_pps(
         raise ValueError("times must be nonempty")
     if times_arr.size > 1 and not np.all(np.diff(times_arr) > 0):
         raise ValueError("times must be strictly increasing")
-    m_inf = equilibrium_modes(sys)
-    triples: dict[PpsLabel, tuple[CoefficientTriple, ...]] = {}
-    for label in labels:
-        m0 = pps_modes(label, sys)
-        triples[label] = tuple(
-            decompose(evolve_exact(gamma, m0, m_inf, t), label) for t in times_arr
-        )
-    return PpsComparison(times=times_arr, triples=triples, k=sys.k)
+    labels = tuple(labels)
+    m0 = [pps_modes(label, sys).to_tuple() for label in labels]
+    states = propagate(gamma, m0, equilibrium_modes(sys).to_tuple(), times_arr)
+    coefficients = {label: decompose_rows(s, label) for label, s in zip(labels, states)}
+    return PpsComparison(times=times_arr, coefficients=coefficients, k=sys.k)

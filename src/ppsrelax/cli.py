@@ -12,8 +12,8 @@ import sys
 import numpy as np
 
 from . import scenario as sc
-from .relaxation import EigSolverFailure, StepTooLarge
-from .spectra import NoPeaksFound, NotConverged
+from .relaxation import StepTooLarge
+from .spectra import InconsistentEquilibrium, NoPeaksFound, NotConverged
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,10 +83,10 @@ def main(argv=None) -> int:
         print(f"ppsrelax: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (
-        EigSolverFailure,
         StepTooLarge,
         NotConverged,
         NoPeaksFound,
+        InconsistentEquilibrium,
         np.linalg.LinAlgError,
         FloatingPointError,
     ) as exc:

@@ -17,15 +17,16 @@ the two-spin order. With delta1 = delta2 = 0 the matrix is block
 diagonal and the two-spin order decays as a bare exponential.
 
 Propagation is offered on two independent routes: spectral decomposition
-of G (``evolve_exact``) and classical fixed-step RK4 integration
-(``evolve_ode``), so each can serve as an oracle for the other.
+of G (``propagate`` and its scalar form ``evolve_exact``) and classical
+fixed-step RK4 integration (``evolve_ode``), so each can serve as an
+oracle for the other.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -35,20 +36,20 @@ __all__ = [
     "RelaxationRates",
     "RelaxationMatrix",
     "Trajectory",
-    "EigSolverFailure",
     "StepTooLarge",
     "NotPositiveDefiniteWarning",
     "InitialRateWindowWarning",
+    "rate_matrix",
+    "invalid_rates",
+    "diagonalize",
     "build_matrix",
+    "propagate",
     "evolve_exact",
     "evolve_ode",
+    "linear_step",
+    "check_initial_rate_window",
     "initial_rate",
 ]
-
-#: Off-diagonal Frobenius mass (relative to matrix scale) at which the
-#: Jacobi sweep is considered converged.
-JACOBI_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
 
 #: dt * lambda_max above which fixed-step RK4 accuracy is not guaranteed.
 RK4_STEP_LIMIT = 0.1
@@ -56,10 +57,6 @@ RK4_STEP_LIMIT = 0.1
 #: tau * lambda_max beyond which the linearized evolution leaves the
 #: initial-rate regime.
 INITIAL_RATE_WINDOW = 0.2
-
-
-class EigSolverFailure(RuntimeError):
-    """Jacobi iteration failed to converge within the sweep budget."""
 
 
 class StepTooLarge(ValueError):
@@ -86,12 +83,41 @@ class RelaxationRates:
     delta2: float = 0.0
 
     def __post_init__(self):
-        for name in ("rho1", "rho2", "rho12", "sigma12", "delta1", "delta2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("rho1", "rho2", "rho12"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"self-relaxation rate {name} must be > 0")
+        error = invalid_rates(astuple(self))
+        if error is not None:
+            raise ValueError(error[1])
+
+    def matrix(self) -> np.ndarray:
+        return rate_matrix(astuple(self))
+
+
+#: Rate names in the column order of rate tables (``RelaxationRates`` order).
+RATE_FIELDS = tuple(f.name for f in fields(RelaxationRates))
+
+#: Rate-table column feeding each entry of the 3x3 rate matrix.
+_LAYOUT = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+#: Columns of the self-relaxation rates, the diagonal of the matrix.
+_SELF_RATES = np.isin(np.arange(len(RATE_FIELDS)), np.diag(_LAYOUT))
+
+
+def rate_matrix(table) -> np.ndarray:
+    """Symmetric rate matrices [..., 3, 3] from rate rows [..., 6] given in
+    ``RATE_FIELDS`` order."""
+    return np.asarray(table, dtype=float)[..., _LAYOUT]
+
+
+def invalid_rates(table) -> tuple[int, str] | None:
+    """First rate row of ``table`` ([6] or [N, 6], ``RATE_FIELDS`` order)
+    with a non-finite rate or a self-relaxation rate <= 0, as (row index,
+    message); None when every row is admissible."""
+    table = np.asarray(table, dtype=float).reshape(-1, len(RATE_FIELDS))
+    bad = ~np.isfinite(table) | (_SELF_RATES & (table <= 0))
+    if not bad.any():
+        return None
+    row, col = (int(i) for i in np.argwhere(bad)[0])
+    if math.isfinite(table[row, col]):
+        return row, f"self-relaxation rate {RATE_FIELDS[col]} must be > 0"
+    return row, f"{RATE_FIELDS[col]} must be finite"
 
 
 @dataclass(frozen=True)
@@ -100,7 +126,10 @@ class RelaxationMatrix:
 
     ``entries`` is the 3x3 matrix, ``eigenvalues`` its eigenvalues in
     ascending order and ``eigenvectors`` the matching orthonormal columns.
-    ``positive_definite`` is False when any eigenvalue is <= 0.
+    ``positive_definite`` is False when any eigenvalue is <= 0. All three
+    arrays may carry the same leading batch dimensions (a stack of
+    matrices); ``positive_definite`` and ``max_eigenvalue`` then cover
+    the whole stack.
     """
 
     entries: np.ndarray
@@ -141,81 +170,68 @@ class Trajectory:
         return self.states[:, index]
 
 
-def _jacobi_eigh3(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen decomposition of a symmetric 3x3 matrix by cyclic Jacobi
-    rotations. Returns eigenvalues (ascending) and eigenvector columns."""
-    a = np.array(matrix, dtype=float)
-    v = np.eye(3)
-    tol = JACOBI_TOL * max(1.0, float(np.linalg.norm(a)))
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(2.0 * (a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2))
-        if off < tol:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p, q]
-            if apq == 0.0:
-                continue
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            a = rot.T @ a @ rot
-            v = v @ rot
-            a[p, q] = a[q, p] = 0.0  # enforce exact symmetry of the zeroed pair
-    else:
-        raise EigSolverFailure(
-            f"off-diagonal mass {off:.3e} after {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    order = np.argsort(np.diag(a))
-    return np.diag(a)[order].copy(), v[:, order].copy()
+def diagonalize(entries: np.ndarray) -> RelaxationMatrix:
+    """Spectral decomposition of symmetric rate matrices [..., 3, 3].
 
-
-def build_matrix(rates: RelaxationRates) -> RelaxationMatrix:
-    """Assemble and diagonalize the symmetric rate matrix.
-
-    Emits NotPositiveDefiniteWarning (and marks the result) when the rate
-    combination yields a non-positive eigenvalue; such matrices still
-    propagate, they just do not decay monotonically to equilibrium.
+    Emits NotPositiveDefiniteWarning (and marks the result) when a matrix
+    has a non-positive eigenvalue; such matrices still propagate, they
+    just do not decay monotonically to equilibrium.
     """
-    entries = np.array(
-        [
-            [rates.rho1, rates.sigma12, rates.delta1],
-            [rates.sigma12, rates.rho2, rates.delta2],
-            [rates.delta1, rates.delta2, rates.rho12],
-        ]
-    )
-    eigenvalues, eigenvectors = _jacobi_eigh3(entries)
-    positive = bool(eigenvalues[0] > 0.0)
+    eigenvalues, eigenvectors = np.linalg.eigh(entries)
+    lowest = float(np.min(eigenvalues[..., 0]))
+    positive = lowest > 0.0
     if not positive:
         warnings.warn(
             f"rate matrix is not positive definite (min eigenvalue "
-            f"{eigenvalues[0]:.6g} 1/s)",
+            f"{lowest:.6g} 1/s)",
             NotPositiveDefiniteWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return RelaxationMatrix(entries, eigenvalues, eigenvectors, positive)
+
+
+def build_matrix(rates: RelaxationRates) -> RelaxationMatrix:
+    """Assemble and diagonalize the symmetric rate matrix."""
+    return diagonalize(rates.matrix())
+
+
+def propagate(gamma: RelaxationMatrix, m0, m_inf, times) -> np.ndarray:
+    """Closed-form states M_inf + exp(-G t) (M0 - M_inf) on a time grid.
+
+    ``m0`` holds initial mode rows [..., 3], ``m_inf`` the equilibrium
+    row [3] and ``times`` the sample times [T] (all >= 0); the result has
+    shape [..., T, 3]. A stacked ``gamma`` broadcasts its batch dimensions
+    against the leading dimensions of ``m0``. The exponential is taken in
+    the eigenbasis of G; rows at t = 0 are exactly ``m0``. Raises
+    FloatingPointError when a state overflows, which happens for a
+    matrix that is not positive definite over long times.
+    """
+    m0 = np.asarray(m0, dtype=float)
+    times = np.asarray(times, dtype=float)
+    if (times < 0).any():
+        raise ValueError(f"t must be >= 0, got {times.min()}")
+    vecs = gamma.eigenvectors
+    weights = (m0 - m_inf)[..., None, :] @ vecs
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-times[:, None] * gamma.eigenvalues[..., None, :])
+        out = m_inf + (weights * decay) @ vecs.swapaxes(-1, -2)
+    out[..., times == 0, :] = m0[..., None, :]
+    if not np.isfinite(out).all():
+        raise FloatingPointError(
+            "propagated state is not finite (rate matrix min eigenvalue "
+            f"{float(np.min(gamma.eigenvalues)):.6g} 1/s)"
+        )
+    return out
 
 
 def evolve_exact(
     gamma: RelaxationMatrix, m0: ModeVector, m_inf: ModeVector, t: float
 ) -> ModeVector:
-    """Closed-form state at time t: M_inf + exp(-G t) (M0 - M_inf).
-
-    The exponential is evaluated in the eigenbasis of G.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    """Closed-form state at time t: scalar form of :func:`propagate`."""
     if t == 0:
         return m0
-    dev = np.array(m0.to_tuple()) - np.array(m_inf.to_tuple())
-    weights = gamma.eigenvectors.T @ dev
-    weights = weights * np.exp(-gamma.eigenvalues * t)
-    out = np.array(m_inf.to_tuple()) + gamma.eigenvectors @ weights
-    return ModeVector.from_sequence(out)
+    states = propagate(gamma, m0.to_tuple(), m_inf.to_tuple(), (t,))
+    return ModeVector.from_sequence(states[0])
 
 
 def rk4_update_matrix(gamma: RelaxationMatrix, dt: float) -> np.ndarray:
@@ -265,23 +281,36 @@ def evolve_ode(
     return Trajectory(times, states)
 
 
-def initial_rate(
-    gamma: RelaxationMatrix, m0: ModeVector, m_inf: ModeVector, tau: float
-) -> ModeVector:
-    """Linearized (initial-rate) state M0 - G tau (M0 - M_inf).
+def linear_step(entries: np.ndarray, m0, m_inf, tau: float) -> np.ndarray:
+    """Linearized state M0 - tau E (M0 - M_inf) under rate blocks E.
 
-    Warns when tau * lambda_max > 0.2, i.e. outside the regime where the
-    decay or growth of every mode is linear in time.
+    ``entries`` [..., 3, 3] broadcasts against the mode rows ``m0``
+    [..., 3]; ``m_inf`` is one row [3]. The result is linear in E, so
+    masking E to a block of rates isolates that block's contribution.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
+    m0 = np.asarray(m0, dtype=float)
+    return m0 - tau * (entries @ (m0 - m_inf)[..., None])[..., 0]
+
+
+def check_initial_rate_window(gamma: RelaxationMatrix, tau: float) -> None:
+    """Warn when tau * lambda_max > 0.2, i.e. outside the regime where the
+    decay or growth of every mode is linear in time."""
     if tau * gamma.max_eigenvalue > INITIAL_RATE_WINDOW:
         warnings.warn(
             f"tau * lambda_max = {tau * gamma.max_eigenvalue:.4g} is outside "
             f"the initial-rate window ({INITIAL_RATE_WINDOW})",
             InitialRateWindowWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    m0_arr = np.array(m0.to_tuple())
-    dev = m0_arr - np.array(m_inf.to_tuple())
-    return ModeVector.from_sequence(m0_arr - tau * (gamma.entries @ dev))
+
+
+def initial_rate(
+    gamma: RelaxationMatrix, m0: ModeVector, m_inf: ModeVector, tau: float
+) -> ModeVector:
+    """Linearized (initial-rate) state M0 - G tau (M0 - M_inf); scalar
+    form of :func:`linear_step` with the initial-rate window warning."""
+    check_initial_rate_window(gamma, tau)
+    state = linear_step(gamma.entries, m0.to_tuple(), m_inf.to_tuple(), tau)
+    return ModeVector.from_sequence(state)

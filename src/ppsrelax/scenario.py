@@ -23,11 +23,17 @@ import numpy as np
 
 from . import analysis, spectra, svg
 from .relaxation import (
+    RATE_FIELDS,
     RelaxationMatrix,
     RelaxationRates,
     build_matrix,
+    check_initial_rate_window,
+    diagonalize,
     evolve_exact,
-    initial_rate,
+    invalid_rates,
+    linear_step,
+    propagate,
+    rate_matrix,
 )
 from .spins import (
     PpsLabel,
@@ -151,7 +157,6 @@ class Scenario:
     noise: NoiseSpec | None = None
     spectrum: SpectrumSpec = SpectrumSpec()
     scenario_id: str = ""
-    output: str | None = None
 
     def __post_init__(self):
         if self.readout not in READOUTS:
@@ -178,13 +183,18 @@ class SweepSpec:
             raise ConfigError("sweep.values must be nonempty")
         if self.probe_time <= 0:
             raise ConfigError(f"sweep.probe_time must be > 0, got {self.probe_time}")
-        apply_sweep_value(self.base, self.parameter, self.values[0])  # resolvable?
+        error = invalid_rates(sweep_rates(self.base, self.parameter, self.values))
+        if error is not None:
+            row, message = error
+            raise ConfigError(f"sweep value {self.values[row]!r}: {message}")
 
 
 _MISSING = object()
 
 
 def _require_keys(section: dict, known: Iterable[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(section) - set(known)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -213,8 +223,6 @@ def _parse_labels(raw, where: str) -> tuple[PpsLabel, ...]:
 
 
 def _parse_noise(section, where: str) -> NoiseSpec:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object with snr and seed")
     _require_keys(section, ("snr", "seed"), where)
     snr_raw = _get(section, "snr", where)
     snr = math.inf if snr_raw in ("inf", "Infinity") else float(snr_raw)
@@ -223,8 +231,6 @@ def _parse_noise(section, where: str) -> NoiseSpec:
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document, rejecting unknown keys."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
     _require_keys(
         doc,
         (
@@ -238,7 +244,6 @@ def parse_scenario(doc: dict) -> Scenario:
             "readout",
             "noise",
             "spectrum",
-            "output",
         ),
         "config",
     )
@@ -316,7 +321,6 @@ def parse_scenario(doc: dict) -> Scenario:
         noise=noise,
         spectrum=spectrum,
         scenario_id=str(_get(doc, "id", "config", "")),
-        output=_get(doc, "output", "config", None),
     )
     if not scenario.scenario_id:
         scenario = replace(scenario, scenario_id="scenario-" + _digest(scenario))
@@ -327,9 +331,7 @@ def parse_sweep(doc: dict) -> SweepSpec:
     """Build a SweepSpec; the document is a scenario plus a ``sweep`` block."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    if "sweep" not in doc:
-        raise ConfigError("missing required field config.sweep")
-    sweep_doc = doc["sweep"]
+    sweep_doc = _get(doc, "sweep", "config")
     _require_keys(sweep_doc, ("parameter", "values", "probe_time"), "sweep")
     base = parse_scenario({k: v for k, v in doc.items() if k != "sweep"})
     values_raw = _get(sweep_doc, "values", "sweep")
@@ -435,34 +437,29 @@ def default_pipeline_scenario() -> Scenario:
     )
 
 
-def apply_sweep_value(base: Scenario, parameter: str, value: float) -> Scenario:
-    """Scenario with one swept parameter replaced.
+def sweep_rates(base: Scenario, parameter: str, values: Sequence[float]) -> np.ndarray:
+    """Rate rows [N, 6] (``RATE_FIELDS`` order): the base rates with the
+    swept parameter set to each value.
 
     ``delta_scale`` scales both interference rates jointly; ``rates.<name>``
     replaces a single rate entry.
     """
+    table = np.tile([getattr(base.rates, name) for name in RATE_FIELDS], (len(values), 1))
     if parameter == "delta_scale":
-        rates = replace(
-            base.rates,
-            delta1=base.rates.delta1 * value,
-            delta2=base.rates.delta2 * value,
-        )
-        return replace(base, rates=rates)
-    if parameter.startswith("rates."):
+        table[:, RATE_FIELDS.index("delta1") :] *= np.asarray(values)[:, None]
+    elif parameter.startswith("rates."):
         field = parameter.split(".", 1)[1]
-        if field not in ("rho1", "rho2", "rho12", "sigma12", "delta1", "delta2"):
+        if field not in RATE_FIELDS:
             raise ConfigError(f"sweep.parameter: unknown rate field {field!r}")
-        return replace(base, rates=replace(base.rates, **{field: value}))
-    raise ConfigError(
-        f"sweep.parameter must be 'delta_scale' or 'rates.<name>', got {parameter!r}"
-    )
+        table[:, RATE_FIELDS.index(field)] = values
+    else:
+        raise ConfigError(
+            f"sweep.parameter must be 'delta_scale' or 'rates.<name>', got {parameter!r}"
+        )
+    return table
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
-
-
-def _write_csv(path, kind: str, scenario_doc: dict, columns: Sequence[str], rows) -> None:
+def _write_csv(path, kind: str, scenario_doc: dict, columns: Sequence[str], lines) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# ppsrelax {kind} v{SCHEMA_VERSION}\n")
         fh.write("# units: time s, rates 1/s, amplitudes relative\n")
@@ -472,8 +469,7 @@ def _write_csv(path, kind: str, scenario_doc: dict, columns: Sequence[str], rows
             + "\n"
         )
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(lines)
 
 
 def run_simulate(scenario: Scenario, out_dir, plot: bool = False) -> list[str]:
@@ -486,45 +482,30 @@ def run_simulate(scenario: Scenario, out_dir, plot: bool = False) -> list[str]:
     out.mkdir(parents=True, exist_ok=True)
     gamma = build_matrix(scenario.rates)
     times = scenario.time_grid.times()
-    m_inf = equilibrium_modes(scenario.sys)
-    k = scenario.sys.k
-
-    rows = []
-    curves: dict[PpsLabel, dict[str, list[float]]] = {}
-    for label in scenario.pps_labels:
-        m0 = pps_modes(label, scenario.sys)
-        per_label = curves[label] = {"a_dev": [], "b": [], "c": []}
-        for t in times:
-            modes = evolve_exact(gamma, m0, m_inf, float(t))
-            triple = analysis.decompose(modes, label)
-            per_label["a_dev"].append(triple.a - k)
-            per_label["b"].append(triple.b)
-            per_label["c"].append(triple.c)
-            rows.append(
-                (
-                    label.value,
-                    _fmt(t),
-                    _fmt(modes.c1),
-                    _fmt(modes.c2),
-                    _fmt(modes.c12),
-                    _fmt(triple.a),
-                    _fmt(triple.b),
-                    _fmt(triple.c),
-                    _fmt(triple.a - k),
-                )
-            )
+    sys_obj = scenario.sys
+    labels = scenario.pps_labels
+    m0 = [pps_modes(label, sys_obj).to_tuple() for label in labels]
+    states = propagate(gamma, m0, equilibrium_modes(sys_obj).to_tuple(), times)
+    row = "%s" + ",%.12g" * 8 + "\n"
+    lines = []
+    deviations: dict[PpsLabel, np.ndarray] = {}  # A(t) - A(0), B(t), C(t)
+    for label, modes in zip(labels, states):
+        coeffs = analysis.decompose_rows(modes, label)
+        deviations[label] = coeffs - (sys_obj.k, 0.0, 0.0)
+        table = np.column_stack((times, modes, coeffs, deviations[label][:, 0]))
+        lines.extend(row % (label.value, *values) for values in table.tolist())
     csv_path = out / "simulate.csv"
-    _write_csv(csv_path, "simulate", scenario_to_dict(scenario), SIMULATE_COLUMNS, rows)
+    _write_csv(csv_path, "simulate", scenario_to_dict(scenario), SIMULATE_COLUMNS, lines)
     written = [str(csv_path)]
     if plot:
-        for name, key, ylab in (
-            ("simulate_A.svg", "a_dev", "A(t) - A(0)"),
-            ("simulate_B.svg", "b", "B(t)"),
-            ("simulate_C.svg", "c", "C(t)"),
+        for name, column, ylab in (
+            ("simulate_A.svg", 0, "A(t) - A(0)"),
+            ("simulate_B.svg", 1, "B(t)"),
+            ("simulate_C.svg", 2, "C(t)"),
         ):
             series = [
-                (f"pps {label.value}", times, curves[label][key])
-                for label in scenario.pps_labels
+                (f"pps {label.value}", times, deviations[label][:, column])
+                for label in labels
             ]
             svg_path = out / name
             svg.line_plot(
@@ -538,42 +519,36 @@ def run_simulate(scenario: Scenario, out_dir, plot: bool = False) -> list[str]:
     return written
 
 
+def _sweep_table(sweep: SweepSpec) -> np.ndarray:
+    """Rows (value, a_diff_initial, a_diff_probe, b_absdiff_probe,
+    c_absdiff_probe) [N, 5] of the 00 / 11 pair, one per swept value."""
+    base = sweep.base
+    rates = sweep_rates(base, sweep.parameter, sweep.values)
+    # one matrix per swept value, broadcast over the two states
+    gamma = diagonalize(rate_matrix(rates)[:, None])
+    check_initial_rate_window(gamma, base.tau)
+    labels = (PpsLabel.P00, PpsLabel.P11)
+    m0 = [pps_modes(label, base.sys).to_tuple() for label in labels]
+    m_inf = equilibrium_modes(base.sys).to_tuple()
+    initial = linear_step(gamma.entries, m0, m_inf, base.tau)
+    probe = propagate(gamma, m0, m_inf, (sweep.probe_time,))[:, :, 0]
+    (initial00, initial11), (probe00, probe11) = [
+        [analysis.decompose_rows(states[:, i], label) for i, label in enumerate(labels)]
+        for states in (initial, probe)
+    ]
+    split = probe00 - probe11
+    return np.column_stack(
+        (sweep.values, initial00[:, 0] - initial11[:, 0], split[:, 0], np.abs(split[:, 1:]))
+    )
+
+
 def run_sweep(sweep: SweepSpec, out_dir) -> str:
     """Differential-decay metrics of the 00 / 11 pair per swept value."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for value in sweep.values:
-        scenario = apply_sweep_value(sweep.base, sweep.parameter, value)
-        gamma = build_matrix(scenario.rates)
-        sys_obj = scenario.sys
-        m_inf = equilibrium_modes(sys_obj)
-
-        diffs = {}
-        for source, t in (("initial", scenario.tau), ("probe", sweep.probe_time)):
-            per_label = {}
-            for label in (PpsLabel.P00, PpsLabel.P11):
-                m0 = pps_modes(label, sys_obj)
-                if source == "initial":
-                    evolved = initial_rate(gamma, m0, m_inf, t)
-                else:
-                    evolved = evolve_exact(gamma, m0, m_inf, t)
-                per_label[label] = analysis.decompose(evolved, label)
-            diffs[source] = per_label
-        a_initial = (
-            diffs["initial"][PpsLabel.P00].a - diffs["initial"][PpsLabel.P11].a
-        )
-        probe00 = diffs["probe"][PpsLabel.P00]
-        probe11 = diffs["probe"][PpsLabel.P11]
-        rows.append(
-            (
-                _fmt(value),
-                _fmt(a_initial),
-                _fmt(probe00.a - probe11.a),
-                _fmt(abs(probe00.b - probe11.b)),
-                _fmt(abs(probe00.c - probe11.c)),
-            )
-        )
+    table = _sweep_table(sweep)
+    row = ",".join(["%.12g"] * 5) + "\n"
+    lines = (row % tuple(values) for values in table)
     doc = scenario_to_dict(sweep.base)
     doc["sweep"] = {
         "parameter": sweep.parameter,
@@ -581,7 +556,7 @@ def run_sweep(sweep: SweepSpec, out_dir) -> str:
         "probe_time": sweep.probe_time,
     }
     csv_path = out / "sweep.csv"
-    _write_csv(csv_path, "sweep", doc, SWEEP_COLUMNS, rows)
+    _write_csv(csv_path, "sweep", doc, SWEEP_COLUMNS, lines)
     return str(csv_path)
 
 
@@ -689,7 +664,8 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
             eq_spectrum, init=_doublet_seed(eq_spectrum, sys_obj, spec.fwhm)
         )
 
-    rows = []
+    row = "%s,%.12g,%d" + ",%.12g" * 7 + ",%d\n"
+    lines = []
     for label in scenario.pps_labels:
         for t in scenario.time_grid.times():
             intensities, fits, coeffs = _pipeline_extraction(
@@ -713,23 +689,10 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
                         coeffs.b,
                         coeffs.c,
                     )
-                rows.append(
-                    (
-                        label.value,
-                        _fmt(t),
-                        str(nucleus),
-                        _fmt(line0),
-                        _fmt(line1),
-                        _fmt(a2),
-                        _fmt(a1),
-                        _fmt(b),
-                        _fmt(c),
-                        _fmt(residual),
-                        "1" if converged else "0",
-                    )
-                )
+                values = (line0, line1, a2, a1, b, c, residual, converged)
+                lines.append(row % (label.value, t, nucleus, *values))
     csv_path = out / "pipeline.csv"
-    _write_csv(csv_path, "pipeline", scenario_to_dict(scenario), PIPELINE_COLUMNS, rows)
+    _write_csv(csv_path, "pipeline", scenario_to_dict(scenario), PIPELINE_COLUMNS, lines)
     return str(csv_path)
 
 

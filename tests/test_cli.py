@@ -1,6 +1,10 @@
 import json
 
+import numpy as np
+import pytest
+
 from ppsrelax.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from ppsrelax.relaxation import NotPositiveDefiniteWarning
 
 
 def write_config(tmp_path, **overrides):
@@ -126,13 +130,57 @@ def test_report_schema_error(tmp_path, capsys):
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     from ppsrelax import cli
-    from ppsrelax.relaxation import EigSolverFailure
 
     def explode(*args, **kwargs):
-        raise EigSolverFailure("did not converge")
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(cli.sc, "run_simulate", explode)
     config = write_config(tmp_path)
     code = main(["simulate", "--config", config, "--out", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_overflow_is_numerical_failure(tmp_path, capsys):
+    # sigma12 far above the self rates: one eigenvalue is negative and its
+    # mode overflows long before 2000 s
+    config = write_config(
+        tmp_path,
+        rates={
+            "rho1": 0.003125,
+            "rho2": 0.0033,
+            "rho12": 0.0033,
+            "sigma12": 0.5,
+            "delta1": 0.15,
+            "delta2": 0.05,
+        },
+        time_grid={"start": 0.0, "end": 2000.0, "step": 1.0},
+    )
+    with pytest.warns(NotPositiveDefiniteWarning):
+        code = main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_inconsistent_equilibrium_is_numerical_failure(tmp_path, capsys):
+    # at snr 5 the noisy equilibrium doublet fails the symmetry check
+    config = write_config(
+        tmp_path,
+        readout="spectra",
+        noise={"snr": 5.0, "seed": 3},
+        time_grid={"start": 0.0, "end": 1.0, "step": 0.5},
+    )
+    code = main(["pipeline", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert "equilibrium doublet asymmetry" in capsys.readouterr().err
+
+
+def test_invalid_swept_value_is_config_error(tmp_path, capsys):
+    config = write_config(
+        tmp_path, sweep={"parameter": "rates.rho1", "values": [0.3, -0.1]}
+    )
+    code = main(["sweep", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "sweep value -0.1: self-relaxation rate rho1 must be > 0" in (
+        capsys.readouterr().err
+    )

@@ -5,10 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ppsrelax.relaxation import (
+    InitialRateWindowWarning,
+    NotPositiveDefiniteWarning,
+    RelaxationRates,
+)
 from ppsrelax.scenario import (
     ConfigError,
     SchemaMismatch,
-    apply_sweep_value,
     default_scenario,
     default_sweep,
     load_scenario,
@@ -19,6 +23,7 @@ from ppsrelax.scenario import (
     run_simulate,
     run_sweep,
     scenario_to_dict,
+    sweep_rates,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -120,11 +125,11 @@ def test_sweep_parse_and_parameter_resolution():
     doc = config_doc()
     doc["sweep"] = {"parameter": "delta_scale", "values": [0.0, 0.5, 1.0]}
     spec = parse_sweep(doc)
-    scaled = apply_sweep_value(spec.base, "delta_scale", 0.5)
-    assert scaled.rates.delta1 == pytest.approx(0.075)
-    assert scaled.rates.delta2 == pytest.approx(0.025)
-    single = apply_sweep_value(spec.base, "rates.sigma12", 0.05)
-    assert single.rates.sigma12 == 0.05
+    scaled = RelaxationRates(*sweep_rates(spec.base, "delta_scale", [0.5])[0])
+    assert scaled.delta1 == pytest.approx(0.075)
+    assert scaled.delta2 == pytest.approx(0.025)
+    single = RelaxationRates(*sweep_rates(spec.base, "rates.sigma12", [0.05])[0])
+    assert single.sigma12 == 0.05
 
 
 def test_sweep_rejects_unknown_parameter():
@@ -135,6 +140,17 @@ def test_sweep_rejects_unknown_parameter():
     doc["sweep"] = {"parameter": "gamma_scale", "values": [1.0]}
     with pytest.raises(ConfigError, match="sweep.parameter"):
         parse_sweep(doc)
+
+
+@pytest.mark.parametrize("section", ["system", "rates", "time_grid", "noise", "spectrum"])
+def test_section_must_be_an_object(section):
+    with pytest.raises(ConfigError, match=f"{section} must be a JSON object"):
+        parse_scenario(config_doc(**{section: []}))
+
+
+def test_output_key_rejected():
+    with pytest.raises(ConfigError, match="unknown key.*output"):
+        parse_scenario(config_doc(output="somewhere/else"))
 
 
 def test_sweep_requires_values():
@@ -245,6 +261,15 @@ def test_sweep_outputs_and_linearity(tmp_path):
     # spin-1 excess separates more than spin-2 excess (delta2 < delta1)
     for row in rows[1:]:
         assert float(row["b_absdiff_probe"]) > float(row["c_absdiff_probe"])
+
+
+def test_sweep_warns_like_the_scalar_path(tmp_path):
+    # delta1 = 0.5 breaks positive definiteness; tau = 1 s puts
+    # tau * lambda_max outside the initial-rate window
+    doc = config_doc(tau=1.0)
+    doc["sweep"] = {"parameter": "rates.delta1", "values": [0.0, 0.5]}
+    with pytest.warns(NotPositiveDefiniteWarning), pytest.warns(InitialRateWindowWarning):
+        run_sweep(parse_sweep(doc), tmp_path)
 
 
 def test_sweep_full_solution_difference_increases(tmp_path):
