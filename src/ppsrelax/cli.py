@@ -13,7 +13,7 @@ import numpy as np
 
 from . import scenario as sc
 from .relaxation import StepTooLarge
-from .spectra import InconsistentEquilibrium, NoPeaksFound, NotConverged
+from .spectra import InconsistentEquilibrium, NotConverged
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -85,7 +85,6 @@ def main(argv=None) -> int:
     except (
         StepTooLarge,
         NotConverged,
-        NoPeaksFound,
         InconsistentEquilibrium,
         np.linalg.LinAlgError,
         FloatingPointError,

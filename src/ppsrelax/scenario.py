@@ -11,13 +11,17 @@ seconds and rates in 1/s throughout.
 
 from __future__ import annotations
 
+import enum
+import functools
 import hashlib
 import json
 import math
 import sys as _sys
-from dataclasses import asdict, dataclass, replace
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -66,6 +70,13 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+#: Largest number of time-grid samples a config may ask for (20x the
+#: 50 001 of a 1 ms grid over 50 s).
+MAX_TIME_SAMPLES = 10**6
+
+#: Noise seed of the shipped default scenarios.
+DEFAULT_SEED = 20240801
+
 #: Interference-rate pairs used by the shipped default sweep. The values
 #: are illustrative; they keep delta2 = delta1 / 3 so that the spin-1
 #: channel dominates.
@@ -106,30 +117,45 @@ class SchemaMismatch(ValueError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    start: float
+    start: float = field(default=0.0, kw_only=True)
     end: float
     step: float
 
     def __post_init__(self):
-        if not (self.step > 0 and self.end > self.start and self.start >= 0):
+        finite = all(map(math.isfinite, (self.start, self.end, self.step)))
+        if not (finite and self.step > 0 and self.end > self.start >= 0):
             raise ConfigError(
-                f"time_grid requires start >= 0, end > start, step > 0; got "
+                f"time_grid requires finite start >= 0, end > start, step > 0; "
+                f"got start={self.start}, end={self.end}, step={self.step}"
+            )
+        if self.samples > MAX_TIME_SAMPLES:
+            raise ConfigError(
+                f"time_grid holds more than {MAX_TIME_SAMPLES} samples; got "
                 f"start={self.start}, end={self.end}, step={self.step}"
             )
 
+    @property
+    def samples(self) -> int:
+        """Number of grid times start + i * step up to end; a count above
+        MAX_TIME_SAMPLES reads as MAX_TIME_SAMPLES + 1."""
+        intervals = min((self.end - self.start) / self.step, MAX_TIME_SAMPLES)
+        return math.floor(intervals + 1e-9) + 1
+
     def times(self) -> np.ndarray:
-        n = int(math.floor((self.end - self.start) / self.step + 1e-9))
-        return self.start + np.arange(n + 1) * self.step
+        return self.start + np.arange(self.samples) * self.step
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    snr: float  # math.inf for the noiseless sentinel
+    # the config may give the noiseless snr as "inf"
+    snr: float = field(metadata={"sentinels": {"inf": math.inf, "Infinity": math.inf}})
     seed: int
 
     def __post_init__(self):
         if not self.snr > 0:
             raise ConfigError(f"noise.snr must be > 0, got {self.snr}")
+        if not self.seed >= 0:
+            raise ConfigError(f"noise.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -139,9 +165,9 @@ class SpectrumSpec:
     points: int = 801
 
     def __post_init__(self):
-        if self.fwhm <= 0 or self.span <= 0 or self.points < 2:
+        if not (0 < self.fwhm < math.inf and 0 < self.span < math.inf and self.points >= 2):
             raise ConfigError(
-                f"spectrum requires fwhm > 0, span > 0, points >= 2; got "
+                f"spectrum requires finite fwhm > 0 and span > 0, points >= 2; got "
                 f"fwhm={self.fwhm}, span={self.span}, points={self.points}"
             )
 
@@ -181,7 +207,7 @@ class SweepSpec:
     def __post_init__(self):
         if not self.values:
             raise ConfigError("sweep.values must be nonempty")
-        if self.probe_time <= 0:
+        if not self.probe_time > 0:
             raise ConfigError(f"sweep.probe_time must be > 0, got {self.probe_time}")
         error = invalid_rates(sweep_rates(self.base, self.parameter, self.values))
         if error is not None:
@@ -189,139 +215,108 @@ class SweepSpec:
             raise ConfigError(f"sweep value {self.values[row]!r}: {message}")
 
 
-_MISSING = object()
+#: Config keys that differ from the name of the field they fill.
+_CONFIG_KEYS = {"sys": "system", "scenario_id": "id"}
 
 
-def _require_keys(section: dict, known: Iterable[str], where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(section) - set(known)
+@functools.cache
+def _field_table(cls) -> tuple[tuple[str, str, object, bool, dict], ...]:
+    """(config key, field name, resolved type, required, string sentinels)
+    for each field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            _CONFIG_KEYS.get(f.name, f.name),
+            f.name,
+            hints[f.name],
+            f.default is MISSING and f.default_factory is MISSING,
+            f.metadata.get("sentinels", {}),
+        )
+        for f in fields(cls)
+    )
+
+
+def _build(cls, doc, where: str, **given):
+    """Instance of the config dataclass ``cls`` from the JSON object ``doc``
+    at path ``where`` ("" for the root); ``given`` fills fields that are
+    not config keys. Missing optional fields take the class default."""
+    section = where or "config"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section} must be a JSON object")
+    table = [row for row in _field_table(cls) if row[1] not in given]
+    unknown = set(doc) - {row[0] for row in table}
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
+    kwargs = dict(given)
+    for key, name, kind, required, sentinels in table:
+        path = f"{where}.{key}" if where else key
+        if key in doc:
+            kwargs[name] = _value(kind, doc[key], path, sentinels)
+        elif required:
+            raise ConfigError(f"missing required field {path}")
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
-def _get(section: dict, key: str, where: str, default=_MISSING):
-    if key not in section:
-        if default is not _MISSING:
-            return default
-        raise ConfigError(f"missing required field {where}.{key}")
-    return section[key]
+def _value(kind, raw, path: str, sentinels=()):
+    """``raw`` checked against the type ``kind`` and converted to it;
+    ``sentinels`` maps strings a float field accepts to their value."""
+    if typing.get_origin(kind) is types.UnionType:  # X | None
+        if raw is None:
+            return None
+        (kind,) = (arg for arg in typing.get_args(kind) if arg is not types.NoneType)
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"{path} must be a nonempty list, got {raw!r}")
+        if item is float and set(map(type, raw)) <= {int, float}:
+            return tuple(map(float, raw))  # all numbers: one pass
+        return tuple(_value(item, v, f"{path}[{i}]") for i, v in enumerate(raw))
+    if is_dataclass(kind):
+        return _build(kind, raw, path)
+    if kind is float:
+        if isinstance(raw, str) and raw in sentinels:
+            return sentinels[raw]
+        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+            return float(raw)
+        raise ConfigError(f"{path} must be a number, got {raw!r}")
+    if kind is int:
+        if isinstance(raw, int) and not isinstance(raw, bool):
+            return raw
+        raise ConfigError(f"{path} must be an integer, got {raw!r}")
+    if not isinstance(raw, str):
+        raise ConfigError(f"{path} must be a string, got {raw!r}")
+    if kind is str:
+        return raw
+    try:
+        return kind(raw)  # an Enum, by its string value
+    except ValueError:
+        raise ConfigError(
+            f"{path}: {raw!r} is not one of {', '.join(m.value for m in kind)}"
+        ) from None
 
 
-def _parse_labels(raw, where: str) -> tuple[PpsLabel, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{where} must be a nonempty list of state labels")
-    labels = []
-    for item in raw:
-        try:
-            labels.append(PpsLabel(str(item)))
-        except ValueError:
-            raise ConfigError(
-                f"{where}: {item!r} is not one of 00, 01, 10, 11"
-            ) from None
-    return tuple(labels)
-
-
-def _parse_noise(section, where: str) -> NoiseSpec:
-    _require_keys(section, ("snr", "seed"), where)
-    snr_raw = _get(section, "snr", where)
-    snr = math.inf if snr_raw in ("inf", "Infinity") else float(snr_raw)
-    return NoiseSpec(snr=snr, seed=int(_get(section, "seed", where)))
+def _check_root(doc) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    if "schema_version" not in doc:
+        raise ConfigError("missing required field schema_version")
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(
+            f"schema_version must be the integer {SCHEMA_VERSION}, got {version!r}"
+        )
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document, rejecting unknown keys."""
-    _require_keys(
-        doc,
-        (
-            "schema_version",
-            "id",
-            "system",
-            "rates",
-            "pps_labels",
-            "time_grid",
-            "tau",
-            "readout",
-            "noise",
-            "spectrum",
-        ),
-        "config",
-    )
-    version = _get(doc, "schema_version", "config")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
-        )
-
-    system_doc = _get(doc, "system", "config")
-    _require_keys(
-        system_doc,
-        ("gamma1", "gamma2", "k", "j_coupling", "freq1", "freq2"),
-        "system",
-    )
-    try:
-        sys_obj = SpinSystem(
-            gamma1=float(_get(system_doc, "gamma1", "system", 0.9407)),
-            gamma2=float(_get(system_doc, "gamma2", "system", 1.0)),
-            k=float(_get(system_doc, "k", "system", 0.5)),
-            j_coupling=float(_get(system_doc, "j_coupling", "system", 5.8)),
-            freq1=float(_get(system_doc, "freq1", "system", 470.59e6)),
-            freq2=float(_get(system_doc, "freq2", "system", 500.13e6)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"system: {exc}") from None
-
-    rates_doc = _get(doc, "rates", "config")
-    _require_keys(
-        rates_doc,
-        ("rho1", "rho2", "rho12", "sigma12", "delta1", "delta2"),
-        "rates",
-    )
-    try:
-        rates = RelaxationRates(
-            rho1=float(_get(rates_doc, "rho1", "rates")),
-            rho2=float(_get(rates_doc, "rho2", "rates")),
-            rho12=float(_get(rates_doc, "rho12", "rates")),
-            sigma12=float(_get(rates_doc, "sigma12", "rates")),
-            delta1=float(_get(rates_doc, "delta1", "rates", 0.0)),
-            delta2=float(_get(rates_doc, "delta2", "rates", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"rates: {exc}") from None
-
-    grid_doc = _get(doc, "time_grid", "config")
-    _require_keys(grid_doc, ("start", "end", "step"), "time_grid")
-    grid = TimeGrid(
-        start=float(_get(grid_doc, "start", "time_grid", 0.0)),
-        end=float(_get(grid_doc, "end", "time_grid")),
-        step=float(_get(grid_doc, "step", "time_grid")),
-    )
-
-    noise_doc = _get(doc, "noise", "config", None)
-    noise = _parse_noise(noise_doc, "noise") if noise_doc is not None else None
-
-    spectrum_doc = _get(doc, "spectrum", "config", None)
-    if spectrum_doc is None:
-        spectrum = SpectrumSpec()
-    else:
-        _require_keys(spectrum_doc, ("fwhm", "span", "points"), "spectrum")
-        spectrum = SpectrumSpec(
-            fwhm=float(_get(spectrum_doc, "fwhm", "spectrum", 1.0)),
-            span=float(_get(spectrum_doc, "span", "spectrum", 40.0)),
-            points=int(_get(spectrum_doc, "points", "spectrum", 801)),
-        )
-
-    scenario = Scenario(
-        sys=sys_obj,
-        rates=rates,
-        pps_labels=_parse_labels(_get(doc, "pps_labels", "config"), "pps_labels"),
-        time_grid=grid,
-        tau=float(_get(doc, "tau", "config")),
-        readout=str(_get(doc, "readout", "config", "coefficients")),
-        noise=noise,
-        spectrum=spectrum,
-        scenario_id=str(_get(doc, "id", "config", "")),
-    )
+    """Build a Scenario from a parsed JSON document, rejecting unknown keys
+    and values of the wrong type."""
+    _check_root(doc)
+    scenario = _build(Scenario, {k: v for k, v in doc.items() if k != "schema_version"}, "")
     if not scenario.scenario_id:
         scenario = replace(scenario, scenario_id="scenario-" + _digest(scenario))
     return scenario
@@ -329,25 +324,11 @@ def parse_scenario(doc: dict) -> Scenario:
 
 def parse_sweep(doc: dict) -> SweepSpec:
     """Build a SweepSpec; the document is a scenario plus a ``sweep`` block."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    sweep_doc = _get(doc, "sweep", "config")
-    _require_keys(sweep_doc, ("parameter", "values", "probe_time"), "sweep")
+    _check_root(doc)
+    if "sweep" not in doc:
+        raise ConfigError("missing required field sweep")
     base = parse_scenario({k: v for k, v in doc.items() if k != "sweep"})
-    values_raw = _get(sweep_doc, "values", "sweep")
-    if not isinstance(values_raw, list) or not values_raw:
-        raise ConfigError("sweep.values must be a nonempty list of numbers")
-    try:
-        return SweepSpec(
-            parameter=str(_get(sweep_doc, "parameter", "sweep")),
-            values=tuple(float(v) for v in values_raw),
-            base=base,
-            probe_time=float(_get(sweep_doc, "probe_time", "sweep", 0.5)),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from None
+    return _build(SweepSpec, doc["sweep"], "sweep", base=base)
 
 
 def load_scenario(path) -> Scenario:
@@ -367,23 +348,25 @@ def _load_json(path) -> dict:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "id": scenario.scenario_id,
-        "system": asdict(scenario.sys),
-        "rates": asdict(scenario.rates),
-        "pps_labels": [label.value for label in scenario.pps_labels],
-        "time_grid": asdict(scenario.time_grid),
-        "tau": scenario.tau,
-        "readout": scenario.readout,
-    }
-    if scenario.noise is not None:
-        doc["noise"] = {
-            "snr": "inf" if math.isinf(scenario.noise.snr) else scenario.noise.snr,
-            "seed": scenario.noise.seed,
-        }
-    doc["spectrum"] = asdict(scenario.spectrum)
+    """The config document of ``scenario``; ``parse_scenario`` reads it back."""
+    doc = {"schema_version": SCHEMA_VERSION, **_to_doc(scenario)}
+    if scenario.noise is not None and math.isinf(scenario.noise.snr):
+        doc["noise"]["snr"] = "inf"
     return doc
+
+
+def _to_doc(value):
+    """JSON form of a config value, the inverse of ``_value``; fields
+    holding None are left out."""
+    if is_dataclass(value):
+        return {
+            _CONFIG_KEYS.get(f.name, f.name): _to_doc(getattr(value, f.name))
+            for f in fields(value)
+            if getattr(value, f.name) is not None
+        }
+    if isinstance(value, tuple):
+        return [_to_doc(item) for item in value]
+    return value.value if isinstance(value, enum.Enum) else value
 
 
 def _digest(scenario: Scenario) -> str:
@@ -396,25 +379,16 @@ def _digest(scenario: Scenario) -> str:
 def default_scenario(delta1: float = 0.15, delta2: float = 0.05) -> Scenario:
     """The shipped two-state comparison scenario (interference rates are
     illustrative defaults, delta2 = delta1 / 3)."""
-    return parse_scenario(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "id": "default",
-            "system": {},
-            "rates": {
-                "rho1": 0.3125,
-                "rho2": 0.33,
-                "rho12": 0.33,
-                "sigma12": 0.02,
-                "delta1": delta1,
-                "delta2": delta2,
-            },
-            "pps_labels": ["00", "11"],
-            "time_grid": {"start": 0.0, "end": 5.0, "step": 0.05},
-            "tau": 0.1,
-            "readout": "coefficients",
-            "noise": {"snr": "inf", "seed": 20240801},
-        }
+    return Scenario(
+        sys=SpinSystem(),
+        rates=RelaxationRates(
+            rho1=0.3125, rho2=0.33, rho12=0.33, sigma12=0.02, delta1=delta1, delta2=delta2
+        ),
+        pps_labels=(PpsLabel.P00, PpsLabel.P11),
+        time_grid=TimeGrid(end=5.0, step=0.05),
+        tau=0.1,
+        noise=NoiseSpec(snr=math.inf, seed=DEFAULT_SEED),
+        scenario_id="default",
     )
 
 
@@ -431,8 +405,8 @@ def default_pipeline_scenario() -> Scenario:
     return replace(
         default_scenario(),
         readout="spectra",
-        time_grid=TimeGrid(start=0.0, end=2.5, step=1.25),
-        noise=NoiseSpec(snr=100.0, seed=20240801),
+        time_grid=TimeGrid(end=2.5, step=1.25),
+        noise=NoiseSpec(snr=100.0, seed=DEFAULT_SEED),
         scenario_id="default-pipeline",
     )
 
@@ -594,13 +568,13 @@ def _pipeline_extraction(
 ):
     """Synthesize, degrade, fit and extract one time point of one state.
 
-    Returns (intensities, per-nucleus fits or None, coefficients or None).
+    Returns (intensities, per-nucleus fits, coefficients or None).
     """
     sys_obj = scenario.sys
     spec = scenario.spectrum
     m = evolve_exact(gamma, pps_modes(label, sys_obj), equilibrium_modes(sys_obj), t)
     intensities = line_intensities(m)
-    fits: dict[int, spectra.DoubletFit | None] = {}
+    fits: dict[int, spectra.DoubletFit] = {}
     for nucleus in (1, 2):
         spectrum = spectra.synthesize(
             intensities, sys_obj, nucleus, spec.fwhm, spec.span, spec.points
@@ -612,15 +586,8 @@ def _pipeline_extraction(
             )
         except spectra.NotConverged as exc:
             fits[nucleus] = exc.fit
-        except spectra.NoPeaksFound:
-            fits[nucleus] = None
     coeffs = None
-    if (
-        fits[1] is not None
-        and fits[2] is not None
-        and fits[1].converged
-        and fits[2].converged
-    ):
+    if fits[1].converged and fits[2].converged:
         coeffs = spectra.coefficients_from_fits(
             fits[1], fits[2], eq_fits[1], eq_fits[2], label
         )
@@ -645,11 +612,15 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
             scenario, noise=NoiseSpec(scenario.noise.snr, seed_override)
         )
 
+    sys_obj = scenario.sys
+    spec = scenario.spectrum
+    try:
+        spectra.frequency_grid(sys_obj.j_coupling, spec.fwhm, spec.span, spec.points)
+    except ValueError as exc:
+        raise ConfigError(f"spectrum: {exc}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gamma = build_matrix(scenario.rates)
-    sys_obj = scenario.sys
-    spec = scenario.spectrum
 
     counter = iter(range(scenario.noise.seed, scenario.noise.seed + 10_000_000))
 
@@ -671,26 +642,25 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
             intensities, fits, coeffs = _pipeline_extraction(
                 scenario, gamma, label, float(t), eq_fits, counter
             )
+            if coeffs is None:
+                extracted = (float("nan"),) * 4
+            else:
+                extracted = (coeffs.a_from_spin2, coeffs.a_from_spin1, coeffs.b, coeffs.c)
             for nucleus in (1, 2):
                 fit = fits[nucleus]
-                if fit is None:
-                    line0 = line1 = residual = float("nan")
-                    converged = False
-                else:
-                    line0, line1 = fit.peaks[0].integral, fit.peaks[1].integral
-                    residual = fit.residual_norm
-                    converged = fit.converged
-                if coeffs is None:
-                    a2 = a1 = b = c = float("nan")
-                else:
-                    a2, a1, b, c = (
-                        coeffs.a_from_spin2,
-                        coeffs.a_from_spin1,
-                        coeffs.b,
-                        coeffs.c,
+                lines.append(
+                    row
+                    % (
+                        label.value,
+                        t,
+                        nucleus,
+                        fit.peaks[0].integral,
+                        fit.peaks[1].integral,
+                        *extracted,
+                        fit.residual_norm,
+                        fit.converged,
                     )
-                values = (line0, line1, a2, a1, b, c, residual, converged)
-                lines.append(row % (label.value, t, nucleus, *values))
+                )
     csv_path = out / "pipeline.csv"
     _write_csv(csv_path, "pipeline", scenario_to_dict(scenario), PIPELINE_COLUMNS, lines)
     return str(csv_path)
@@ -754,12 +724,8 @@ def run_report(csv_paths: Sequence[str], stream: TextIO | None = None) -> None:
         print(file=stream)
 
 
-def _scenario_from_doc(doc: dict) -> Scenario:
-    return parse_scenario(doc)
-
-
 def _report_simulate(doc, header, rows, path, stream) -> None:
-    scenario = _scenario_from_doc(doc)
+    scenario = parse_scenario(doc)
     gamma = build_matrix(scenario.rates)
     eig = ", ".join(format(v, ".6f") for v in gamma.eigenvalues)
     print(f"rate-matrix eigenvalues (1/s): {eig}", file=stream)

@@ -33,6 +33,7 @@ __all__ = [
     "NotConverged",
     "InconsistentEquilibrium",
     "lorentzian",
+    "frequency_grid",
     "synthesize",
     "add_noise",
     "estimate_noise_floor",
@@ -155,6 +156,34 @@ def lorentzian(freqs: np.ndarray, center: float, integral: float, fwhm: float) -
     return (integral / math.pi) * half / ((freqs - center) ** 2 + half ** 2)
 
 
+def frequency_grid(j_coupling: float, fwhm: float, span: float, points: int) -> np.ndarray:
+    """The ``points`` sample frequencies across ``span`` Hz around 0 Hz of a
+    doublet split by ``j_coupling`` Hz.
+
+    Raises ValueError unless the grid covers both line centers by 5 fwhm,
+    and GridTooCoarse when its spacing exceeds fwhm/10.
+    """
+    if not fwhm > 0:
+        raise ValueError(f"fwhm must be > 0, got {fwhm}")
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points}")
+    half_span = span / 2.0
+    needed = j_coupling / 2.0 + GRID_COVER_FACTOR * fwhm
+    if not half_span >= needed:
+        raise ValueError(
+            f"grid half-span {half_span} Hz does not cover line centers "
+            f"+- 5 fwhm ({needed} Hz)"
+        )
+    freqs = np.linspace(-half_span, half_span, points)
+    spacing = freqs[1] - freqs[0]
+    if spacing > fwhm * GRID_SPACING_FACTOR:
+        raise GridTooCoarse(
+            f"grid spacing {spacing:.4g} Hz exceeds fwhm/10 = "
+            f"{fwhm * GRID_SPACING_FACTOR:.4g} Hz"
+        )
+    return freqs
+
+
 def synthesize(
     intensities: LineIntensities,
     sys: SpinSystem,
@@ -176,24 +205,7 @@ def synthesize(
         pair = (intensities.h0, intensities.h1)
     else:
         raise ValueError(f"nucleus must be 1 or 2, got {nucleus!r}")
-    if fwhm <= 0:
-        raise ValueError(f"fwhm must be > 0, got {fwhm}")
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
-    half_span = span / 2.0
-    needed = sys.j_coupling / 2.0 + GRID_COVER_FACTOR * fwhm
-    if half_span < needed:
-        raise ValueError(
-            f"grid half-span {half_span} Hz does not cover line centers "
-            f"+- 5 fwhm ({needed} Hz)"
-        )
-    freqs = np.linspace(-half_span, half_span, points)
-    spacing = freqs[1] - freqs[0]
-    if spacing > fwhm * GRID_SPACING_FACTOR:
-        raise GridTooCoarse(
-            f"grid spacing {spacing:.4g} Hz exceeds fwhm/10 = "
-            f"{fwhm * GRID_SPACING_FACTOR:.4g} Hz"
-        )
+    freqs = frequency_grid(sys.j_coupling, fwhm, span, points)
     amps = lorentzian(freqs, -sys.j_coupling / 2.0, pair[0], fwhm) + lorentzian(
         freqs, +sys.j_coupling / 2.0, pair[1], fwhm
     )

@@ -1,10 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ppsrelax.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from ppsrelax.relaxation import NotPositiveDefiniteWarning
+from ppsrelax.scenario import default_pipeline_scenario, scenario_to_dict
 
 
 def write_config(tmp_path, **overrides):
@@ -184,3 +188,53 @@ def test_invalid_swept_value_is_config_error(tmp_path, capsys):
     assert "sweep value -0.1: self-relaxation rate rho1 must be > 0" in (
         capsys.readouterr().err
     )
+
+
+def test_negative_seed_override_is_config_error(tmp_path, capsys):
+    code = main(["pipeline", "--out", str(tmp_path), "--seed", "-5"])
+    assert code == EXIT_CONFIG
+    assert "noise.seed must be >= 0" in capsys.readouterr().err
+
+
+#: Replacement values of the config fuzz test: null, bools, strings, lists,
+#: objects, non-finite and negative numbers.
+MUTATIONS = (None, True, False, "", "1", "inf", [], [1.0], {}, math.nan, math.inf, -math.inf, -1, -0.5, 0)
+
+
+def fuzz_base(command):
+    doc = scenario_to_dict(default_pipeline_scenario())
+    if command == "sweep":
+        doc["sweep"] = {"parameter": "delta_scale", "values": [0.0, 0.5, 1.0], "probe_time": 0.5}
+    return doc
+
+
+def field_paths(node, prefix=()):
+    """Paths of every section, field and list item of a config document."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, value in items:
+        yield (*prefix, key)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, (*prefix, key))
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_config_fuzz_never_escapes(data, tmp_path):
+    command = data.draw(st.sampled_from(["simulate", "sweep", "pipeline"]))
+    doc = fuzz_base(command)
+    *parents, key = data.draw(st.sampled_from(list(field_paths(doc))))
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[key] = data.draw(st.sampled_from(MUTATIONS))
+    config = tmp_path / "fuzz.json"
+    config.write_text(json.dumps(doc))
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)

@@ -4,15 +4,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppsrelax import spectra
 from ppsrelax.relaxation import (
     InitialRateWindowWarning,
     NotPositiveDefiniteWarning,
     RelaxationRates,
 )
 from ppsrelax.scenario import (
+    MAX_TIME_SAMPLES,
     ConfigError,
+    NoiseSpec,
+    Scenario,
     SchemaMismatch,
+    SpectrumSpec,
+    TimeGrid,
     default_scenario,
     default_sweep,
     load_scenario,
@@ -25,6 +33,7 @@ from ppsrelax.scenario import (
     scenario_to_dict,
     sweep_rates,
 )
+from ppsrelax.spins import PpsLabel, SpinSystem
 
 DATA = Path(__file__).parent / "data"
 
@@ -158,6 +167,134 @@ def test_sweep_requires_values():
     doc["sweep"] = {"parameter": "delta_scale", "values": []}
     with pytest.raises(ConfigError):
         parse_sweep(doc)
+
+
+def with_field(doc, path, value):
+    """``doc`` with the field at the dotted ``path`` set to ``value``."""
+    *sections, key = path.split(".")
+    section = doc
+    for name in sections:
+        section = section.setdefault(name, {})
+    section[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        ("rates.rho1", True, "rates.rho1"),  # bool as float
+        ("tau", "0.1", "tau"),  # numeric string as float
+        ("time_grid.end", None, "time_grid.end"),  # null
+        ("system.k", [0.5], "system.k"),  # list as float
+        ("spectrum.points", 801.0, "spectrum.points"),  # float as int
+        ("noise", {"snr": 100.0, "seed": 1.5}, "noise.seed"),  # float as int
+        ("noise", {"snr": 100.0, "seed": -5}, "noise.seed"),  # negative seed
+        ("pps_labels", [0, "11"], "pps_labels[0]"),  # int label
+        ("id", 5, "id"),  # int id
+        ("readout", 1, "readout"),
+        ("schema_version", True, "schema_version"),
+        ("schema_version", 1.0, "schema_version"),
+        ("sweep.values", [0.0, "1"], "sweep.values[1]"),  # bad swept value
+        ("sweep.values", [0.0, False], "sweep.values[1]"),
+    ],
+)
+def test_config_type_rules(path, value, named):
+    doc = with_field(config_doc(), path, value)
+    parse = parse_scenario
+    if path.startswith("sweep"):
+        doc["sweep"]["parameter"] = "delta_scale"
+        parse = parse_sweep
+    with pytest.raises(ConfigError) as err:
+        parse(doc)
+    assert named in str(err.value)
+
+
+def test_float_fields_widen_integers():
+    scenario = parse_scenario(config_doc(time_grid={"end": 2, "step": 1}, tau=0))
+    assert scenario.time_grid == TimeGrid(start=0.0, end=2.0, step=1.0)
+    assert type(scenario.time_grid.end) is float and type(scenario.tau) is float
+    assert '"end":2.0' in json.dumps(scenario_to_dict(scenario), separators=(",", ":"))
+
+
+def test_missing_fields_take_class_defaults():
+    doc = config_doc()
+    del doc["readout"], doc["id"], doc["rates"]["delta1"], doc["time_grid"]["start"]
+    scenario = parse_scenario(doc)
+    assert scenario.readout == "coefficients"
+    assert scenario.rates.delta1 == 0.0 and scenario.time_grid.start == 0.0
+    assert scenario.sys == SpinSystem() and scenario.spectrum == SpectrumSpec()
+    assert scenario.noise is None and scenario.scenario_id.startswith("scenario-")
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"end": math.inf, "step": 0.1},
+        {"end": 1.0, "step": math.nan},
+        {"start": -math.inf, "end": 1.0, "step": 0.1},
+        {"end": 1e9, "step": 1e-3},
+        {"end": 1e300, "step": 1e-300},
+    ],
+)
+def test_time_grid_bounded_at_parse_time(grid, monkeypatch):
+    def no_allocation(self):
+        raise AssertionError("times() called while parsing")
+
+    monkeypatch.setattr(TimeGrid, "times", no_allocation)
+    with pytest.raises(ConfigError, match="time_grid"):
+        parse_scenario(config_doc(time_grid=grid, tau=0.0))
+
+
+def test_time_grid_sample_count_limit():
+    largest = TimeGrid(end=MAX_TIME_SAMPLES - 1.0, step=1.0)
+    assert largest.samples == MAX_TIME_SAMPLES
+    assert TimeGrid(end=2.0, step=0.5).samples == len(TimeGrid(end=2.0, step=0.5).times())
+    with pytest.raises(ConfigError, match="more than"):
+        TimeGrid(end=float(MAX_TIME_SAMPLES), step=1.0)
+
+
+finite = st.floats(-10.0, 10.0)
+positive = st.floats(0.01, 10.0)
+
+
+@st.composite
+def scenarios(draw):
+    gamma1, gamma2 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    start = draw(st.floats(0.0, 10.0))
+    end = start + draw(positive)
+    noise = draw(
+        st.none()
+        | st.builds(
+            NoiseSpec,
+            snr=st.just(math.inf) | st.floats(0.1, 1e6),
+            seed=st.integers(0, 2**63),
+        )
+    )
+    return Scenario(
+        sys=SpinSystem(
+            gamma1=gamma1,
+            gamma2=gamma2,
+            k=draw(st.floats(0.01, 0.5)),
+            j_coupling=draw(positive),
+            freq1=draw(st.floats(-1e9, 1e9)),
+            freq2=draw(st.floats(-1e9, 1e9)),
+        ),
+        rates=RelaxationRates(*(draw(positive) for _ in range(3)), *(draw(finite) for _ in range(3))),
+        pps_labels=tuple(draw(st.lists(st.sampled_from(list(PpsLabel)), min_size=1, max_size=6))),
+        time_grid=TimeGrid(start=start, end=end, step=(end - start) / draw(st.integers(1, 1000))),
+        tau=draw(st.floats(0.0, end)),
+        readout=draw(st.sampled_from(["modes", "coefficients", "spectra"])),
+        noise=noise,
+        spectrum=SpectrumSpec(fwhm=draw(positive), span=draw(positive), points=draw(st.integers(2, 5000))),
+        scenario_id=draw(st.text(min_size=1, max_size=12)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scenarios())
+def test_scenario_dict_round_trip(scenario):
+    doc = json.loads(json.dumps(scenario_to_dict(scenario)))
+    assert parse_scenario(doc) == scenario
 
 
 # ----------------------------------------------------------------- simulate
@@ -302,6 +439,18 @@ def test_pipeline_requires_spectra_readout(tmp_path):
     doc = pipeline_doc(readout="coefficients")
     with pytest.raises(ConfigError, match="spectra"):
         run_pipeline(parse_scenario(doc), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "spectrum", [{"points": 10}, {"span": 5}, {"fwhm": math.inf}]
+)
+def test_pipeline_checks_spectrum_grid_before_any_fit(spectrum, tmp_path, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_doublet called before the grid check")
+
+    monkeypatch.setattr(spectra, "fit_doublet", no_fit)
+    with pytest.raises(ConfigError, match="spectrum"):
+        run_pipeline(parse_scenario(pipeline_doc(spectrum=spectrum)), tmp_path)
 
 
 def test_pipeline_noiseless_round_trip(tmp_path):
