@@ -269,16 +269,16 @@ def evolve_ode(
             f"{RK4_STEP_LIMIT}"
         )
     n_steps = int(math.floor(t_end / dt + 1e-12))
-    step = rk4_update_matrix(gamma, dt)
     base = np.array(m_inf.to_tuple())
-    dev = np.array(m0.to_tuple()) - base
-    states = np.empty((n_steps + 1, 3))
-    states[0] = base + dev
-    for i in range(n_steps):
-        dev = step @ dev
-        states[i + 1] = base + dev
+    # deviations U^i d0 for i = 0..n_steps under the one-step update U, by
+    # doubling: the first k deviations times (U^k)^T are the next k
+    devs = (np.array(m0.to_tuple()) - base)[None, :]
+    power = rk4_update_matrix(gamma, dt)
+    while len(devs) <= n_steps:
+        devs = np.concatenate((devs, devs @ power.T))
+        power = power @ power
     times = np.arange(n_steps + 1) * dt
-    return Trajectory(times, states)
+    return Trajectory(times, base + devs[: n_steps + 1])
 
 
 def linear_step(entries: np.ndarray, m0, m_inf, tau: float) -> np.ndarray:

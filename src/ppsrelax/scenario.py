@@ -28,12 +28,10 @@ import numpy as np
 from . import analysis, spectra, svg
 from .relaxation import (
     RATE_FIELDS,
-    RelaxationMatrix,
     RelaxationRates,
     build_matrix,
     check_initial_rate_window,
     diagonalize,
-    evolve_exact,
     invalid_rates,
     linear_step,
     propagate,
@@ -42,8 +40,8 @@ from .relaxation import (
 from .spins import (
     PpsLabel,
     SpinSystem,
+    doublet_pairs,
     equilibrium_modes,
-    line_intensities,
     pps_modes,
 )
 
@@ -73,6 +71,14 @@ SCHEMA_VERSION = 1
 #: Largest number of time-grid samples a config may ask for (20x the
 #: 50 001 of a 1 ms grid over 50 s).
 MAX_TIME_SAMPLES = 10**6
+
+#: Largest number of samples a config may give a spectrum (125x the
+#: default 801).
+MAX_SPECTRUM_POINTS = 100_000
+
+#: Grid samples of the spectra the pipeline synthesizes and fits in one
+#: solver call: 32 spectra of the default 801 points.
+BATCH_SAMPLES = 32 * 801
 
 #: Noise seed of the shipped default scenarios.
 DEFAULT_SEED = 20240801
@@ -165,9 +171,11 @@ class SpectrumSpec:
     points: int = 801
 
     def __post_init__(self):
-        if not (0 < self.fwhm < math.inf and 0 < self.span < math.inf and self.points >= 2):
+        finite = 0 < self.fwhm < math.inf and 0 < self.span < math.inf
+        if not (finite and 2 <= self.points <= MAX_SPECTRUM_POINTS):
             raise ConfigError(
-                f"spectrum requires finite fwhm > 0 and span > 0, points >= 2; got "
+                f"spectrum requires finite fwhm > 0 and span > 0, "
+                f"2 <= points <= {MAX_SPECTRUM_POINTS}; got "
                 f"fwhm={self.fwhm}, span={self.span}, points={self.points}"
             )
 
@@ -534,64 +542,54 @@ def run_sweep(sweep: SweepSpec, out_dir) -> str:
     return str(csv_path)
 
 
+def _doublet_seeds(
+    freqs: np.ndarray, amps: np.ndarray, sys_obj: SpinSystem, fwhm: float
+) -> np.ndarray:
+    """Fit seeds [S, 2, 3] of the spectra ``amps`` [S, N] at the known
+    doublet geometry: (center, integral, fwhm) rows for lines at -J/2 and
+    +J/2, with integrals read off the sampled amplitude at each center."""
+    centers = np.array([-sys_obj.j_coupling / 2.0, sys_obj.j_coupling / 2.0])
+    nearest = np.abs(freqs - centers[:, None]).argmin(axis=1)
+    seeds = np.empty((len(amps), 2, 3))
+    seeds[:, :, 0] = centers
+    seeds[:, :, 1] = amps[:, nearest] * math.pi * fwhm / 2.0
+    seeds[:, :, 2] = fwhm
+    return seeds
+
+
 def _doublet_seed(
     spectrum: spectra.Spectrum, sys_obj: SpinSystem, fwhm: float
 ) -> spectra.DoubletFit:
-    """Fit seed at the known doublet geometry (lines at -J/2 and +J/2),
-    with integrals read off the sampled amplitude at each center."""
-    peaks = []
-    for center in (-sys_obj.j_coupling / 2.0, sys_obj.j_coupling / 2.0):
-        idx = int(np.argmin(np.abs(spectrum.freqs - center)))
-        height = float(spectrum.amps[idx])
-        peaks.append(
-            spectra.LinePeak(
-                center=center,
-                integral=height * math.pi * fwhm / 2.0,
-                fwhm=fwhm,
-            )
-        )
+    """The seed of :func:`_doublet_seeds` for one spectrum, as a fit."""
+    first, second = _doublet_seeds(spectrum.freqs, spectrum.amps[None], sys_obj, fwhm)[0]
     return spectra.DoubletFit(
-        peaks=(peaks[0], peaks[1]),
+        peaks=(spectra.LinePeak(*first.tolist()), spectra.LinePeak(*second.tolist())),
         residual_norm=float("nan"),
         iterations=0,
         converged=False,
     )
 
 
-def _pipeline_extraction(
-    scenario: Scenario,
-    gamma: RelaxationMatrix,
-    label: PpsLabel,
-    t: float,
-    eq_fits: dict[int, spectra.DoubletFit],
-    seed_stream,
-):
-    """Synthesize, degrade, fit and extract one time point of one state.
+def _fit_spectra(scenario: Scenario, freqs: np.ndarray, pairs: np.ndarray) -> spectra.DoubletFits:
+    """Synthesize, degrade and fit one doublet per line-integral pair of
+    ``pairs`` [K, 2]; spectrum k draws its noise from seed + k.
 
-    Returns (intensities, per-nucleus fits, coefficients or None).
+    Spectra are made and fitted a batch of about BATCH_SAMPLES grid
+    samples at a time, so the whole run's spectra are never held at once;
+    a row's result does not depend on the batch size.
     """
-    sys_obj = scenario.sys
-    spec = scenario.spectrum
-    m = evolve_exact(gamma, pps_modes(label, sys_obj), equilibrium_modes(sys_obj), t)
-    intensities = line_intensities(m)
-    fits: dict[int, spectra.DoubletFit] = {}
-    for nucleus in (1, 2):
-        spectrum = spectra.synthesize(
-            intensities, sys_obj, nucleus, spec.fwhm, spec.span, spec.points
+    sys_obj, spec, noise = scenario.sys, scenario.spectrum, scenario.noise
+    batch = max(1, BATCH_SAMPLES // len(freqs))
+    parts = []
+    for start in range(0, len(pairs), batch):
+        block = pairs[start : start + batch]
+        amps = spectra.doublet_amps(freqs, block, sys_obj.j_coupling, spec.fwhm)
+        seeds = range(noise.seed + start, noise.seed + start + len(block))
+        amps = spectra.noisy_amps(amps, noise.snr, seeds)
+        parts.append(
+            spectra.fit_doublets(freqs, amps, _doublet_seeds(freqs, amps, sys_obj, spec.fwhm))
         )
-        spectrum = spectra.add_noise(spectrum, scenario.noise.snr, next(seed_stream))
-        try:
-            fits[nucleus] = spectra.fit_doublet(
-                spectrum, init=_doublet_seed(spectrum, sys_obj, spec.fwhm)
-            )
-        except spectra.NotConverged as exc:
-            fits[nucleus] = exc.fit
-    coeffs = None
-    if fits[1].converged and fits[2].converged:
-        coeffs = spectra.coefficients_from_fits(
-            fits[1], fits[2], eq_fits[1], eq_fits[2], label
-        )
-    return intensities, fits, coeffs
+    return spectra.DoubletFits(*map(np.concatenate, zip(*parts)))
 
 
 def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) -> str:
@@ -599,7 +597,7 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
 
     Requires ``readout = "spectra"`` and a noise block (the snr may be
     the "inf" sentinel). Fit failures are recorded per row and the run
-    continues.
+    continues; only a failed equilibrium reference fit ends it.
     """
     if scenario.readout != "spectra":
         raise ConfigError(
@@ -615,52 +613,59 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
     sys_obj = scenario.sys
     spec = scenario.spectrum
     try:
-        spectra.frequency_grid(sys_obj.j_coupling, spec.fwhm, spec.span, spec.points)
+        freqs = spectra.frequency_grid(sys_obj.j_coupling, spec.fwhm, spec.span, spec.points)
     except ValueError as exc:
         raise ConfigError(f"spectrum: {exc}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gamma = build_matrix(scenario.rates)
-
-    counter = iter(range(scenario.noise.seed, scenario.noise.seed + 10_000_000))
-
-    eq_fits = {}
-    eq_intensities = line_intensities(equilibrium_modes(sys_obj))
+    labels = scenario.pps_labels
+    times = scenario.time_grid.times()
+    m_inf = equilibrium_modes(sys_obj).to_tuple()
+    m0 = [pps_modes(label, sys_obj).to_tuple() for label in labels]
+    # one call per time over all labels: a single-time call rounds like
+    # evolve_exact, so each row equals the scalar chain bit for bit (a
+    # multi-time call differs in the last bit, which a near-zero line's
+    # fit can amplify to 1e-6)
+    states = np.stack([propagate(gamma, m0, m_inf, (t,))[:, 0] for t in times], axis=1)
+    # spectra in noise-seed order: the equilibrium reference of nucleus 1
+    # and 2, then label by label, time by time, nucleus 1 before 2
+    modes = np.concatenate(([m_inf], states.reshape(-1, 3)))
+    fits = _fit_spectra(scenario, freqs, doublet_pairs(modes).reshape(-1, 2))
     for nucleus in (1, 2):
-        eq_spectrum = spectra.synthesize(
-            eq_intensities, sys_obj, nucleus, spec.fwhm, spec.span, spec.points
-        )
-        eq_spectrum = spectra.add_noise(eq_spectrum, scenario.noise.snr, next(counter))
-        eq_fits[nucleus] = spectra.fit_doublet(
-            eq_spectrum, init=_doublet_seed(eq_spectrum, sys_obj, spec.fwhm)
-        )
-
-    row = "%s,%.12g,%d" + ",%.12g" * 7 + ",%d\n"
-    lines = []
-    for label in scenario.pps_labels:
-        for t in scenario.time_grid.times():
-            intensities, fits, coeffs = _pipeline_extraction(
-                scenario, gamma, label, float(t), eq_fits, counter
+        if not fits.converged[nucleus - 1]:
+            raise spectra.NotConverged(
+                f"equilibrium fit of nucleus {nucleus}: no convergence in "
+                f"{spectra.FIT_MAX_ITER} iterations",
+                fits.fit(nucleus - 1),
             )
-            if coeffs is None:
-                extracted = (float("nan"),) * 4
-            else:
-                extracted = (coeffs.a_from_spin2, coeffs.a_from_spin1, coeffs.b, coeffs.c)
-            for nucleus in (1, 2):
-                fit = fits[nucleus]
-                lines.append(
-                    row
-                    % (
-                        label.value,
-                        t,
-                        nucleus,
-                        fit.peaks[0].integral,
-                        fit.peaks[1].integral,
-                        *extracted,
-                        fit.residual_norm,
-                        fit.converged,
-                    )
-                )
+
+    # rows in spectrum order after the two references: label, time, nucleus
+    eq1, eq2 = fits.peaks[:2, :, 1]
+    fitted = fits.peaks[2:, :, 1]  # (line0, line1) of each row
+    by_state = fitted.reshape(len(labels), len(times), 2, 2)
+    both = fits.converged[2:].reshape(len(labels), len(times), 2).all(axis=-1)
+    extracted = np.full((len(labels), len(times), 4), np.nan)
+    for i, label in enumerate(labels):
+        if both[i].any():
+            extracted[i, both[i]] = spectra.coefficient_rows(
+                by_state[i, both[i], 0], by_state[i, both[i], 1], eq1, eq2, label
+            )
+    table = np.column_stack(
+        (
+            np.tile(np.repeat(times, 2), len(labels)),
+            np.tile([1, 2], len(labels) * len(times)),
+            fitted,
+            np.repeat(extracted.reshape(-1, 4), 2, axis=0),
+            fits.residual_norm[2:],
+            fits.converged[2:],
+        )
+    )
+    names = np.repeat([label.value for label in labels], 2 * len(times)).tolist()
+    row = "%s,%.12g,%d" + ",%.12g" * 7 + ",%d\n"
+    # formatted one row at a time: a table of Python floats would hold
+    # about 1.5 MB at 4 x 501 times
+    lines = (row % (name, *values.tolist()) for name, values in zip(names, table))
     csv_path = out / "pipeline.csv"
     _write_csv(csv_path, "pipeline", scenario_to_dict(scenario), PIPELINE_COLUMNS, lines)
     return str(csv_path)

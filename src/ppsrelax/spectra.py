@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "LinePeak",
     "Spectrum",
     "DoubletFit",
+    "DoubletFits",
     "NormalizedCoefficients",
     "GridTooCoarse",
     "NoPeaksFound",
@@ -34,10 +36,14 @@ __all__ = [
     "InconsistentEquilibrium",
     "lorentzian",
     "frequency_grid",
+    "doublet_amps",
     "synthesize",
+    "noisy_amps",
     "add_noise",
     "estimate_noise_floor",
+    "fit_doublets",
     "fit_doublet",
+    "coefficient_rows",
     "coefficients_from_fits",
     "save_spectrum",
     "load_spectrum",
@@ -51,6 +57,9 @@ GRID_COVER_FACTOR = 5.0
 
 #: Equilibrium doublet asymmetry accepted by coefficient extraction.
 EQ_ASYMMETRY_LIMIT = 0.05
+
+#: Fewest grid samples a spectrum must have to be fitted.
+FIT_MIN_POINTS = 50
 
 FIT_MAX_ITER = 200
 FIT_RTOL = 1e-10
@@ -184,6 +193,15 @@ def frequency_grid(j_coupling: float, fwhm: float, span: float, points: int) -> 
     return freqs
 
 
+def doublet_amps(freqs: np.ndarray, pairs, j_coupling: float, fwhm: float) -> np.ndarray:
+    """Doublet amplitudes [..., N] on the grid ``freqs`` [N] for the line
+    integral pairs [..., 2]: the 0-line at -J/2, the 1-line at +J/2."""
+    pairs = np.asarray(pairs, dtype=float)[..., None]
+    return lorentzian(freqs, -j_coupling / 2.0, pairs[..., 0, :], fwhm) + lorentzian(
+        freqs, +j_coupling / 2.0, pairs[..., 1, :], fwhm
+    )
+
+
 def synthesize(
     intensities: LineIntensities,
     sys: SpinSystem,
@@ -206,30 +224,41 @@ def synthesize(
     else:
         raise ValueError(f"nucleus must be 1 or 2, got {nucleus!r}")
     freqs = frequency_grid(sys.j_coupling, fwhm, span, points)
-    amps = lorentzian(freqs, -sys.j_coupling / 2.0, pair[0], fwhm) + lorentzian(
-        freqs, +sys.j_coupling / 2.0, pair[1], fwhm
-    )
+    amps = doublet_amps(freqs, pair, sys.j_coupling, fwhm)
     return Spectrum(freqs=freqs, amps=amps, nucleus=nucleus)
+
+
+def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
+    """Spectra ``amps`` [S, N] plus white Gaussian noise with sd =
+    max|row| / snr, row s drawn from ``default_rng(seeds[s])``.
+    ``snr=math.inf`` returns ``amps`` itself."""
+    if not snr > 0:
+        raise ValueError(f"snr must be > 0, got {snr}")
+    if math.isinf(snr):
+        return amps
+    scales = np.max(np.abs(amps), axis=-1).tolist()
+    noisy = np.empty_like(amps)
+    for row, (clean, scale, seed) in enumerate(zip(amps, scales, seeds)):
+        rng = np.random.default_rng(int(seed))
+        noisy[row] = clean + rng.normal(0.0, scale / snr, size=clean.shape)
+    return noisy
 
 
 def add_noise(s: Spectrum, snr: float, seed: int) -> Spectrum:
     """White Gaussian noise with sd = max|amps| / snr, seeded and
     reproducible. ``snr=math.inf`` returns the spectrum unchanged."""
-    if not snr > 0:
-        raise ValueError(f"snr must be > 0, got {snr}")
+    noisy = noisy_amps(s.amps[None], snr, (seed,))
     if math.isinf(snr):
         return s
-    scale = float(np.max(np.abs(s.amps)))
-    rng = np.random.default_rng(seed)
-    noisy = s.amps + rng.normal(0.0, scale / snr, size=s.amps.shape)
-    return Spectrum(freqs=s.freqs.copy(), amps=noisy, nucleus=s.nucleus)
+    return Spectrum(freqs=s.freqs.copy(), amps=noisy[0], nucleus=s.nucleus)
 
 
-def estimate_noise_floor(amps: np.ndarray) -> float:
+def estimate_noise_floor(amps: np.ndarray) -> float | np.ndarray:
     """Robust noise estimate from the median absolute successive
-    difference (the signal contributes only smooth, mostly small diffs)."""
+    difference (the signal contributes only smooth, mostly small diffs);
+    one value per spectrum of ``amps`` [..., N]."""
     diffs = np.abs(np.diff(amps))
-    return 1.4826 * float(np.median(diffs)) / math.sqrt(2.0)
+    return 1.4826 * np.median(diffs, axis=-1) / math.sqrt(2.0)
 
 
 def _local_maxima(amps: np.ndarray) -> np.ndarray:
@@ -302,65 +331,275 @@ def _initial_peaks(s: Spectrum) -> tuple[LinePeak, LinePeak]:
     return first, second
 
 
+class DoubletFits(NamedTuple):
+    """Fits of a batch of spectra sampled on one grid; row s belongs to
+    spectrum s.
+
+    ``peaks`` [S, 2, 3] holds (center, integral, fwhm) of both lines in
+    ascending center order; the other fields are [S] arrays carrying the
+    same-named :class:`DoubletFit` field of each row.
+    """
+
+    peaks: np.ndarray
+    residual_norm: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    low_confidence: np.ndarray
+
+    def fit(self, row: int) -> DoubletFit:
+        first, second = (LinePeak(*map(float, peak)) for peak in self.peaks[row])
+        return DoubletFit(
+            peaks=(first, second),
+            residual_norm=float(self.residual_norm[row]),
+            iterations=int(self.iterations[row]),
+            converged=bool(self.converged[row]),
+            low_confidence=bool(self.low_confidence[row]),
+        )
+
+
+def _check_fit_grid(freqs: np.ndarray) -> None:
+    if freqs.size < FIT_MIN_POINTS:
+        raise ValueError(
+            f"spectrum too short to fit ({freqs.size} < {FIT_MIN_POINTS} samples)"
+        )
+
+
 def _model_and_jacobian(
-    freqs: np.ndarray, params: np.ndarray, shared_fwhm: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bi-Lorentzian model and its analytic Jacobian.
+    freqs: np.ndarray, params: np.ndarray, shared_fwhm: bool, jac: np.ndarray
+) -> np.ndarray:
+    """Bi-Lorentzian models [S, N] of the parameter rows ``params``
+    [S, P]; their analytic Jacobians [S, N, P] are written to ``jac``.
 
     Parameter layout: (c_a, c_b, i_a, i_b, w) shared or
     (c_a, c_b, i_a, i_b, w_a, w_b) independent.
     """
-    n_params = 5 if shared_fwhm else 6
-    model = np.zeros_like(freqs)
-    jac = np.zeros((freqs.size, n_params))
+    model = np.zeros((len(params), freqs.size))
     for line in (0, 1):
-        center = params[line]
-        integral = params[2 + line]
-        width = params[4] if shared_fwhm else params[4 + line]
-        half = width / 2.0
+        center = params[:, line, None]
+        scale = params[:, 2 + line, None] / math.pi
+        width = 4 if shared_fwhm else 4 + line
+        half = params[:, width, None] / 2.0
+        # squared by pow(), which rounds like the square of a scalar width
+        half2 = np.float_power(half, 2.0)
+        # in-place steps keep four [S, N] temporaries alive at most
         diff = freqs - center
-        denom = diff ** 2 + half ** 2
-        shape = half / denom  # pi/integral * lorentzian
-        model += (integral / math.pi) * shape
-        jac[:, line] = (integral / math.pi) * half * 2.0 * diff / denom ** 2
-        jac[:, 2 + line] = shape / math.pi
-        d_half = (integral / math.pi) * (diff ** 2 - half ** 2) / denom ** 2
-        if shared_fwhm:
-            jac[:, 4] += 0.5 * d_half
+        diff2 = diff ** 2
+        denom2 = diff2 + half2
+        shape = half / denom2  # pi/integral * lorentzian
+        denom2 **= 2
+        np.divide(shape, math.pi, out=jac[:, :, 2 + line])
+        shape *= scale
+        model += shape
+        del shape
+        diff2 -= half2
+        diff2 *= scale
+        diff2 /= denom2
+        diff2 *= 0.5
+        if shared_fwhm and line:
+            jac[:, :, width] += diff2
         else:
-            jac[:, 4 + line] = 0.5 * d_half
-    return model, jac
+            jac[:, :, width] = diff2
+        del diff2
+        diff *= scale * half * 2.0
+        diff /= denom2
+        jac[:, :, line] = diff
+    return model
 
 
-def _params_from_peaks(
-    peaks: tuple[LinePeak, LinePeak], shared_fwhm: bool
-) -> np.ndarray:
-    first, second = peaks
-    if shared_fwhm:
-        width = (first.fwhm + second.fwhm) / 2.0
-        return np.array(
-            [first.center, second.center, first.integral, second.integral, width]
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of ``a`` and ``b`` [S, K]."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions x[s] of a[s] x = b[s] for a [S, P, P] and b [S, P], and
+    a per-row flag that is False (x zero) where a[s] is singular."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    # one singular system fails the whole stacked call: isolate it
+    x = np.zeros_like(b)
+    solved = np.ones(len(b), dtype=bool)
+    for row in range(len(b)):
+        try:
+            x[row] = np.linalg.solve(a[row], b[row])
+        except np.linalg.LinAlgError:
+            solved[row] = False
+    return x, solved
+
+
+def _normal_equations(
+    freqs: np.ndarray,
+    amps: np.ndarray,
+    params: np.ndarray,
+    shared_fwhm: bool,
+    scratch: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared residual [S], gradient J^T r [S, P] and Gauss-Newton matrix
+    J^T J [S, P, P] of the model rows ``params`` against ``amps`` [S, N];
+    the Jacobian J is built in the first S rows of ``scratch``."""
+    jac = scratch[: len(params)]
+    residual = _model_and_jacobian(freqs, params, shared_fwhm, jac)
+    residual -= amps
+    jac_t = jac.swapaxes(1, 2)
+    return _rowdot(residual, residual), (jac_t @ residual[:, :, None])[:, :, 0], jac_t @ jac
+
+
+def _levenberg_marquardt(
+    freqs: np.ndarray,
+    amps: np.ndarray,
+    params: np.ndarray,
+    center_lo: np.ndarray,
+    center_hi: np.ndarray,
+    min_width: float,
+    shared_fwhm: bool,
+    max_iter: int,
+    rtol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton iteration on every row of ``params`` [S, P] at
+    once; returns the final (params, squared residual, iterations,
+    converged) per row.
+
+    Each row keeps its own diagonal damping, gain-ratio schedule and
+    convergence state; a row that converges or stalls leaves the working
+    set, so the others iterate on without it. Only the normal equations
+    of the current parameters are kept, never their [S, N, P] Jacobian.
+    """
+    rows = len(params)
+    final = np.empty_like(params)
+    final_ssr = np.empty(rows)
+    final_iterations = np.zeros(rows, dtype=int)
+    final_converged = np.zeros(rows, dtype=bool)
+    live = np.arange(rows)  # output row of each working row
+
+    # one Jacobian buffer for the whole iteration: a fresh [S, N, P] array
+    # per step costs more in page faults than it takes to fill
+    scratch = np.empty((rows, freqs.size, params.shape[1]))
+    ssr, gradient, hessian = _normal_equations(freqs, amps, params, shared_fwhm, scratch)
+    damping = np.full(rows, 1e-3)
+    escalation = np.full(rows, 2.0)
+    diagonal = np.arange(params.shape[1])
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        diag = hessian[:, diagonal, diagonal]
+        diag[diag <= 0] = 1e-30
+        damped = hessian.copy()
+        damped[:, diagonal, diagonal] += damping[:, None] * diag
+        step, solved = _solve_rows(damped, -gradient)
+        trial = params + step
+        trial[:, 4:] = np.maximum(trial[:, 4:], min_width)
+        trial[:, :2] = np.clip(trial[:, :2], center_lo, center_hi)
+        trial_ssr, trial_gradient, trial_hessian = _normal_equations(
+            freqs, amps, trial, shared_fwhm, scratch
         )
-    return np.array(
-        [
-            first.center,
-            second.center,
-            first.integral,
-            second.integral,
-            first.fwhm,
-            second.fwhm,
-        ]
+        predicted = _rowdot(step, damping[:, None] * diag * step - gradient)
+        accept = solved & (trial_ssr < ssr) & (predicted > 0)
+
+        improvement = ssr - trial_ssr
+        params[accept] = trial[accept]
+        ssr[accept] = trial_ssr[accept]
+        gradient[accept] = trial_gradient[accept]
+        hessian[accept] = trial_hessian[accept]
+        gain = (improvement[accept] / predicted[accept]).tolist()
+        # Python's float power: numpy's cube rounds differently now and then
+        damping[accept] *= [max(1.0 / 3.0, 1.0 - (2.0 * g - 1.0) ** 3) for g in gain]
+        escalation[accept] = 2.0
+        done = accept & (improvement <= rtol * np.maximum(ssr, 1e-300))
+
+        reject = ~accept
+        damping[reject] *= escalation[reject]
+        escalation[reject] *= 2.0
+        # steps this damped no longer change the residual: stalled at a
+        # minimum (a singular system only escalates)
+        done |= reject & solved & (damping > 1e14)
+        if done.any():
+            out = live[done]
+            final[out] = params[done]
+            final_ssr[out] = ssr[done]
+            final_iterations[out] = iteration
+            final_converged[out] = True
+            keep = ~done
+            live, params, ssr, gradient, hessian = (
+                live[keep], params[keep], ssr[keep], gradient[keep], hessian[keep]
+            )
+            damping, escalation = damping[keep], escalation[keep]
+            center_lo, center_hi, amps = center_lo[keep], center_hi[keep], amps[keep]
+        if not live.size:
+            break
+    final[live] = params
+    final_ssr[live] = ssr
+    final_iterations[live] = iteration
+    return final, final_ssr, final_iterations, final_converged
+
+
+def fit_doublets(
+    freqs: np.ndarray,
+    amps: np.ndarray,
+    seeds: np.ndarray,
+    *,
+    pinned: bool = True,
+    shared_fwhm: bool = True,
+    max_iter: int = FIT_MAX_ITER,
+    rtol: float = FIT_RTOL,
+) -> DoubletFits:
+    """Bi-Lorentzian fits of the spectra ``amps`` [S, N] sampled on the
+    uniform grid ``freqs`` [N], all in one Levenberg-Marquardt iteration.
+
+    ``seeds`` [S, 2, 3] holds the starting (center, integral, fwhm) of
+    both lines of each spectrum. With ``pinned`` the seed fixes line
+    identity: each component stays on its own side, inside a box of half
+    the seed separation, so a near-zero line cannot drift across its
+    partner and swap the assignment. Without it (a blind seed) a
+    component may wander half a span beyond the grid, where it is pure
+    baseline. Both linewidths are constrained equal by default. The
+    damping follows the gain-ratio schedule (rejected steps escalate it
+    geometrically, as does a singular damped system), and a spectrum
+    converges when an accepted step changes its squared residual by less
+    than ``rtol`` relatively, or when damping escalation shows the
+    iteration is stalled at a minimum. Spectra that exhaust ``max_iter``
+    are returned with ``converged`` False and their best parameters.
+    A row's result does not depend on the other rows of the batch.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    _check_fit_grid(freqs)
+    amps = np.asarray(amps, dtype=float)
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.ndim != 3 or seeds.shape[1:] != (2, 3) or amps.shape != (len(seeds), freqs.size):
+        raise ValueError(
+            f"need amps [S, {freqs.size}] and seeds [S, 2, 3], got {amps.shape} and {seeds.shape}"
+        )
+    centers, integrals, widths = seeds[:, :, 0], seeds[:, :, 1], seeds[:, :, 2]
+    if shared_fwhm:
+        widths = (widths[:, :1] + widths[:, 1:]) / 2.0
+    params = np.concatenate((centers, integrals, widths), axis=1)
+    spacing = float(freqs[1] - freqs[0])
+    if pinned:
+        half_sep = np.maximum(np.abs(centers[:, 1:] - centers[:, :1]) / 2.0, 2.0 * spacing)
+        center_lo, center_hi = centers - half_sep, centers + half_sep
+    else:
+        span = float(freqs[-1] - freqs[0])
+        center_lo = np.full(centers.shape, freqs[0] - 0.5 * span)
+        center_hi = np.full(centers.shape, freqs[-1] + 0.5 * span)
+
+    params, ssr, iterations, converged = _levenberg_marquardt(
+        freqs, amps, params, center_lo, center_hi, 2.0 * spacing, shared_fwhm, max_iter, rtol
     )
-
-
-def _peaks_from_params(params: np.ndarray, shared_fwhm: bool) -> tuple[LinePeak, LinePeak]:
-    widths = (params[4], params[4]) if shared_fwhm else (params[4], params[5])
-    peaks = [
-        LinePeak(center=float(params[i]), integral=float(params[2 + i]), fwhm=float(widths[i]))
-        for i in (0, 1)
-    ]
-    peaks.sort(key=lambda p: p.center)
-    return peaks[0], peaks[1]
+    widths = params[:, 4:5].repeat(2, axis=1) if shared_fwhm else params[:, 4:6]
+    peaks = np.stack((params[:, 0:2], params[:, 2:4], widths), axis=-1)
+    swapped = peaks[:, 1, 0] < peaks[:, 0, 0]
+    peaks[swapped] = peaks[swapped, ::-1]
+    floor = estimate_noise_floor(amps)
+    low_confidence = (
+        np.abs(peaks[:, :, 1]) < 3.0 * floor[:, None] * math.pi * peaks[:, :, 2] / 2.0
+    ).any(axis=1)
+    return DoubletFits(
+        peaks=peaks,
+        residual_norm=np.sqrt(ssr / freqs.size),
+        iterations=iterations,
+        converged=converged,
+        low_confidence=low_confidence,
+    )
 
 
 def fit_doublet(
@@ -370,100 +609,68 @@ def fit_doublet(
     max_iter: int = FIT_MAX_ITER,
     rtol: float = FIT_RTOL,
 ) -> DoubletFit:
-    """Least-squares bi-Lorentzian fit with Levenberg-Marquardt damping.
+    """Least-squares bi-Lorentzian fit of one spectrum: a batch of one of
+    :func:`fit_doublets`.
 
     Initialization comes from the two largest well-separated local
-    maxima unless ``init`` provides a seed. Both linewidths are
-    constrained equal by default. The damping follows the gain-ratio
-    schedule (rejected steps escalate the damping geometrically), and
-    the fit converges when an accepted step changes the squared residual
-    by less than ``rtol`` relatively, or when damping escalation shows
-    the iteration is stalled at a minimum. Exhausting ``max_iter``
-    raises NotConverged carrying the best fit so far.
+    maxima unless ``init`` provides a seed, which then pins the line
+    geometry. Exhausting ``max_iter`` raises NotConverged carrying the
+    best fit so far.
 
     When one doublet line is consistent with zero, the location of that
     component is not identifiable; the result is then flagged
     ``low_confidence`` and positional line assignment (lower center =
     0-line) is only trustworthy if a seed pinned the geometry.
     """
-    if s.freqs.size < 50:
-        raise ValueError(f"spectrum too short to fit ({s.freqs.size} < 50 samples)")
-    seed_peaks = init.peaks if init is not None else _initial_peaks(s)
-    params = _params_from_peaks(seed_peaks, shared_fwhm)
-    min_width = 2.0 * s.spacing
-    if init is not None:
-        # a seed fixes line identity: each component stays on its own
-        # side, inside a box of half the seed separation, so a near-zero
-        # line cannot drift across its partner and swap the assignment
-        half_sep = max(abs(params[1] - params[0]) / 2.0, 2.0 * s.spacing)
-        center_lo = np.array([params[0] - half_sep, params[1] - half_sep])
-        center_hi = np.array([params[0] + half_sep, params[1] + half_sep])
-    else:
-        # blind fit: a component outside the padded window is pure
-        # baseline; cap the drift of unidentifiable near-zero lines
-        span = float(s.freqs[-1] - s.freqs[0])
-        center_lo = np.array([s.freqs[0] - 0.5 * span] * 2)
-        center_hi = np.array([s.freqs[-1] + 0.5 * span] * 2)
-    width_slice = slice(4, 5) if shared_fwhm else slice(4, 6)
-
-    model, jac = _model_and_jacobian(s.freqs, params, shared_fwhm)
-    residual = model - s.amps
-    ssr = float(residual @ residual)
-    damping = 1e-3
-    escalation = 2.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        gradient = jac.T @ residual
-        hessian = jac.T @ jac
-        diag = np.diag(hessian).copy()
-        diag[diag <= 0] = 1e-30
-        try:
-            step = np.linalg.solve(hessian + damping * np.diag(diag), -gradient)
-        except np.linalg.LinAlgError:
-            damping *= escalation
-            escalation *= 2.0
-            continue
-        trial = params + step
-        trial[width_slice] = np.maximum(trial[width_slice], min_width)
-        trial[0:2] = np.clip(trial[0:2], center_lo, center_hi)
-        model, trial_jac = _model_and_jacobian(s.freqs, trial, shared_fwhm)
-        trial_residual = model - s.amps
-        trial_ssr = float(trial_residual @ trial_residual)
-        predicted = float(step @ (damping * diag * step - gradient))
-        if trial_ssr < ssr and predicted > 0:
-            improvement = ssr - trial_ssr
-            gain = improvement / predicted
-            params, residual, jac, ssr = trial, trial_residual, trial_jac, trial_ssr
-            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            escalation = 2.0
-            if improvement <= rtol * max(ssr, 1e-300):
-                converged = True
-                break
-        else:
-            damping *= escalation
-            escalation *= 2.0
-            if damping > 1e14:
-                # steps this damped no longer change the residual: stalled
-                # at a minimum
-                converged = True
-                break
-
-    peaks = _peaks_from_params(params, shared_fwhm)
-    floor = estimate_noise_floor(s.amps)
-    low_confidence = any(
-        abs(p.integral) < 3.0 * floor * math.pi * p.fwhm / 2.0 for p in peaks
+    _check_fit_grid(s.freqs)
+    seed = init.peaks if init is not None else _initial_peaks(s)
+    fits = fit_doublets(
+        s.freqs,
+        s.amps[None],
+        [[(p.center, p.integral, p.fwhm) for p in seed]],
+        pinned=init is not None,
+        shared_fwhm=shared_fwhm,
+        max_iter=max_iter,
+        rtol=rtol,
     )
-    fit = DoubletFit(
-        peaks=peaks,
-        residual_norm=math.sqrt(ssr / s.freqs.size),
-        iterations=iterations,
-        converged=converged,
-        low_confidence=low_confidence,
-    )
-    if not converged:
+    fit = fits.fit(0)
+    if not fit.converged:
         raise NotConverged(f"no convergence in {max_iter} iterations", fit)
     return fit
+
+
+def coefficient_rows(lines1, lines2, eq1, eq2, label: PpsLabel) -> np.ndarray:
+    """Pseudo-pure coefficients (a_from_spin2, a_from_spin1, b, c) [..., 4]
+    from fitted line integrals.
+
+    ``lines1`` [..., 2] holds (f0, f1) of nucleus 1 and ``lines2``
+    (h0, h1) of nucleus 2; ``eq1``/``eq2`` [2] are the equilibrium pairs
+    used for normalization. Raises InconsistentEquilibrium when an
+    equilibrium doublet is asymmetric beyond 5%.
+    """
+    for name, eq in (("nucleus 1", eq1), ("nucleus 2", eq2)):
+        line0, line1 = (float(v) for v in eq)
+        mean = (line0 + line1) / 2.0
+        if mean == 0 or abs(line0 - line1) / abs(mean) > EQ_ASYMMETRY_LIMIT:
+            raise InconsistentEquilibrium(
+                f"{name} equilibrium doublet asymmetry exceeds "
+                f"{EQ_ASYMMETRY_LIMIT:.0%}: {line0:.6g} vs {line1:.6g}"
+            )
+    lines1, lines2 = np.asarray(lines1, dtype=float), np.asarray(lines2, dtype=float)
+    f0, f1 = lines1[..., 0], lines1[..., 1]
+    h0, h1 = lines2[..., 0], lines2[..., 1]
+    denom_f = float(eq1[0]) + float(eq1[1])
+    denom_h = float(eq2[0]) + float(eq2[1])
+    s = label.sign_pattern
+    return np.stack(
+        (
+            s.s12 * (h0 - h1) / denom_h,
+            s.s12 * (f0 - f1) / denom_f,
+            (f0 + f1 - s.s1 * s.s12 * (f0 - f1)) / denom_f,
+            (h0 + h1 - s.s2 * s.s12 * (h0 - h1)) / denom_h,
+        ),
+        axis=-1,
+    )
 
 
 def coefficients_from_fits(
@@ -484,25 +691,8 @@ def coefficients_from_fits(
     for name, fit in (("fit1", fit1), ("fit2", fit2), ("eq1", eq1), ("eq2", eq2)):
         if not fit.converged:
             raise ValueError(f"{name} did not converge")
-    for name, eq in (("nucleus 1", eq1), ("nucleus 2", eq2)):
-        line0, line1 = eq.peaks[0].integral, eq.peaks[1].integral
-        mean = (line0 + line1) / 2.0
-        if mean == 0 or abs(line0 - line1) / abs(mean) > EQ_ASYMMETRY_LIMIT:
-            raise InconsistentEquilibrium(
-                f"{name} equilibrium doublet asymmetry exceeds "
-                f"{EQ_ASYMMETRY_LIMIT:.0%}: {line0:.6g} vs {line1:.6g}"
-            )
-    f0, f1 = fit1.peaks[0].integral, fit1.peaks[1].integral
-    h0, h1 = fit2.peaks[0].integral, fit2.peaks[1].integral
-    denom_f = eq1.peaks[0].integral + eq1.peaks[1].integral
-    denom_h = eq2.peaks[0].integral + eq2.peaks[1].integral
-    s = label.sign_pattern
-    return NormalizedCoefficients(
-        a_from_spin2=s.s12 * (h0 - h1) / denom_h,
-        a_from_spin1=s.s12 * (f0 - f1) / denom_f,
-        b=(f0 + f1 - s.s1 * s.s12 * (f0 - f1)) / denom_f,
-        c=(h0 + h1 - s.s2 * s.s12 * (h0 - h1)) / denom_h,
-    )
+    pairs = [[peak.integral for peak in fit.peaks] for fit in (fit1, fit2, eq1, eq2)]
+    return NormalizedCoefficients(*coefficient_rows(*pairs, label).tolist())
 
 
 def save_spectrum(s: Spectrum, path, *, time: float = 0.0, scenario_id: str = "") -> None:

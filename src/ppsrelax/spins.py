@@ -10,7 +10,7 @@ deviation populations proportional to
 (g1+g2, g1-g2, -g1+g2, -g1-g2)/2.
 
 Everything in this module is a pure function over small immutable value
-types; there is no hidden state.
+types (or mode rows in arrays); there is no hidden state.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "SpinSystem",
@@ -33,6 +35,7 @@ __all__ = [
     "pps_modes",
     "modes_to_populations",
     "populations_to_modes",
+    "doublet_pairs",
     "line_intensities",
 ]
 
@@ -198,15 +201,23 @@ def populations_to_modes(p: PopulationVector) -> ModeVector:
     )
 
 
+def doublet_pairs(modes) -> np.ndarray:
+    """Line-integral pairs [..., 2, 2] of mode rows [..., 3] (c1, c2, c12):
+    ((f0, f1), (h0, h1)), the doublet of nucleus 1 then of nucleus 2."""
+    modes = np.asarray(modes, dtype=float)
+    c1, c2, c12 = modes[..., 0], modes[..., 1], modes[..., 2]
+    return np.stack(
+        (np.stack((c1 + c12, c1 - c12), axis=-1), np.stack((c2 + c12, c2 - c12), axis=-1)),
+        axis=-2,
+    )
+
+
 def line_intensities(m: ModeVector) -> LineIntensities:
     """Transition intensities as population differences.
 
     h0 = p00-p01, h1 = p10-p11, f0 = p00-p10, f1 = p01-p11, which reduce
-    to sums and differences of the mode coefficients.
+    to sums and differences of the mode coefficients (see
+    :func:`doublet_pairs`).
     """
-    return LineIntensities(
-        h0=m.c2 + m.c12,
-        h1=m.c2 - m.c12,
-        f0=m.c1 + m.c12,
-        f1=m.c1 - m.c12,
-    )
+    (f0, f1), (h0, h1) = doublet_pairs(m.to_tuple()).tolist()
+    return LineIntensities(h0=h0, h1=h1, f0=f0, f1=f1)

@@ -196,6 +196,7 @@ def with_field(doc, path, value):
         ("schema_version", 1.0, "schema_version"),
         ("sweep.values", [0.0, "1"], "sweep.values[1]"),  # bad swept value
         ("sweep.values", [0.0, False], "sweep.values[1]"),
+        ("spectrum.points", 10_000_000_000_000, "spectrum"),  # over the bound
     ],
 )
 def test_config_type_rules(path, value, named):
@@ -446,9 +447,9 @@ def test_pipeline_requires_spectra_readout(tmp_path):
 )
 def test_pipeline_checks_spectrum_grid_before_any_fit(spectrum, tmp_path, monkeypatch):
     def no_fit(*args, **kwargs):
-        raise AssertionError("fit_doublet called before the grid check")
+        raise AssertionError("fit_doublets called before the grid check")
 
-    monkeypatch.setattr(spectra, "fit_doublet", no_fit)
+    monkeypatch.setattr(spectra, "fit_doublets", no_fit)
     with pytest.raises(ConfigError, match="spectrum"):
         run_pipeline(parse_scenario(pipeline_doc(spectrum=spectrum)), tmp_path)
 
@@ -501,6 +502,49 @@ def test_pipeline_noiseless_matches_decomposition(tmp_path):
         assert float(row["C"]) == pytest.approx(
             truth.c / scenario.sys.gamma2, abs=1e-6
         )
+
+
+def test_pipeline_noise_seed_order(tmp_path):
+    """Spectrum k of a run draws its noise from seed + k, counting the
+    equilibrium references of nucleus 1 and 2 first, then state by state,
+    time by time, nucleus 1 before nucleus 2; a row rebuilt by hand from
+    the scalar chain matches the CSV to every printed digit."""
+    from ppsrelax.relaxation import build_matrix, evolve_exact
+    from ppsrelax.scenario import _doublet_seed
+    from ppsrelax.spins import equilibrium_modes, line_intensities, pps_modes
+
+    scenario = parse_scenario(pipeline_doc(noise={"snr": 100.0, "seed": 11}))
+    _, rows = read_rows(run_pipeline(scenario, tmp_path))
+    sys_obj, spec = scenario.sys, scenario.spectrum
+
+    def fit(modes, nucleus, k):
+        s = spectra.synthesize(
+            line_intensities(modes), sys_obj, nucleus, spec.fwhm, spec.span, spec.points
+        )
+        s = spectra.add_noise(s, 100.0, 11 + k)
+        return spectra.fit_doublet(s, init=_doublet_seed(s, sys_obj, spec.fwhm))
+
+    m_inf = equilibrium_modes(sys_obj)
+    eq1, eq2 = fit(m_inf, 1, 0), fit(m_inf, 2, 1)
+    # state 11 is the second of two, t = 1.25 s the second of three times
+    m = evolve_exact(build_matrix(scenario.rates), pps_modes(PpsLabel.P11, sys_obj), m_inf, 1.25)
+    k = 2 + 2 * (1 * 3 + 1)
+    fits = {1: fit(m, 1, k), 2: fit(m, 2, k + 1)}
+    coeffs = spectra.coefficients_from_fits(fits[1], fits[2], eq1, eq2, PpsLabel.P11)
+    for nucleus, f in fits.items():
+        (row,) = [
+            r for r in rows if (r["pps"], r["t"], r["nucleus"]) == ("11", "1.25", str(nucleus))
+        ]
+        expected = (
+            f.peaks[0].integral,
+            f.peaks[1].integral,
+            coeffs.a_from_spin2,
+            coeffs.a_from_spin1,
+            coeffs.b,
+            coeffs.c,
+            f.residual_norm,
+        )
+        assert list(row.values())[3:] == ["%.12g" % v for v in expected] + ["1"]
 
 
 def test_pipeline_deterministic_with_noise(tmp_path):

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppsrelax import spectra
+from ppsrelax.scenario import _doublet_seed, _doublet_seeds
 from ppsrelax.spectra import (
+    FIT_MAX_ITER,
     DoubletFit,
     GridTooCoarse,
     InconsistentEquilibrium,
@@ -14,6 +19,7 @@ from ppsrelax.spectra import (
     coefficients_from_fits,
     estimate_noise_floor,
     fit_doublet,
+    fit_doublets,
     load_spectrum,
     lorentzian,
     save_spectrum,
@@ -249,6 +255,113 @@ def test_fit_peaks_ordered_by_center():
         )
         fit = fit_doublet(add_noise(make_spectrum(truth), 200.0, seed))
         assert fit.peaks[0].center < fit.peaks[1].center
+
+
+# --------------------------------------------------------------- batch fit
+
+FREQS = np.linspace(-20.0, 20.0, 801)
+
+
+def noisy_batch():
+    """Spectra [14, 801] of random doublets at random noise levels, a
+    one-line doublet and an empty spectrum, whose steps are all rejected."""
+    rng = np.random.default_rng(7)
+    rows = []
+    for seed in range(12):
+        truth = LineIntensities(h0=rng.uniform(-1, 1), h1=rng.uniform(-1, 1), f0=0, f1=0)
+        rows.append(add_noise(make_spectrum(truth), rng.uniform(20, 200), seed).amps)
+    rows.append(make_spectrum(line_intensities(pps_modes(PpsLabel.P00, SYS))).amps)
+    rows.append(np.zeros(FREQS.size))
+    return np.array(rows)
+
+
+def fit_batch(amps, **options):
+    return fit_doublets(FREQS, amps, _doublet_seeds(FREQS, amps, SYS, 1.0), **options)
+
+
+def assert_same_rows(fits, rows, reference, reference_rows=slice(None)):
+    for name in fits._fields:
+        np.testing.assert_array_equal(
+            getattr(fits, name)[rows], getattr(reference, name)[reference_rows]
+        )
+
+
+@pytest.mark.parametrize("max_iter", [FIT_MAX_ITER, 5])
+def test_batch_fit_matches_fitting_each_spectrum_alone(max_iter):
+    amps = noisy_batch()
+    batch = fit_batch(amps, max_iter=max_iter)
+    # rows leave the working set at different iterations
+    assert len(set(batch.iterations.tolist())) > 1
+    for row in range(len(amps)):
+        s = Spectrum(FREQS.copy(), amps[row].copy(), 2)
+        try:
+            alone = fit_doublet(s, init=_doublet_seed(s, SYS, 1.0), max_iter=max_iter)
+        except spectra.NotConverged as exc:
+            alone = exc.fit
+        assert batch.fit(row) == alone
+
+
+def test_zero_spectrum_row_leaves_other_rows_unchanged():
+    amps = noisy_batch()
+    fits = fit_batch(np.insert(amps, 4, 0.0, axis=0))
+    assert_same_rows(fits, np.arange(len(amps) + 1) != 4, fit_batch(amps))
+    assert fits.converged[4] and not fits.peaks[4, :, 1].any()
+    # every step on an empty spectrum is rejected: the damping (1e-3) grows
+    # by 2, 4, 8, ... and passes the 1e14 stall limit at the 11th rejection
+    assert fits.iterations[4] == 11
+
+
+def test_singular_system_fails_only_its_row():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 5, 5))
+    a = a @ a.swapaxes(1, 2) + 5.0 * np.eye(5)
+    a[2] = 0.0
+    b = rng.normal(size=(4, 5))
+    x, solved = spectra._solve_rows(a, b)
+    assert solved.tolist() == [True, True, False, True]
+    for row in (0, 1, 3):
+        np.testing.assert_array_equal(x[row], np.linalg.solve(a[row], b[row]))
+    assert not x[2].any()
+
+
+def test_singular_step_escalates_only_its_row(monkeypatch):
+    amps = noisy_batch()
+    reference = fit_batch(amps)
+    solve = spectra._solve_rows
+    calls = []
+
+    def first_row_singular_once(a, b):
+        x, solved = solve(a, b)
+        if not calls:
+            x[0], solved[0] = 0.0, False
+        calls.append(len(b))
+        return x, solved
+
+    monkeypatch.setattr(spectra, "_solve_rows", first_row_singular_once)
+    fits = fit_batch(amps)
+    assert_same_rows(fits, slice(1, None), reference, slice(1, None))
+    assert fits.converged[0]
+    np.testing.assert_allclose(fits.peaks[0], reference.peaks[0], rtol=1e-6, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(*[st.floats(0.01, 2.0)] * 2),
+    st.tuples(*[st.sampled_from([-1.0, 1.0])] * 2),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 2),
+    st.floats(0.1, 2.0),
+)
+def test_noiseless_doublet_recovered(magnitudes, signs, offsets, fwhm):
+    # fwhm >= 2 grid spacings; each center within one fwhm of its seed,
+    # well inside the seed box of half the seed separation (2.9 Hz)
+    integrals = np.multiply(magnitudes, signs)
+    seed_centers = (-SYS.j_coupling / 2.0, SYS.j_coupling / 2.0)
+    centers = np.add(seed_centers, np.multiply(offsets, fwhm))
+    amps = sum(lorentzian(FREQS, c, i, fwhm) for c, i in zip(centers, integrals))[None]
+    fits = fit_doublets(FREQS, amps, _doublet_seeds(FREQS, amps, SYS, fwhm))
+    assert fits.converged[0]
+    np.testing.assert_allclose(fits.peaks[0, :, 1], integrals, rtol=1e-9)
+    np.testing.assert_allclose(fits.peaks[0, :, 0], centers, rtol=1e-9)
 
 
 # --------------------------------------------------------------- extraction
