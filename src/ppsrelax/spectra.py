@@ -589,7 +589,9 @@ def fit_doublets(
     peaks = np.stack((params[:, 0:2], params[:, 2:4], widths), axis=-1)
     swapped = peaks[:, 1, 0] < peaks[:, 0, 0]
     peaks[swapped] = peaks[swapped, ::-1]
-    floor = estimate_noise_floor(amps)
+    # an absolute floor of one unit roundoff: a flat spectrum has a noise
+    # floor of 0, yet its fitted integrals are tiny, not exactly 0
+    floor = np.maximum(estimate_noise_floor(amps), np.finfo(float).eps)
     low_confidence = (
         np.abs(peaks[:, :, 1]) < 3.0 * floor[:, None] * math.pi * peaks[:, :, 2] / 2.0
     ).any(axis=1)

@@ -132,6 +132,36 @@ def test_report_schema_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def edit_first_row(edit):
+    """Edit of a CSV's bytes: ``edit`` applied to the cells of its first data row."""
+
+    def apply(data):
+        lines = data.split(b"\n")
+        lines[4] = b",".join(edit(lines[4].split(b",")))  # after 3 # lines, header
+        return b"\n".join(lines)
+
+    return apply
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda data: data.replace(b"# scenario: {", b"# scenario: {,"), id="json"),
+        pytest.param(lambda data: data.replace(b'"k":0.5', b'"k":"x"'), id="scenario"),
+        pytest.param(edit_first_row(lambda cells: [*cells[:5], b"x", *cells[6:]]), id="cell"),
+        pytest.param(edit_first_row(lambda cells: cells[:3]), id="short-row"),
+        pytest.param(lambda data: data + b"\xff\xfe\n", id="not-utf8"),
+    ],
+)
+def test_report_malformed_csv_is_schema_error(corrupt, tmp_path, capsys):
+    main(["simulate", "--out", str(tmp_path), "--quiet"])
+    path = tmp_path / "simulate.csv"
+    path.write_bytes(corrupt(path.read_bytes()))
+    code = main(["report", str(path)])
+    assert code == EXIT_CONFIG
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     from ppsrelax import cli
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from ppsrelax.scenario import (
     SchemaMismatch,
     SpectrumSpec,
     TimeGrid,
+    _csv_text,
     default_scenario,
     default_sweep,
     load_scenario,
@@ -559,6 +561,73 @@ def test_pipeline_seed_override_changes_output(tmp_path):
     p1 = run_pipeline(parse_scenario(doc), tmp_path / "a")
     p2 = run_pipeline(parse_scenario(doc), tmp_path / "b", seed_override=99)
     assert Path(p1).read_bytes() != Path(p2).read_bytes()
+
+
+# ---------------------------------------------------------------- CSV text
+
+#: The one-row templates of the row-by-row writer: the state label as a
+#: ``%s`` field, one ``%`` call per row.
+ROW_BY_ROW = {
+    "simulate": "%s" + ",%.12g" * 8 + "\n",
+    "sweep": ",".join(["%.12g"] * 5) + "\n",
+    "pipeline": "%s,%.12g,%d" + ",%.12g" * 7 + ",%d\n",
+}
+
+
+def grid_of(samples):
+    """A 0.25 s time grid of ``samples`` times (one time: step > end)."""
+    end = (samples - 1) * 0.25 if samples > 1 else 0.125
+    return {"start": 0.0, "end": end, "step": 0.25}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "pipeline"])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+def test_csv_blocks_match_row_by_row_formatting(command, n, tmp_path, monkeypatch):
+    """Block-formatted text, tail block included, equals formatting each row
+    alone. ``n`` is the number of times of each state (simulate, pipeline:
+    ``2 n`` rows, one per nucleus) or of swept values (sweep)."""
+    tables = []
+
+    def recording(template, table):
+        tables.append(table.copy())
+        return _csv_text(template, table)
+
+    monkeypatch.setattr("ppsrelax.scenario._csv_text", recording)
+    prefixes = [("00",), ("11",)]
+    if command == "sweep":
+        doc = config_doc()
+        doc["sweep"] = {"parameter": "delta_scale", "values": np.linspace(0, 1, n).tolist()}
+        path = run_sweep(parse_sweep(doc), tmp_path)
+        prefixes = [()]
+    elif command == "simulate":
+        path = run_simulate(parse_scenario(config_doc(time_grid=grid_of(n))), tmp_path)[0]
+    else:
+        path = run_pipeline(parse_scenario(pipeline_doc(time_grid=grid_of(n))), tmp_path)
+    rows = 2 * n if command == "pipeline" else n
+    assert [len(table) for table in tables] == [rows] * len(prefixes)
+    # the row-by-row writer formatted numpy rows for sweep, lists otherwise
+    reference = [
+        ROW_BY_ROW[command] % (*prefix, *values)
+        for prefix, table in zip(prefixes, tables)
+        for values in (table if command == "sweep" else table.tolist())
+    ]
+    data = Path(path).read_text().splitlines(keepends=True)[4:]  # after 3 # lines, header
+    assert data == reference
+
+
+def test_simulate_never_holds_its_text(tmp_path):
+    """The traced peak of a simulate run stays below the size of the CSV
+    it writes: rows are formatted and written a block at a time."""
+    doc = config_doc(
+        pps_labels=["00", "01", "10", "11"], time_grid={"end": 5.0, "step": 0.001}
+    )
+    tracemalloc.start()
+    try:
+        path = run_simulate(parse_scenario(doc), tmp_path)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Path(path).stat().st_size
 
 
 # ------------------------------------------------------------------- report

@@ -306,9 +306,15 @@ def test_zero_spectrum_row_leaves_other_rows_unchanged():
     fits = fit_batch(np.insert(amps, 4, 0.0, axis=0))
     assert_same_rows(fits, np.arange(len(amps) + 1) != 4, fit_batch(amps))
     assert fits.converged[4] and not fits.peaks[4, :, 1].any()
+    assert fits.low_confidence[4]
     # every step on an empty spectrum is rejected: the damping (1e-3) grows
     # by 2, 4, 8, ... and passes the 1e14 stall limit at the 11th rejection
     assert fits.iterations[4] == 11
+    # seeded at a real doublet, the lines of an empty spectrum end tiny but
+    # not 0 over a noise floor of 0; they are flagged all the same
+    seeds = _doublet_seeds(FREQS, amps[:1], SYS, 1.0)
+    seeded = fit_doublets(FREQS, np.zeros((1, FREQS.size)), seeds)
+    assert seeded.peaks[0, :, 1].all() and seeded.low_confidence[0]
 
 
 def test_singular_system_fails_only_its_row():
