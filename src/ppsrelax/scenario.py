@@ -16,7 +16,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys as _sys
+import threading
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -79,6 +81,10 @@ MAX_SPECTRUM_POINTS = 100_000
 #: Grid samples of the spectra the pipeline synthesizes and fits in one
 #: solver call: 32 spectra of the default 801 points.
 BATCH_SAMPLES = 32 * 801
+
+#: Noise-key state code of the two equilibrium reference spectra; a
+#: pseudo-pure state uses its basis index, 0 (00) to 3 (11).
+EQUILIBRIUM_STATE_CODE = 4
 
 #: CSV rows formatted by one ``%`` call; sizes from 16 to 1 024 rows run
 #: within a few percent of each other.
@@ -588,25 +594,72 @@ def _doublet_seed(
     )
 
 
-def _fit_spectra(scenario: Scenario, freqs: np.ndarray, pairs: np.ndarray) -> spectra.DoubletFits:
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_threads(task, items: Sequence) -> list:
+    """``[task(item) for item in items]`` on one thread per usable CPU,
+    the calling thread among them; item i runs on thread i mod threads.
+
+    Once a call raises, no thread starts another item, and the first
+    exception raised (an interrupt of the calling thread before any) is
+    re-raised here after every thread has stopped.
+    """
+    results = [None] * len(items)
+    errors = []
+    count = min(_usable_cpus(), len(items))
+
+    def work(first: int) -> None:
+        try:
+            for index in range(first, len(items), count):
+                if errors:
+                    return
+                results[index] = task(items[index])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(first,)) for first in range(1, count)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    except BaseException as exc:  # an interrupt reaches the calling thread only
+        errors.insert(0, exc)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _fit_spectra(
+    scenario: Scenario, freqs: np.ndarray, pairs: np.ndarray, keys: np.ndarray
+) -> spectra.DoubletFits:
     """Synthesize, degrade and fit one doublet per line-integral pair of
-    ``pairs`` [K, 2]; spectrum k draws its noise from seed + k.
+    ``pairs`` [K, 2]; spectrum k draws its noise from
+    ``default_rng([seed, *keys[k]])``.
 
     Spectra are made and fitted a batch of about BATCH_SAMPLES grid
-    samples at a time, so the whole run's spectra are never held at once;
-    a row's result does not depend on the batch size.
+    samples at a time, so the whole run's spectra are never held at once,
+    and the batches run on one thread per usable CPU (numpy releases the
+    GIL in the array work that dominates a batch). A row's result depends
+    neither on the batch size nor on the thread count.
     """
     sys_obj, spec, noise = scenario.sys, scenario.spectrum, scenario.noise
     batch = max(1, BATCH_SAMPLES // len(freqs))
-    parts = []
-    for start in range(0, len(pairs), batch):
+
+    def fit(start: int) -> spectra.DoubletFits:
         block = pairs[start : start + batch]
         amps = spectra.doublet_amps(freqs, block, sys_obj.j_coupling, spec.fwhm)
-        seeds = range(noise.seed + start, noise.seed + start + len(block))
+        seeds = [[noise.seed, *key] for key in keys[start : start + batch].tolist()]
         amps = spectra.noisy_amps(amps, noise.snr, seeds)
-        parts.append(
-            spectra.fit_doublets(freqs, amps, _doublet_seeds(freqs, amps, sys_obj, spec.fwhm))
-        )
+        return spectra.fit_doublets(freqs, amps, _doublet_seeds(freqs, amps, sys_obj, spec.fwhm))
+
+    parts = _map_threads(fit, range(0, len(pairs), batch))
     return spectra.DoubletFits(*map(np.concatenate, zip(*parts)))
 
 
@@ -641,15 +694,21 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
     times = scenario.time_grid.times()
     m_inf = equilibrium_modes(sys_obj).to_tuple()
     m0 = [pps_modes(label, sys_obj).to_tuple() for label in labels]
-    # one call per time over all labels: a single-time call rounds like
-    # evolve_exact, so each row equals the scalar chain bit for bit (a
-    # multi-time call differs in the last bit, which a near-zero line's
-    # fit can amplify to 1e-6)
-    states = np.stack([propagate(gamma, m0, m_inf, (t,))[:, 0] for t in times], axis=1)
-    # spectra in noise-seed order: the equilibrium reference of nucleus 1
-    # and 2, then label by label, time by time, nucleus 1 before 2
+    states = propagate(gamma, m0, m_inf, times)
+    # the equilibrium references of nucleus 1 and 2, then label by label,
+    # time by time, nucleus 1 before 2; each spectrum's noise is keyed by
+    # (state code, time index, nucleus), never by its place in this list
     modes = np.concatenate(([m_inf], states.reshape(-1, 3)))
-    fits = _fit_spectra(scenario, freqs, doublet_pairs(modes).reshape(-1, 2))
+    keys = np.array(
+        [(EQUILIBRIUM_STATE_CODE, 0, nucleus) for nucleus in (1, 2)]
+        + [
+            (int(label.value, 2), index, nucleus)
+            for label in labels
+            for index in range(len(times))
+            for nucleus in (1, 2)
+        ]
+    )
+    fits = _fit_spectra(scenario, freqs, doublet_pairs(modes).reshape(-1, 2), keys)
     for nucleus in (1, 2):
         if not fits.converged[nucleus - 1]:
             raise spectra.NotConverged(
@@ -858,13 +917,22 @@ def _report_sweep(doc, header, rows, path, stream) -> None:
     sweep = doc.get("sweep")
     parameter = sweep.get("parameter", "?") if isinstance(sweep, dict) else "?"
     print(f"swept {parameter} over {len(table)} values", file=stream)
-    for row in table:
+    a_probe = table[:, 2]
+    # a bounded summary: the ends of the sweep and its extreme A-diff(probe)
+    picks = {}
+    for name, index in (
+        ("first", 0),
+        ("last", len(table) - 1),
+        ("min A-diff(probe)", int(np.argmin(a_probe))),
+        ("max A-diff(probe)", int(np.argmax(a_probe))),
+    ):
+        picks.setdefault(index, []).append(name)
+    for index, names in sorted(picks.items()):
         print(
-            "  value=%s A-diff(initial)=%s A-diff(probe)=%s |B-diff|=%s |C-diff|=%s"
-            % tuple(format(v, ".6g") for v in row),
+            "  %s: value=%s A-diff(initial)=%s A-diff(probe)=%s |B-diff|=%s |C-diff|=%s"
+            % (", ".join(names), *(format(v, ".6g") for v in table[index])),
             file=stream,
         )
-    a_probe = table[:, 2]
     increasing = bool(np.all(a_probe[1:] > a_probe[:-1]))
     print(
         f"  A-difference strictly increasing across sweep: "

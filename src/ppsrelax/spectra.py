@@ -230,23 +230,24 @@ def synthesize(
 
 def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
     """Spectra ``amps`` [S, N] plus white Gaussian noise with sd =
-    max|row| / snr, row s drawn from ``default_rng(seeds[s])``.
-    ``snr=math.inf`` returns ``amps`` itself."""
+    max|row| / snr, row s drawn from ``default_rng(seeds[s])`` (an int or
+    a sequence of ints). ``snr=math.inf`` returns ``amps`` itself."""
     if not snr > 0:
         raise ValueError(f"snr must be > 0, got {snr}")
     if math.isinf(snr):
         return amps
-    scales = np.max(np.abs(amps), axis=-1).tolist()
     noisy = np.empty_like(amps)
-    for row, (clean, scale, seed) in enumerate(zip(amps, scales, seeds)):
-        rng = np.random.default_rng(int(seed))
-        noisy[row] = clean + rng.normal(0.0, scale / snr, size=clean.shape)
+    for row, seed in zip(noisy, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    noisy *= np.max(np.abs(amps), axis=-1, keepdims=True) / snr
+    noisy += amps
     return noisy
 
 
-def add_noise(s: Spectrum, snr: float, seed: int) -> Spectrum:
-    """White Gaussian noise with sd = max|amps| / snr, seeded and
-    reproducible. ``snr=math.inf`` returns the spectrum unchanged."""
+def add_noise(s: Spectrum, snr: float, seed) -> Spectrum:
+    """White Gaussian noise with sd = max|amps| / snr, seeded (an int or a
+    sequence of ints) and reproducible. ``snr=math.inf`` returns the
+    spectrum unchanged."""
     noisy = noisy_amps(s.amps[None], snr, (seed,))
     if math.isinf(snr):
         return s
@@ -364,48 +365,6 @@ def _check_fit_grid(freqs: np.ndarray) -> None:
         )
 
 
-def _model_and_jacobian(
-    freqs: np.ndarray, params: np.ndarray, shared_fwhm: bool, jac: np.ndarray
-) -> np.ndarray:
-    """Bi-Lorentzian models [S, N] of the parameter rows ``params``
-    [S, P]; their analytic Jacobians [S, N, P] are written to ``jac``.
-
-    Parameter layout: (c_a, c_b, i_a, i_b, w) shared or
-    (c_a, c_b, i_a, i_b, w_a, w_b) independent.
-    """
-    model = np.zeros((len(params), freqs.size))
-    for line in (0, 1):
-        center = params[:, line, None]
-        scale = params[:, 2 + line, None] / math.pi
-        width = 4 if shared_fwhm else 4 + line
-        half = params[:, width, None] / 2.0
-        # squared by pow(), which rounds like the square of a scalar width
-        half2 = np.float_power(half, 2.0)
-        # in-place steps keep four [S, N] temporaries alive at most
-        diff = freqs - center
-        diff2 = diff ** 2
-        denom2 = diff2 + half2
-        shape = half / denom2  # pi/integral * lorentzian
-        denom2 **= 2
-        np.divide(shape, math.pi, out=jac[:, :, 2 + line])
-        shape *= scale
-        model += shape
-        del shape
-        diff2 -= half2
-        diff2 *= scale
-        diff2 /= denom2
-        diff2 *= 0.5
-        if shared_fwhm and line:
-            jac[:, :, width] += diff2
-        else:
-            jac[:, :, width] = diff2
-        del diff2
-        diff *= scale * half * 2.0
-        diff /= denom2
-        jac[:, :, line] = diff
-    return model
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching rows of ``a`` and ``b`` [S, K]."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -432,18 +391,54 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _normal_equations(
     freqs: np.ndarray,
     amps: np.ndarray,
+    rows: np.ndarray,
     params: np.ndarray,
     shared_fwhm: bool,
-    scratch: np.ndarray,
+    work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Squared residual [S], gradient J^T r [S, P] and Gauss-Newton matrix
-    J^T J [S, P, P] of the model rows ``params`` against ``amps`` [S, N];
-    the Jacobian J is built in the first S rows of ``scratch``."""
-    jac = scratch[: len(params)]
-    residual = _model_and_jacobian(freqs, params, shared_fwhm, jac)
-    residual -= amps
-    jac_t = jac.swapaxes(1, 2)
-    return _rowdot(residual, residual), (jac_t @ residual[:, :, None])[:, :, 0], jac_t @ jac
+    J^T J [S, P, P] of the bi-Lorentzian rows ``params`` [S, P] against
+    the spectra ``amps[rows]`` [S, N], all read off one batched Gram
+    product.
+
+    Parameter layout: (c_a, c_b, i_a, i_b, w) shared or
+    (c_a, c_b, i_a, i_b, w_a, w_b) independent. The P analytic Jacobian
+    rows and the residual are written to the first S rows of the P + 1
+    planes of ``work`` [P + 1, >= S, N], so every pass over the data is a
+    contiguous write.
+    """
+    size, p = params.shape
+    a = work[:, :size]
+    # twice the residual until the end, so that a line adds its 2 L, which
+    # its center derivative needs anyway
+    twice = np.take(amps, rows, axis=0, out=a[p], mode="clip")
+    twice *= -2.0
+    temp = np.empty_like(twice)
+    for line in (0, 1):
+        width = 4 if shared_fwhm else 4 + line
+        half = params[:, width, None] / 2.0
+        integral = params[:, 2 + line, None]
+        diff = np.subtract(freqs, params[:, line, None], out=a[line])
+        np.multiply(diff, diff, out=temp)
+        temp += half * half
+        np.reciprocal(temp, out=temp)  # R = 1 / ((f - c)^2 + h^2)
+        d_integral = np.multiply(temp, half / math.pi, out=a[2 + line])
+        diff *= temp
+        np.multiply(d_integral, 2.0 * integral, out=temp)  # 2 L
+        twice += temp
+        diff *= temp  # dL/dc = 2 L (f - c) R
+        # dL/dw = dL/dI (I / (2 h) - pi I dL/dI)
+        np.multiply(d_integral, -math.pi * integral, out=temp)
+        temp += integral / (2.0 * half)
+        if shared_fwhm and line:
+            temp *= d_integral
+            a[width] += temp
+        else:
+            np.multiply(temp, d_integral, out=a[width])
+    twice *= 0.5
+    by_row = a.transpose(1, 0, 2)
+    gram = by_row @ by_row.swapaxes(1, 2)
+    return gram[:, p, p], gram[:, :p, p], gram[:, :p, :p]
 
 
 def _levenberg_marquardt(
@@ -464,7 +459,7 @@ def _levenberg_marquardt(
     Each row keeps its own diagonal damping, gain-ratio schedule and
     convergence state; a row that converges or stalls leaves the working
     set, so the others iterate on without it. Only the normal equations
-    of the current parameters are kept, never their [S, N, P] Jacobian.
+    of the current parameters are kept, never their Jacobian.
     """
     rows = len(params)
     final = np.empty_like(params)
@@ -473,10 +468,10 @@ def _levenberg_marquardt(
     final_converged = np.zeros(rows, dtype=bool)
     live = np.arange(rows)  # output row of each working row
 
-    # one Jacobian buffer for the whole iteration: a fresh [S, N, P] array
+    # one work buffer for the whole iteration: a fresh [P + 1, S, N] array
     # per step costs more in page faults than it takes to fill
-    scratch = np.empty((rows, freqs.size, params.shape[1]))
-    ssr, gradient, hessian = _normal_equations(freqs, amps, params, shared_fwhm, scratch)
+    work = np.empty((params.shape[1] + 1, rows, freqs.size))
+    ssr, gradient, hessian = _normal_equations(freqs, amps, live, params, shared_fwhm, work)
     damping = np.full(rows, 1e-3)
     escalation = np.full(rows, 2.0)
     diagonal = np.arange(params.shape[1])
@@ -491,7 +486,7 @@ def _levenberg_marquardt(
         trial[:, 4:] = np.maximum(trial[:, 4:], min_width)
         trial[:, :2] = np.clip(trial[:, :2], center_lo, center_hi)
         trial_ssr, trial_gradient, trial_hessian = _normal_equations(
-            freqs, amps, trial, shared_fwhm, scratch
+            freqs, amps, live, trial, shared_fwhm, work
         )
         predicted = _rowdot(step, damping[:, None] * diag * step - gradient)
         accept = solved & (trial_ssr < ssr) & (predicted > 0)
@@ -524,7 +519,7 @@ def _levenberg_marquardt(
                 live[keep], params[keep], ssr[keep], gradient[keep], hessian[keep]
             )
             damping, escalation = damping[keep], escalation[keep]
-            center_lo, center_hi, amps = center_lo[keep], center_hi[keep], amps[keep]
+            center_lo, center_hi = center_lo[keep], center_hi[keep]
         if not live.size:
             break
     final[live] = params

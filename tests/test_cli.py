@@ -175,6 +175,34 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_failure_in_a_threaded_fit_batch_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    """A LinAlgError in the second fit batch, which a worker thread runs,
+    ends the pipeline with exit 2: no traceback and no thread left over."""
+    import threading
+
+    from ppsrelax import scenario, spectra
+
+    noisy_amps = spectra.noisy_amps
+
+    def second_batch_fails(amps, snr, seeds):
+        # spectrum 3 opens the second batch of three: state 00, time 0, nucleus 2
+        if seeds[0] == [11, 0, 0, 2]:
+            raise np.linalg.LinAlgError("Singular matrix in batch 2")
+        return noisy_amps(amps, snr, seeds)
+
+    monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(scenario, "BATCH_SAMPLES", 3 * 801)
+    monkeypatch.setattr(spectra, "noisy_amps", second_batch_fails)
+    config = write_config(tmp_path, readout="spectra", noise={"snr": 100.0, "seed": 11})
+    threads = threading.active_count()
+    code = main(["pipeline", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "ppsrelax: numerical failure: Singular matrix in batch 2\n"
+    assert threading.active_count() == threads
+    assert not (tmp_path / "out" / "pipeline.csv").exists()
+
+
 def test_overflow_is_numerical_failure(tmp_path, capsys):
     # sigma12 far above the self rates: one eigenvalue is negative and its
     # mode overflows long before 2000 s

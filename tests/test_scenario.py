@@ -14,6 +14,7 @@ from ppsrelax.relaxation import (
     NotPositiveDefiniteWarning,
     RelaxationRates,
 )
+from ppsrelax import scenario as scenario_module
 from ppsrelax.scenario import (
     MAX_TIME_SAMPLES,
     ConfigError,
@@ -507,31 +508,35 @@ def test_pipeline_noiseless_matches_decomposition(tmp_path):
 
 
 def test_pipeline_noise_seed_order(tmp_path):
-    """Spectrum k of a run draws its noise from seed + k, counting the
-    equilibrium references of nucleus 1 and 2 first, then state by state,
-    time by time, nucleus 1 before nucleus 2; a row rebuilt by hand from
-    the scalar chain matches the CSV to every printed digit."""
-    from ppsrelax.relaxation import build_matrix, evolve_exact
-    from ppsrelax.scenario import _doublet_seed
-    from ppsrelax.spins import equilibrium_modes, line_intensities, pps_modes
+    """Each spectrum of a run draws its noise from default_rng([seed,
+    state code, time index, nucleus]), the two equilibrium references
+    under the reserved state code; a row rebuilt by hand from the public
+    functions matches the CSV to every printed digit."""
+    from ppsrelax.relaxation import build_matrix, propagate
+    from ppsrelax.scenario import EQUILIBRIUM_STATE_CODE, _doublet_seed
+    from ppsrelax.spins import ModeVector, equilibrium_modes, line_intensities, pps_modes
 
     scenario = parse_scenario(pipeline_doc(noise={"snr": 100.0, "seed": 11}))
     _, rows = read_rows(run_pipeline(scenario, tmp_path))
     sys_obj, spec = scenario.sys, scenario.spectrum
 
-    def fit(modes, nucleus, k):
+    def fit(modes, nucleus, state, index):
         s = spectra.synthesize(
             line_intensities(modes), sys_obj, nucleus, spec.fwhm, spec.span, spec.points
         )
-        s = spectra.add_noise(s, 100.0, 11 + k)
+        s = spectra.add_noise(s, 100.0, [11, state, index, nucleus])
         return spectra.fit_doublet(s, init=_doublet_seed(s, sys_obj, spec.fwhm))
 
     m_inf = equilibrium_modes(sys_obj)
-    eq1, eq2 = fit(m_inf, 1, 0), fit(m_inf, 2, 1)
-    # state 11 is the second of two, t = 1.25 s the second of three times
-    m = evolve_exact(build_matrix(scenario.rates), pps_modes(PpsLabel.P11, sys_obj), m_inf, 1.25)
-    k = 2 + 2 * (1 * 3 + 1)
-    fits = {1: fit(m, 1, k), 2: fit(m, 2, k + 1)}
+    eq1 = fit(m_inf, 1, EQUILIBRIUM_STATE_CODE, 0)
+    eq2 = fit(m_inf, 2, EQUILIBRIUM_STATE_CODE, 0)
+    # state 11 (code 3) is the second of two, t = 1.25 s the second of three times
+    m0 = [pps_modes(label, sys_obj).to_tuple() for label in scenario.pps_labels]
+    states = propagate(
+        build_matrix(scenario.rates), m0, m_inf.to_tuple(), scenario.time_grid.times()
+    )
+    m = ModeVector.from_sequence(states[1, 1])
+    fits = {1: fit(m, 1, 3, 1), 2: fit(m, 2, 3, 1)}
     coeffs = spectra.coefficients_from_fits(fits[1], fits[2], eq1, eq2, PpsLabel.P11)
     for nucleus, f in fits.items():
         (row,) = [
@@ -547,6 +552,63 @@ def test_pipeline_noise_seed_order(tmp_path):
             f.residual_norm,
         )
         assert list(row.values())[3:] == ["%.12g" % v for v in expected] + ["1"]
+
+
+def state_lines(path):
+    """The data lines of a pipeline CSV, grouped by their state label."""
+    lines = {}
+    for line in Path(path).read_text().splitlines():
+        if line and not line.startswith(("#", "pps,")):
+            lines.setdefault(line.split(",", 1)[0], []).append(line)
+    return lines
+
+
+def test_pipeline_noise_does_not_depend_on_label_order(tmp_path):
+    """Permuting or dropping labels leaves every other state's rows
+    byte-identical: noise is keyed by state, not by list position."""
+    doc = pipeline_doc(noise={"snr": 100.0, "seed": 11}, pps_labels=["00", "01", "10", "11"])
+    full = state_lines(run_pipeline(parse_scenario(doc), tmp_path / "full"))
+    for order in (["11", "10", "01", "00"], ["10", "00"], ["11"]):
+        doc["pps_labels"] = order
+        part = state_lines(run_pipeline(parse_scenario(doc), tmp_path / "-".join(order)))
+        assert list(part) == order
+        for label in order:
+            assert part[label] == full[label]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_pipeline_bytes_do_not_depend_on_threads_or_batch_size(tmp_path, monkeypatch, threads):
+    doc = pipeline_doc(noise={"snr": 100.0, "seed": 11}, pps_labels=["00", "01", "10", "11"])
+    reference = Path(run_pipeline(parse_scenario(doc), tmp_path / "reference")).read_bytes()
+    monkeypatch.setattr(scenario_module, "_usable_cpus", lambda: threads)
+    for batch in (1, 3, 7):
+        monkeypatch.setattr(scenario_module, "BATCH_SAMPLES", batch * 801)
+        path = run_pipeline(parse_scenario(doc), tmp_path / f"batch{batch}")
+        assert Path(path).read_bytes() == reference
+
+
+def test_map_threads_keeps_item_order_and_runs_the_caller(monkeypatch):
+    """More threads than CPUs and a short switch interval: every item's
+    result lands in its own slot, and the caller runs items 0, 8, 16..."""
+    import sys
+    import threading
+
+    monkeypatch.setattr(scenario_module, "_usable_cpus", lambda: 8)
+    seen = []  # holds the thread objects, so no two of them share an identity
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = scenario_module._map_threads(
+            lambda item: seen.append((item, threading.current_thread())) or item * item,
+            range(500),
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [item * item for item in range(500)]
+    assert len({thread for _, thread in seen}) == 8
+    assert [item for item, thread in seen if thread is threading.current_thread()] == list(
+        range(0, 500, 8)
+    )
 
 
 def test_pipeline_deterministic_with_noise(tmp_path):
@@ -651,10 +713,28 @@ def test_report_no_interference_indistinguishable(tmp_path, capsys):
 
 
 def test_report_sweep(tmp_path, capsys):
-    path = run_sweep(default_sweep(), tmp_path)
-    run_report([path])
-    out = capsys.readouterr().out
-    assert "strictly increasing across sweep: PASS" in out
+    """A sweep report is a bounded summary: the first and last rows and
+    the rows of the extreme A-diff(probe), then the verdict."""
+    from dataclasses import replace
+
+    values = tuple(np.linspace(0.0, 1.0, 500).tolist())
+    run_report([run_sweep(replace(default_sweep(), values=values), tmp_path / "up")])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "swept delta_scale over 500 values"
+    assert lines[2].startswith("  first, min A-diff(probe): value=0 ")
+    assert lines[3].startswith("  last, max A-diff(probe): value=1 ")
+    assert lines[4:] == ["  A-difference strictly increasing across sweep: PASS", ""]
+
+    values = (0.5, 1.0, 0.0, 0.25)
+    run_report([run_sweep(replace(default_sweep(), values=values), tmp_path / "mixed")])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": value=")[0] for line in lines[2:6]] == [
+        "  first",
+        "  max A-diff(probe)",
+        "  min A-diff(probe)",
+        "  last",
+    ]
+    assert lines[6] == "  A-difference strictly increasing across sweep: FAIL"
 
 
 def test_report_pipeline(tmp_path, capsys):

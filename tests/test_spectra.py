@@ -301,6 +301,93 @@ def test_batch_fit_matches_fitting_each_spectrum_alone(max_iter):
         assert batch.fit(row) == alone
 
 
+def explicit_jacobian(params, shared_fwhm):
+    """Jacobian [N, P] of the bi-Lorentzian at ``params`` written out
+    column by column: d/dc, d/dI and d/dw of each line."""
+    columns = {}
+    for line in (0, 1):
+        center, integral = params[line], params[2 + line]
+        half = params[4 if shared_fwhm else 4 + line] / 2.0
+        diff = FREQS - center
+        denom = diff**2 + half**2
+        columns[line] = integral / math.pi * 2.0 * half * diff / denom**2
+        columns[2 + line] = half / (math.pi * denom)
+        d_width = integral / math.pi * (diff**2 - half**2) / (2.0 * denom**2)
+        width = 4 if shared_fwhm else 4 + line
+        columns[width] = columns.get(width, 0.0) + d_width
+    return np.column_stack([columns[k] for k in sorted(columns)])
+
+
+def bi_lorentzian(params, shared_fwhm):
+    """The fitted model at ``params``, built from two one-line doublets."""
+    widths = (params[4], params[4]) if shared_fwhm else params[4:6]
+    mid, split = (params[0] + params[1]) / 2.0, params[1] - params[0]
+    return sum(
+        spectra.doublet_amps(FREQS - mid, pair, split, width)
+        for pair, width in zip(((params[2], 0.0), (0.0, params[3])), widths)
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    shared_fwhm=st.booleans(),
+    rows=st.lists(
+        st.tuples(
+            st.floats(-8.0, -0.5),
+            st.floats(0.5, 8.0),
+            st.floats(-2.0, 2.0),
+            st.floats(-2.0, 2.0),
+            st.floats(0.1, 2.0),
+            st.floats(0.1, 2.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_normal_equations_match_an_explicit_jacobian(shared_fwhm, rows, seed):
+    """One Gram product gives the J^T J, J^T r and r.r that an explicit
+    Jacobian gives column by column, and that Jacobian matches central
+    differences of the model built from ``doublet_amps``."""
+    params = np.array(rows)[:, : 5 if shared_fwhm else 6]
+    # a work buffer with spare rows, as the solver's shrinking working set has
+    work = np.full((params.shape[1] + 1, len(params) + 2, FREQS.size), np.nan)
+    # row r of params is fitted to spectrum 2 r of amps
+    amps = np.random.default_rng(seed).normal(size=(2 * len(params), FREQS.size))
+    rows = 2 * np.arange(len(params))
+    ssr, gradient, hessian = spectra._normal_equations(
+        FREQS, amps, rows, params, shared_fwhm, work
+    )
+    for row, p in enumerate(params):
+        jac = explicit_jacobian(p, shared_fwhm)
+        residual = (
+            lorentzian(FREQS, p[0], p[2], p[4])
+            + lorentzian(FREQS, p[1], p[3], p[-1])
+            - amps[rows[row]]
+        )
+        size = len(p)
+        want_hessian = np.array(
+            [[np.dot(jac[:, i], jac[:, j]) for j in range(size)] for i in range(size)]
+        )
+        want_gradient = np.array([np.dot(jac[:, i], residual) for i in range(size)])
+        for got, want in (
+            (hessian[row], want_hessian),
+            (gradient[row], want_gradient),
+            (ssr[row], np.dot(residual, residual)),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+        for k in range(size):
+            step = np.zeros(size)
+            step[k] = 1e-6 * max(1.0, abs(p[k]))
+            central = (
+                bi_lorentzian(p + step, shared_fwhm) - bi_lorentzian(p - step, shared_fwhm)
+            ) / (2.0 * step[k])
+            # to the scale of the whole Jacobian: moving one center also
+            # moves the other line's rounding, as the model is built
+            np.testing.assert_allclose(central, jac[:, k], rtol=0, atol=1e-6 * np.abs(jac).max())
+
+
 def test_zero_spectrum_row_leaves_other_rows_unchanged():
     amps = noisy_batch()
     fits = fit_batch(np.insert(amps, 4, 0.0, axis=0))
