@@ -52,7 +52,6 @@ from .spectra import (
     GridTooCoarse,
     InconsistentEquilibrium,
     LinePeak,
-    NoPeaksFound,
     NormalizedCoefficients,
     NotConverged,
     Spectrum,

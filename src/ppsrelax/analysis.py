@@ -37,16 +37,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientTriple:
-    """Pseudo-pure coefficient ``a`` and single-spin excesses ``b``, ``c``.
-
-    ``normalized`` marks values divided by an equilibrium line intensity
-    (raw mode units otherwise).
-    """
+    """Pseudo-pure coefficient ``a`` and single-spin excesses ``b``, ``c``,
+    in mode units."""
 
     a: float
     b: float
     c: float
-    normalized: bool = False
 
 
 class Deviation(NamedTuple):

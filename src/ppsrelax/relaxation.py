@@ -153,7 +153,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    meta: str = ""
 
     def __post_init__(self):
         if self.states.shape != (len(self.times), 3):

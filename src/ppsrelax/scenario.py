@@ -566,34 +566,6 @@ def run_sweep(sweep: SweepSpec, out_dir) -> str:
     return str(csv_path)
 
 
-def _doublet_seeds(
-    freqs: np.ndarray, amps: np.ndarray, sys_obj: SpinSystem, fwhm: float
-) -> np.ndarray:
-    """Fit seeds [S, 2, 3] of the spectra ``amps`` [S, N] at the known
-    doublet geometry: (center, integral, fwhm) rows for lines at -J/2 and
-    +J/2, with integrals read off the sampled amplitude at each center."""
-    centers = np.array([-sys_obj.j_coupling / 2.0, sys_obj.j_coupling / 2.0])
-    nearest = np.abs(freqs - centers[:, None]).argmin(axis=1)
-    seeds = np.empty((len(amps), 2, 3))
-    seeds[:, :, 0] = centers
-    seeds[:, :, 1] = amps[:, nearest] * math.pi * fwhm / 2.0
-    seeds[:, :, 2] = fwhm
-    return seeds
-
-
-def _doublet_seed(
-    spectrum: spectra.Spectrum, sys_obj: SpinSystem, fwhm: float
-) -> spectra.DoubletFit:
-    """The seed of :func:`_doublet_seeds` for one spectrum, as a fit."""
-    first, second = _doublet_seeds(spectrum.freqs, spectrum.amps[None], sys_obj, fwhm)[0]
-    return spectra.DoubletFit(
-        peaks=(spectra.LinePeak(*first.tolist()), spectra.LinePeak(*second.tolist())),
-        residual_norm=float("nan"),
-        iterations=0,
-        converged=False,
-    )
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -657,7 +629,9 @@ def _fit_spectra(
         amps = spectra.doublet_amps(freqs, block, sys_obj.j_coupling, spec.fwhm)
         seeds = [[noise.seed, *key] for key in keys[start : start + batch].tolist()]
         amps = spectra.noisy_amps(amps, noise.snr, seeds)
-        return spectra.fit_doublets(freqs, amps, _doublet_seeds(freqs, amps, sys_obj, spec.fwhm))
+        return spectra.fit_doublets(
+            freqs, amps, spectra.doublet_seeds(freqs, amps, sys_obj, spec.fwhm)
+        )
 
     parts = _map_threads(fit, range(0, len(pairs), batch))
     return spectra.DoubletFits(*map(np.concatenate, zip(*parts)))
@@ -800,7 +774,7 @@ def _floats(header: list[str], rows: list[list[str]], name: str, path) -> np.nda
 
 
 def run_report(csv_paths: Sequence[str], stream: TextIO | None = None) -> None:
-    """Human-readable summary of simulate (and sweep) CSVs.
+    """Human-readable summary of simulate, sweep and pipeline CSVs.
 
     Prints rate-matrix eigenvalues, per-state initial slopes, ordering
     verdicts for the 00 / 11 pair, and the conventions the numbers rest
@@ -904,12 +878,15 @@ def _report_pipeline(header, rows, path, stream) -> None:
         )
     labels = _column(header, rows, "pps", path)
     t_col = _column(header, rows, "t", path)
-    seen = set()
+    # a bounded summary: the first and last extracted time of each state
+    first, last = {}, {}
     for label, t, a in zip(labels, t_col, _floats(header, rows, "A_proton", path)):
-        if (label, t) in seen or math.isnan(a):
-            continue
-        seen.add((label, t))
-        print(f"  pps {label} t={t}: A(proton readout)={a:.6g}", file=stream)
+        if not math.isnan(a):
+            first.setdefault(label, (t, a))
+            last[label] = (t, a)
+    for label in first:
+        for t, a in dict((first[label], last[label])).items():
+            print(f"  pps {label} t={t}: A(proton readout)={a:.6g}", file=stream)
 
 
 def _report_sweep(doc, header, rows, path, stream) -> None:

@@ -31,7 +31,6 @@ __all__ = [
     "DoubletFits",
     "NormalizedCoefficients",
     "GridTooCoarse",
-    "NoPeaksFound",
     "NotConverged",
     "InconsistentEquilibrium",
     "lorentzian",
@@ -41,6 +40,7 @@ __all__ = [
     "noisy_amps",
     "add_noise",
     "estimate_noise_floor",
+    "doublet_seeds",
     "fit_doublets",
     "fit_doublet",
     "coefficient_rows",
@@ -67,10 +67,6 @@ FIT_RTOL = 1e-10
 
 class GridTooCoarse(ValueError):
     """Frequency grid spacing exceeds fwhm/10."""
-
-
-class NoPeaksFound(RuntimeError):
-    """No local maximum rises above 3x the estimated noise floor."""
 
 
 class NotConverged(RuntimeError):
@@ -100,10 +96,6 @@ class LinePeak:
         if not math.isfinite(self.center):
             raise ValueError(f"center must be finite, got {self.center!r}")
 
-    @property
-    def height(self) -> float:
-        return 2.0 * self.integral / (math.pi * self.fwhm)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -123,10 +115,6 @@ class Spectrum:
             raise ValueError("freqs must be strictly increasing and uniform")
         self.freqs.setflags(write=False)
         self.amps.setflags(write=False)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.freqs[1] - self.freqs[0])
 
 
 @dataclass(frozen=True)
@@ -262,74 +250,19 @@ def estimate_noise_floor(amps: np.ndarray) -> float | np.ndarray:
     return 1.4826 * np.median(diffs, axis=-1) / math.sqrt(2.0)
 
 
-def _local_maxima(amps: np.ndarray) -> np.ndarray:
-    inner = (amps[1:-1] > amps[:-2]) & (amps[1:-1] >= amps[2:])
-    return np.where(inner)[0] + 1
-
-
-def _half_height_width(freqs: np.ndarray, amps: np.ndarray, idx: int) -> float:
-    """Width of the feature at ``idx`` at half its height; crude but only
-    used to seed the fit."""
-    half = amps[idx] / 2.0
-    lo = idx
-    while lo > 0 and amps[lo] > half:
-        lo -= 1
-    hi = idx
-    while hi < len(amps) - 1 and amps[hi] > half:
-        hi += 1
-    width = float(freqs[hi] - freqs[lo])
-    spacing = float(freqs[1] - freqs[0])
-    return max(width, 2.0 * spacing)
-
-
-def _initial_peaks(s: Spectrum) -> tuple[LinePeak, LinePeak]:
-    """Seed the fit from the two largest well-separated local maxima.
-
-    Noise bumps riding on the flank of a tall line often outrank the
-    true partner line, so the second pick must sit at least two
-    estimated linewidths away from the first. Without such a maximum
-    (degenerate one-line doublet) the second seed is mirrored across
-    the grid midpoint with a floor-level integral.
-    """
-    floor = estimate_noise_floor(s.amps)
-    maxima = _local_maxima(s.amps)
-    maxima = maxima[s.amps[maxima] > 3.0 * floor]
-    if maxima.size == 0:
-        raise NoPeaksFound(
-            f"no local maximum above 3x noise floor ({floor:.4g})"
-        )
-    order = maxima[np.argsort(s.amps[maxima])[::-1]]
-    top = int(order[0])
-    width = _half_height_width(s.freqs, s.amps, top)
-    first = LinePeak(
-        center=float(s.freqs[top]),
-        integral=float(s.amps[top]) * math.pi * width / 2.0,
-        fwhm=width,
-    )
-    # search for the partner line in the residual after removing the first
-    # peak, so that noise riding on its tail cannot masquerade as a line
-    residual = s.amps - lorentzian(s.freqs, first.center, first.integral, first.fwhm)
-    candidates = _local_maxima(residual)
-    candidates = candidates[
-        (residual[candidates] > 3.0 * floor)
-        & (np.abs(s.freqs[candidates] - first.center) >= 2.0 * width)
-    ]
-    second = None
-    if candidates.size:
-        idx = int(candidates[np.argmax(residual[candidates])])
-        second = LinePeak(
-            center=float(s.freqs[idx]),
-            integral=float(residual[idx]) * math.pi * width / 2.0,
-            fwhm=width,
-        )
-    if second is None:
-        mid = float(s.freqs[0] + s.freqs[-1]) / 2.0
-        second = LinePeak(
-            center=2.0 * mid - first.center,
-            integral=max(floor, 1e-6 * abs(first.integral)) * math.pi * width / 2.0,
-            fwhm=width,
-        )
-    return first, second
+def doublet_seeds(
+    freqs: np.ndarray, amps: np.ndarray, sys: SpinSystem, fwhm: float
+) -> np.ndarray:
+    """Fit seeds [S, 2, 3] of the spectra ``amps`` [S, N] at the known
+    doublet geometry: (center, integral, fwhm) rows for lines at -J/2 and
+    +J/2, with integrals read off the sampled amplitude at each center."""
+    centers = np.array([-sys.j_coupling / 2.0, sys.j_coupling / 2.0])
+    nearest = np.abs(freqs - centers[:, None]).argmin(axis=1)
+    seeds = np.empty((len(amps), 2, 3))
+    seeds[:, :, 0] = centers
+    seeds[:, :, 1] = amps[:, nearest] * math.pi * fwhm / 2.0
+    seeds[:, :, 2] = fwhm
+    return seeds
 
 
 class DoubletFits(NamedTuple):
@@ -355,13 +288,6 @@ class DoubletFits(NamedTuple):
             iterations=int(self.iterations[row]),
             converged=bool(self.converged[row]),
             low_confidence=bool(self.low_confidence[row]),
-        )
-
-
-def _check_fit_grid(freqs: np.ndarray) -> None:
-    if freqs.size < FIT_MIN_POINTS:
-        raise ValueError(
-            f"spectrum too short to fit ({freqs.size} < {FIT_MIN_POINTS} samples)"
         )
 
 
@@ -393,7 +319,6 @@ def _normal_equations(
     amps: np.ndarray,
     rows: np.ndarray,
     params: np.ndarray,
-    shared_fwhm: bool,
     work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Squared residual [S], gradient J^T r [S, P] and Gauss-Newton matrix
@@ -401,11 +326,10 @@ def _normal_equations(
     the spectra ``amps[rows]`` [S, N], all read off one batched Gram
     product.
 
-    Parameter layout: (c_a, c_b, i_a, i_b, w) shared or
-    (c_a, c_b, i_a, i_b, w_a, w_b) independent. The P analytic Jacobian
-    rows and the residual are written to the first S rows of the P + 1
-    planes of ``work`` [P + 1, >= S, N], so every pass over the data is a
-    contiguous write.
+    Parameter layout: (c_a, c_b, i_a, i_b, w), one width shared by both
+    lines. The P = 5 analytic Jacobian rows and the residual are written
+    to the first S rows of the P + 1 planes of ``work`` [P + 1, >= S, N],
+    so every pass over the data is a contiguous write.
     """
     size, p = params.shape
     a = work[:, :size]
@@ -414,9 +338,8 @@ def _normal_equations(
     twice = np.take(amps, rows, axis=0, out=a[p], mode="clip")
     twice *= -2.0
     temp = np.empty_like(twice)
+    half = params[:, 4, None] / 2.0
     for line in (0, 1):
-        width = 4 if shared_fwhm else 4 + line
-        half = params[:, width, None] / 2.0
         integral = params[:, 2 + line, None]
         diff = np.subtract(freqs, params[:, line, None], out=a[line])
         np.multiply(diff, diff, out=temp)
@@ -430,11 +353,11 @@ def _normal_equations(
         # dL/dw = dL/dI (I / (2 h) - pi I dL/dI)
         np.multiply(d_integral, -math.pi * integral, out=temp)
         temp += integral / (2.0 * half)
-        if shared_fwhm and line:
+        if line:
             temp *= d_integral
-            a[width] += temp
+            a[4] += temp
         else:
-            np.multiply(temp, d_integral, out=a[width])
+            np.multiply(temp, d_integral, out=a[4])
     twice *= 0.5
     by_row = a.transpose(1, 0, 2)
     gram = by_row @ by_row.swapaxes(1, 2)
@@ -448,11 +371,10 @@ def _levenberg_marquardt(
     center_lo: np.ndarray,
     center_hi: np.ndarray,
     min_width: float,
-    shared_fwhm: bool,
     max_iter: int,
     rtol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton iteration on every row of ``params`` [S, P] at
+    """Damped Gauss-Newton iteration on every row of ``params`` [S, 5] at
     once; returns the final (params, squared residual, iterations,
     converged) per row.
 
@@ -471,7 +393,7 @@ def _levenberg_marquardt(
     # one work buffer for the whole iteration: a fresh [P + 1, S, N] array
     # per step costs more in page faults than it takes to fill
     work = np.empty((params.shape[1] + 1, rows, freqs.size))
-    ssr, gradient, hessian = _normal_equations(freqs, amps, live, params, shared_fwhm, work)
+    ssr, gradient, hessian = _normal_equations(freqs, amps, live, params, work)
     damping = np.full(rows, 1e-3)
     escalation = np.full(rows, 2.0)
     diagonal = np.arange(params.shape[1])
@@ -483,10 +405,10 @@ def _levenberg_marquardt(
         damped[:, diagonal, diagonal] += damping[:, None] * diag
         step, solved = _solve_rows(damped, -gradient)
         trial = params + step
-        trial[:, 4:] = np.maximum(trial[:, 4:], min_width)
+        trial[:, 4] = np.maximum(trial[:, 4], min_width)
         trial[:, :2] = np.clip(trial[:, :2], center_lo, center_hi)
         trial_ssr, trial_gradient, trial_hessian = _normal_equations(
-            freqs, amps, live, trial, shared_fwhm, work
+            freqs, amps, live, trial, work
         )
         predicted = _rowdot(step, damping[:, None] * diag * step - gradient)
         accept = solved & (trial_ssr < ssr) & (predicted > 0)
@@ -533,8 +455,6 @@ def fit_doublets(
     amps: np.ndarray,
     seeds: np.ndarray,
     *,
-    pinned: bool = True,
-    shared_fwhm: bool = True,
     max_iter: int = FIT_MAX_ITER,
     rtol: float = FIT_RTOL,
 ) -> DoubletFits:
@@ -542,22 +462,25 @@ def fit_doublets(
     uniform grid ``freqs`` [N], all in one Levenberg-Marquardt iteration.
 
     ``seeds`` [S, 2, 3] holds the starting (center, integral, fwhm) of
-    both lines of each spectrum. With ``pinned`` the seed fixes line
-    identity: each component stays on its own side, inside a box of half
-    the seed separation, so a near-zero line cannot drift across its
-    partner and swap the assignment. Without it (a blind seed) a
-    component may wander half a span beyond the grid, where it is pure
-    baseline. Both linewidths are constrained equal by default. The
-    damping follows the gain-ratio schedule (rejected steps escalate it
-    geometrically, as does a singular damped system), and a spectrum
-    converges when an accepted step changes its squared residual by less
-    than ``rtol`` relatively, or when damping escalation shows the
-    iteration is stalled at a minimum. Spectra that exhaust ``max_iter``
-    are returned with ``converged`` False and their best parameters.
-    A row's result does not depend on the other rows of the batch.
+    both lines of each spectrum (:func:`doublet_seeds` gives them at the
+    known doublet geometry). The seed fixes line identity: each component
+    stays on its own side, inside a box of half the seed separation, so a
+    near-zero line cannot drift across its partner and swap the
+    assignment. Both lines share one width, started at the mean of the
+    seed widths. The damping follows the gain-ratio schedule (rejected
+    steps escalate it geometrically, as does a singular damped system),
+    and a spectrum converges when an accepted step changes its squared
+    residual by less than ``rtol`` relatively, or when damping escalation
+    shows the iteration is stalled at a minimum. Spectra that exhaust
+    ``max_iter`` are returned with ``converged`` False and their best
+    parameters. A row's result does not depend on the other rows of the
+    batch.
     """
     freqs = np.asarray(freqs, dtype=float)
-    _check_fit_grid(freqs)
+    if freqs.size < FIT_MIN_POINTS:
+        raise ValueError(
+            f"spectrum too short to fit ({freqs.size} < {FIT_MIN_POINTS} samples)"
+        )
     amps = np.asarray(amps, dtype=float)
     seeds = np.asarray(seeds, dtype=float)
     if seeds.ndim != 3 or seeds.shape[1:] != (2, 3) or amps.shape != (len(seeds), freqs.size):
@@ -565,22 +488,15 @@ def fit_doublets(
             f"need amps [S, {freqs.size}] and seeds [S, 2, 3], got {amps.shape} and {seeds.shape}"
         )
     centers, integrals, widths = seeds[:, :, 0], seeds[:, :, 1], seeds[:, :, 2]
-    if shared_fwhm:
-        widths = (widths[:, :1] + widths[:, 1:]) / 2.0
-    params = np.concatenate((centers, integrals, widths), axis=1)
+    width = (widths[:, :1] + widths[:, 1:]) / 2.0
+    params = np.concatenate((centers, integrals, width), axis=1)
     spacing = float(freqs[1] - freqs[0])
-    if pinned:
-        half_sep = np.maximum(np.abs(centers[:, 1:] - centers[:, :1]) / 2.0, 2.0 * spacing)
-        center_lo, center_hi = centers - half_sep, centers + half_sep
-    else:
-        span = float(freqs[-1] - freqs[0])
-        center_lo = np.full(centers.shape, freqs[0] - 0.5 * span)
-        center_hi = np.full(centers.shape, freqs[-1] + 0.5 * span)
+    half_sep = np.maximum(np.abs(centers[:, 1:] - centers[:, :1]) / 2.0, 2.0 * spacing)
 
     params, ssr, iterations, converged = _levenberg_marquardt(
-        freqs, amps, params, center_lo, center_hi, 2.0 * spacing, shared_fwhm, max_iter, rtol
+        freqs, amps, params, centers - half_sep, centers + half_sep, 2.0 * spacing, max_iter, rtol
     )
-    widths = params[:, 4:5].repeat(2, axis=1) if shared_fwhm else params[:, 4:6]
+    widths = params[:, 4:5].repeat(2, axis=1)
     peaks = np.stack((params[:, 0:2], params[:, 2:4], widths), axis=-1)
     swapped = peaks[:, 1, 0] < peaks[:, 0, 0]
     peaks[swapped] = peaks[swapped, ::-1]
@@ -601,34 +517,25 @@ def fit_doublets(
 
 def fit_doublet(
     s: Spectrum,
-    init: DoubletFit | None = None,
-    shared_fwhm: bool = True,
+    sys: SpinSystem,
+    fwhm: float,
+    *,
     max_iter: int = FIT_MAX_ITER,
     rtol: float = FIT_RTOL,
 ) -> DoubletFit:
-    """Least-squares bi-Lorentzian fit of one spectrum: a batch of one of
-    :func:`fit_doublets`.
+    """Least-squares bi-Lorentzian fit of one spectrum of the doublet of
+    ``sys`` with linewidth ``fwhm``: a batch of one of :func:`fit_doublets`,
+    seeded by :func:`doublet_seeds` at -J/2 and +J/2.
 
-    Initialization comes from the two largest well-separated local
-    maxima unless ``init`` provides a seed, which then pins the line
-    geometry. Exhausting ``max_iter`` raises NotConverged carrying the
-    best fit so far.
-
-    When one doublet line is consistent with zero, the location of that
-    component is not identifiable; the result is then flagged
-    ``low_confidence`` and positional line assignment (lower center =
-    0-line) is only trustworthy if a seed pinned the geometry.
+    Exhausting ``max_iter`` raises NotConverged carrying the best fit so
+    far. When one doublet line is consistent with zero, the location of
+    that component is not identifiable; the result is then flagged
+    ``low_confidence``, while the seed still keeps the 0-line below the
+    1-line.
     """
-    _check_fit_grid(s.freqs)
-    seed = init.peaks if init is not None else _initial_peaks(s)
+    amps = s.amps[None]
     fits = fit_doublets(
-        s.freqs,
-        s.amps[None],
-        [[(p.center, p.integral, p.fwhm) for p in seed]],
-        pinned=init is not None,
-        shared_fwhm=shared_fwhm,
-        max_iter=max_iter,
-        rtol=rtol,
+        s.freqs, amps, doublet_seeds(s.freqs, amps, sys, fwhm), max_iter=max_iter, rtol=rtol
     )
     fit = fits.fit(0)
     if not fit.converged:

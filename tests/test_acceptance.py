@@ -210,13 +210,6 @@ def test_criterion_6_excess_asymmetry():
         assert np.all(db > dc)
 
 
-def _fit_with_geometry_seed(spectrum):
-    # same seeding as the scenario pipeline: lines pinned at -J/2, +J/2
-    from ppsrelax.scenario import _doublet_seed
-
-    return fit_doublet(spectrum, init=_doublet_seed(spectrum, SYS, 1.0))
-
-
 def _measured_coefficients(m, label, snr, seeds, eq_fits):
     fwhm, span, points = 1.0, 40.0, 801
     ints = line_intensities(m)
@@ -224,7 +217,7 @@ def _measured_coefficients(m, label, snr, seeds, eq_fits):
     for nucleus, seed in zip((1, 2), seeds):
         s = synthesize(ints, SYS, nucleus, fwhm, span, points)
         s = add_noise(s, snr, seed)
-        fits[nucleus] = _fit_with_geometry_seed(s)
+        fits[nucleus] = fit_doublet(s, SYS, fwhm)
     return coefficients_from_fits(fits[1], fits[2], eq_fits[1], eq_fits[2], label)
 
 
@@ -235,7 +228,7 @@ def _equilibrium_fits(snr, seeds):
     for nucleus, seed in zip((1, 2), seeds):
         s = synthesize(ints, SYS, nucleus, fwhm, span, points)
         s = add_noise(s, snr, seed)
-        out[nucleus] = _fit_with_geometry_seed(s)
+        out[nucleus] = fit_doublet(s, SYS, fwhm)
     return out
 
 

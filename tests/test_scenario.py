@@ -513,7 +513,7 @@ def test_pipeline_noise_seed_order(tmp_path):
     under the reserved state code; a row rebuilt by hand from the public
     functions matches the CSV to every printed digit."""
     from ppsrelax.relaxation import build_matrix, propagate
-    from ppsrelax.scenario import EQUILIBRIUM_STATE_CODE, _doublet_seed
+    from ppsrelax.scenario import EQUILIBRIUM_STATE_CODE
     from ppsrelax.spins import ModeVector, equilibrium_modes, line_intensities, pps_modes
 
     scenario = parse_scenario(pipeline_doc(noise={"snr": 100.0, "seed": 11}))
@@ -525,7 +525,7 @@ def test_pipeline_noise_seed_order(tmp_path):
             line_intensities(modes), sys_obj, nucleus, spec.fwhm, spec.span, spec.points
         )
         s = spectra.add_noise(s, 100.0, [11, state, index, nucleus])
-        return spectra.fit_doublet(s, init=_doublet_seed(s, sys_obj, spec.fwhm))
+        return spectra.fit_doublet(s, sys_obj, spec.fwhm)
 
     m_inf = equilibrium_modes(sys_obj)
     eq1 = fit(m_inf, 1, EQUILIBRIUM_STATE_CODE, 0)
@@ -743,6 +743,16 @@ def test_report_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "converged fits: 12/12" in out
     assert "pps 00 t=0:" in out
+    # a 201-time run still prints the first and last time of each state only
+    doc = pipeline_doc(time_grid={"start": 0.0, "end": 2.5, "step": 0.0125})
+    run_report([run_pipeline(parse_scenario(doc), tmp_path / "long")])
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert len(lines) <= 4 + 2 * len(doc["pps_labels"])
+    assert "converged fits: 804/804" in lines[1]
+    assert [line.split(":")[0] for line in lines[3:-1]] == [
+        "  pps 00 t=0", "  pps 00 t=2.5", "  pps 11 t=0", "  pps 11 t=2.5"
+    ]
+    assert lines[-1] == "\n"
 
 
 def test_report_rejects_empty_csv(tmp_path):

@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppsrelax import spectra
-from ppsrelax.scenario import _doublet_seed, _doublet_seeds
 from ppsrelax.spectra import (
     FIT_MAX_ITER,
     DoubletFit,
     GridTooCoarse,
     InconsistentEquilibrium,
-    LinePeak,
-    NoPeaksFound,
     Spectrum,
     add_noise,
     coefficients_from_fits,
+    doublet_seeds,
     estimate_noise_floor,
     fit_doublet,
     fit_doublets,
@@ -37,7 +35,12 @@ def make_spectrum(intensities, nucleus=2, fwhm=1.0, span=40.0, points=801):
 
 
 def eq_fit(nucleus):
-    return fit_doublet(make_spectrum(EQ, nucleus=nucleus))
+    return fit_doublet(make_spectrum(EQ, nucleus=nucleus), SYS, 1.0)
+
+
+def uniform_integral(amps, freqs):
+    """Trapezoid-rule integral of ``amps`` on the uniform grid ``freqs``."""
+    return (freqs[1] - freqs[0]) * (amps.sum() - (amps[0] + amps[-1]) / 2.0)
 
 
 # ---------------------------------------------------------------- synthesis
@@ -47,7 +50,7 @@ def test_lorentzian_height_and_area():
     integral, fwhm = 0.7, 1.3
     amps = lorentzian(freqs, 0.0, integral, fwhm)
     assert amps.max() == pytest.approx(2 * integral / (math.pi * fwhm), rel=1e-6)
-    assert np.trapezoid(amps, freqs) == pytest.approx(integral, rel=2e-2)
+    assert uniform_integral(amps, freqs) == pytest.approx(integral, rel=2e-2)
 
 
 def test_synthesize_peak_heights():
@@ -89,7 +92,7 @@ def test_synthesize_integral_conservation():
     s = synthesize(
         LineIntensities(h0=0.9, h1=0.0, f0=0, f1=0), SYS, 2, 1.0, 46.0, 2001
     )
-    total = np.trapezoid(s.amps, s.freqs)
+    total = uniform_integral(s.amps, s.freqs)
     center, half = -SYS.j_coupling / 2.0, 0.5
     truncated = (0.9 / math.pi) * (
         math.atan((23.0 - center) / half) + math.atan((23.0 + center) / half)
@@ -148,7 +151,7 @@ def test_noise_floor_estimate():
 
 def test_fit_recovers_noiseless_doublet():
     truth = LineIntensities(h0=0.9, h1=0.3, f0=0, f1=0)
-    fit = fit_doublet(make_spectrum(truth))
+    fit = fit_doublet(make_spectrum(truth), SYS, 1.0)
     assert fit.converged
     assert fit.peaks[0].center == pytest.approx(-2.9, abs=1e-6)
     assert fit.peaks[1].center == pytest.approx(2.9, abs=1e-6)
@@ -160,31 +163,17 @@ def test_fit_recovers_noiseless_doublet():
 @pytest.mark.parametrize("scale", [0.01, 0.1, 1.0, 10.0])
 def test_fit_noiseless_across_intensity_scales(scale):
     truth = LineIntensities(h0=0.9 * scale, h1=0.3 * scale, f0=0, f1=0)
-    fit = fit_doublet(make_spectrum(truth))
+    fit = fit_doublet(make_spectrum(truth), SYS, 1.0)
     assert fit.peaks[0].integral == pytest.approx(0.9 * scale, rel=1e-6)
     assert fit.peaks[1].integral == pytest.approx(0.3 * scale, rel=1e-6)
 
 
-def test_fit_independent_widths():
+def test_fit_doublets_from_an_off_geometry_seed():
     s = make_spectrum(LineIntensities(h0=0.9, h1=0.3, f0=0, f1=0))
-    fit = fit_doublet(s, shared_fwhm=False)
-    assert fit.peaks[0].fwhm == pytest.approx(1.0, rel=1e-5)
-    assert fit.peaks[1].fwhm == pytest.approx(1.0, rel=1e-5)
-
-
-def test_fit_uses_seed_when_given():
-    s = make_spectrum(LineIntensities(h0=0.9, h1=0.3, f0=0, f1=0))
-    seed = DoubletFit(
-        peaks=(
-            LinePeak(center=-2.8, integral=1.0, fwhm=1.2),
-            LinePeak(center=2.8, integral=0.2, fwhm=1.2),
-        ),
-        residual_norm=float("nan"),
-        iterations=0,
-        converged=False,
-    )
-    fit = fit_doublet(s, init=seed)
-    assert fit.peaks[0].integral == pytest.approx(0.9, rel=1e-6)
+    seeds = [[(-2.8, 1.0, 1.2), (2.8, 0.2, 1.2)]]
+    fits = fit_doublets(s.freqs, s.amps[None], seeds)
+    assert fits.converged[0]
+    np.testing.assert_allclose(fits.peaks[0, :, 1], (0.9, 0.3), rtol=1e-6)
 
 
 def test_fit_monte_carlo_median_error_below_one_percent():
@@ -192,7 +181,7 @@ def test_fit_monte_carlo_median_error_below_one_percent():
     clean = make_spectrum(truth)
     errors = []
     for seed in range(100):
-        fit = fit_doublet(add_noise(clean, 100.0, seed))
+        fit = fit_doublet(add_noise(clean, 100.0, seed), SYS, 1.0)
         errors.append(
             max(
                 abs(fit.peaks[0].integral - 0.9) / 0.9,
@@ -207,7 +196,7 @@ def test_fit_degenerate_one_line_spectrum():
     # a noise-consistent bound and the fit is flagged
     ints = line_intensities(pps_modes(PpsLabel.P00, SYS))
     s = make_spectrum(ints, nucleus=2)
-    fit = fit_doublet(s)
+    fit = fit_doublet(s, SYS, 1.0)
     assert fit.converged
     assert fit.low_confidence
     floor = estimate_noise_floor(s.amps)
@@ -219,14 +208,15 @@ def test_fit_degenerate_one_line_spectrum():
 
 
 def test_fit_healthy_doublet_not_flagged():
-    fit = fit_doublet(make_spectrum(LineIntensities(h0=0.9, h1=0.3, f0=0, f1=0)))
+    fit = fit_doublet(make_spectrum(LineIntensities(h0=0.9, h1=0.3, f0=0, f1=0)), SYS, 1.0)
     assert not fit.low_confidence
 
 
-def test_fit_rejects_featureless_spectrum():
+def test_fit_featureless_spectrum_is_low_confidence():
     s = Spectrum(np.linspace(-20, 20, 801), np.zeros(801), 2)
-    with pytest.raises(NoPeaksFound):
-        fit_doublet(s)
+    fit = fit_doublet(s, SYS, 1.0)
+    assert fit.converged
+    assert fit.low_confidence
 
 
 def test_fit_not_converged_carries_best_fit():
@@ -234,7 +224,7 @@ def test_fit_not_converged_carries_best_fit():
 
     s = add_noise(make_spectrum(LineIntensities(h0=0.9, h1=0.3, f0=0, f1=0)), 50.0, 1)
     with pytest.raises(NotConverged) as excinfo:
-        fit_doublet(s, max_iter=1)
+        fit_doublet(s, SYS, 1.0, max_iter=1)
     best = excinfo.value.fit
     assert not best.converged
     assert best.iterations == 1
@@ -244,7 +234,7 @@ def test_fit_not_converged_carries_best_fit():
 def test_fit_rejects_short_spectrum():
     s = Spectrum(np.linspace(-20, 20, 40), np.zeros(40), 2)
     with pytest.raises(ValueError):
-        fit_doublet(s)
+        fit_doublet(s, SYS, 1.0)
 
 
 def test_fit_peaks_ordered_by_center():
@@ -253,7 +243,7 @@ def test_fit_peaks_ordered_by_center():
         truth = LineIntensities(
             h0=rng.uniform(0.2, 1.0), h1=rng.uniform(0.2, 1.0), f0=0, f1=0
         )
-        fit = fit_doublet(add_noise(make_spectrum(truth), 200.0, seed))
+        fit = fit_doublet(add_noise(make_spectrum(truth), 200.0, seed), SYS, 1.0)
         assert fit.peaks[0].center < fit.peaks[1].center
 
 
@@ -276,7 +266,7 @@ def noisy_batch():
 
 
 def fit_batch(amps, **options):
-    return fit_doublets(FREQS, amps, _doublet_seeds(FREQS, amps, SYS, 1.0), **options)
+    return fit_doublets(FREQS, amps, doublet_seeds(FREQS, amps, SYS, 1.0), **options)
 
 
 def assert_same_rows(fits, rows, reference, reference_rows=slice(None)):
@@ -295,42 +285,38 @@ def test_batch_fit_matches_fitting_each_spectrum_alone(max_iter):
     for row in range(len(amps)):
         s = Spectrum(FREQS.copy(), amps[row].copy(), 2)
         try:
-            alone = fit_doublet(s, init=_doublet_seed(s, SYS, 1.0), max_iter=max_iter)
+            alone = fit_doublet(s, SYS, 1.0, max_iter=max_iter)
         except spectra.NotConverged as exc:
             alone = exc.fit
         assert batch.fit(row) == alone
 
 
-def explicit_jacobian(params, shared_fwhm):
-    """Jacobian [N, P] of the bi-Lorentzian at ``params`` written out
-    column by column: d/dc, d/dI and d/dw of each line."""
-    columns = {}
+def explicit_jacobian(params):
+    """Jacobian [N, 5] of the bi-Lorentzian at ``params`` written out
+    column by column: d/dc and d/dI of each line, then d/dw of both."""
+    columns = {4: 0.0}
+    half = params[4] / 2.0
     for line in (0, 1):
         center, integral = params[line], params[2 + line]
-        half = params[4 if shared_fwhm else 4 + line] / 2.0
         diff = FREQS - center
         denom = diff**2 + half**2
         columns[line] = integral / math.pi * 2.0 * half * diff / denom**2
         columns[2 + line] = half / (math.pi * denom)
-        d_width = integral / math.pi * (diff**2 - half**2) / (2.0 * denom**2)
-        width = 4 if shared_fwhm else 4 + line
-        columns[width] = columns.get(width, 0.0) + d_width
+        columns[4] = columns[4] + integral / math.pi * (diff**2 - half**2) / (2.0 * denom**2)
     return np.column_stack([columns[k] for k in sorted(columns)])
 
 
-def bi_lorentzian(params, shared_fwhm):
+def bi_lorentzian(params):
     """The fitted model at ``params``, built from two one-line doublets."""
-    widths = (params[4], params[4]) if shared_fwhm else params[4:6]
     mid, split = (params[0] + params[1]) / 2.0, params[1] - params[0]
     return sum(
-        spectra.doublet_amps(FREQS - mid, pair, split, width)
-        for pair, width in zip(((params[2], 0.0), (0.0, params[3])), widths)
+        spectra.doublet_amps(FREQS - mid, pair, split, params[4])
+        for pair in ((params[2], 0.0), (0.0, params[3]))
     )
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
-    shared_fwhm=st.booleans(),
     rows=st.lists(
         st.tuples(
             st.floats(-8.0, -0.5),
@@ -338,31 +324,28 @@ def bi_lorentzian(params, shared_fwhm):
             st.floats(-2.0, 2.0),
             st.floats(-2.0, 2.0),
             st.floats(0.1, 2.0),
-            st.floats(0.1, 2.0),
         ),
         min_size=1,
         max_size=4,
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fused_normal_equations_match_an_explicit_jacobian(shared_fwhm, rows, seed):
+def test_fused_normal_equations_match_an_explicit_jacobian(rows, seed):
     """One Gram product gives the J^T J, J^T r and r.r that an explicit
     Jacobian gives column by column, and that Jacobian matches central
     differences of the model built from ``doublet_amps``."""
-    params = np.array(rows)[:, : 5 if shared_fwhm else 6]
+    params = np.array(rows)
     # a work buffer with spare rows, as the solver's shrinking working set has
     work = np.full((params.shape[1] + 1, len(params) + 2, FREQS.size), np.nan)
     # row r of params is fitted to spectrum 2 r of amps
     amps = np.random.default_rng(seed).normal(size=(2 * len(params), FREQS.size))
     rows = 2 * np.arange(len(params))
-    ssr, gradient, hessian = spectra._normal_equations(
-        FREQS, amps, rows, params, shared_fwhm, work
-    )
+    ssr, gradient, hessian = spectra._normal_equations(FREQS, amps, rows, params, work)
     for row, p in enumerate(params):
-        jac = explicit_jacobian(p, shared_fwhm)
+        jac = explicit_jacobian(p)
         residual = (
             lorentzian(FREQS, p[0], p[2], p[4])
-            + lorentzian(FREQS, p[1], p[3], p[-1])
+            + lorentzian(FREQS, p[1], p[3], p[4])
             - amps[rows[row]]
         )
         size = len(p)
@@ -380,9 +363,7 @@ def test_fused_normal_equations_match_an_explicit_jacobian(shared_fwhm, rows, se
         for k in range(size):
             step = np.zeros(size)
             step[k] = 1e-6 * max(1.0, abs(p[k]))
-            central = (
-                bi_lorentzian(p + step, shared_fwhm) - bi_lorentzian(p - step, shared_fwhm)
-            ) / (2.0 * step[k])
+            central = (bi_lorentzian(p + step) - bi_lorentzian(p - step)) / (2.0 * step[k])
             # to the scale of the whole Jacobian: moving one center also
             # moves the other line's rounding, as the model is built
             np.testing.assert_allclose(central, jac[:, k], rtol=0, atol=1e-6 * np.abs(jac).max())
@@ -399,7 +380,7 @@ def test_zero_spectrum_row_leaves_other_rows_unchanged():
     assert fits.iterations[4] == 11
     # seeded at a real doublet, the lines of an empty spectrum end tiny but
     # not 0 over a noise floor of 0; they are flagged all the same
-    seeds = _doublet_seeds(FREQS, amps[:1], SYS, 1.0)
+    seeds = doublet_seeds(FREQS, amps[:1], SYS, 1.0)
     seeded = fit_doublets(FREQS, np.zeros((1, FREQS.size)), seeds)
     assert seeded.peaks[0, :, 1].all() and seeded.low_confidence[0]
 
@@ -451,7 +432,7 @@ def test_noiseless_doublet_recovered(magnitudes, signs, offsets, fwhm):
     seed_centers = (-SYS.j_coupling / 2.0, SYS.j_coupling / 2.0)
     centers = np.add(seed_centers, np.multiply(offsets, fwhm))
     amps = sum(lorentzian(FREQS, c, i, fwhm) for c, i in zip(centers, integrals))[None]
-    fits = fit_doublets(FREQS, amps, _doublet_seeds(FREQS, amps, SYS, fwhm))
+    fits = fit_doublets(FREQS, amps, doublet_seeds(FREQS, amps, SYS, fwhm))
     assert fits.converged[0]
     np.testing.assert_allclose(fits.peaks[0, :, 1], integrals, rtol=1e-9)
     np.testing.assert_allclose(fits.peaks[0, :, 0], centers, rtol=1e-9)
@@ -461,8 +442,8 @@ def test_noiseless_doublet_recovered(magnitudes, signs, offsets, fwhm):
 
 def test_extraction_fresh_00():
     ints = line_intensities(pps_modes(PpsLabel.P00, SYS))
-    fit1 = fit_doublet(make_spectrum(ints, nucleus=1))
-    fit2 = fit_doublet(make_spectrum(ints, nucleus=2))
+    fit1 = fit_doublet(make_spectrum(ints, nucleus=1), SYS, 1.0)
+    fit2 = fit_doublet(make_spectrum(ints, nucleus=2), SYS, 1.0)
     coeffs = coefficients_from_fits(fit1, fit2, eq_fit(1), eq_fit(2), PpsLabel.P00)
     assert coeffs.a_from_spin2 == pytest.approx(SYS.k / SYS.gamma2, rel=1e-6)
     assert coeffs.a_from_spin1 == pytest.approx(SYS.k / SYS.gamma1, rel=1e-6)
@@ -471,8 +452,8 @@ def test_extraction_fresh_00():
 
 
 def test_extraction_equilibrium_state_gives_zero_a():
-    fit1 = fit_doublet(make_spectrum(EQ, nucleus=1))
-    fit2 = fit_doublet(make_spectrum(EQ, nucleus=2))
+    fit1 = fit_doublet(make_spectrum(EQ, nucleus=1), SYS, 1.0)
+    fit2 = fit_doublet(make_spectrum(EQ, nucleus=2), SYS, 1.0)
     coeffs = coefficients_from_fits(fit1, fit2, eq_fit(1), eq_fit(2), PpsLabel.P00)
     assert coeffs.a_from_spin2 == pytest.approx(0.0, abs=1e-9)
     assert coeffs.a_from_spin1 == pytest.approx(0.0, abs=1e-9)
@@ -480,8 +461,8 @@ def test_extraction_equilibrium_state_gives_zero_a():
 
 def test_extraction_11_uses_swapped_lines():
     ints = line_intensities(pps_modes(PpsLabel.P11, SYS))
-    fit1 = fit_doublet(make_spectrum(ints, nucleus=1))
-    fit2 = fit_doublet(make_spectrum(ints, nucleus=2))
+    fit1 = fit_doublet(make_spectrum(ints, nucleus=1), SYS, 1.0)
+    fit2 = fit_doublet(make_spectrum(ints, nucleus=2), SYS, 1.0)
     coeffs = coefficients_from_fits(fit1, fit2, eq_fit(1), eq_fit(2), PpsLabel.P11)
     assert coeffs.a_from_spin2 == pytest.approx(SYS.k / SYS.gamma2, rel=1e-6)
     assert coeffs.b == pytest.approx(0.0, abs=1e-6)
@@ -504,8 +485,8 @@ def test_extraction_matches_mode_decomposition():
             m = evolve_exact(gamma, pps_modes(label, SYS), m_inf, t)
             truth = decompose(m, label)
             ints = line_intensities(m)
-            fit1 = fit_doublet(make_spectrum(ints, nucleus=1))
-            fit2 = fit_doublet(make_spectrum(ints, nucleus=2))
+            fit1 = fit_doublet(make_spectrum(ints, nucleus=1), SYS, 1.0)
+            fit2 = fit_doublet(make_spectrum(ints, nucleus=2), SYS, 1.0)
             coeffs = coefficients_from_fits(
                 fit1, fit2, eq_fit(1), eq_fit(2), label
             )
@@ -533,9 +514,9 @@ def test_extraction_rejects_unconverged_fit():
 
 def test_extraction_rejects_asymmetric_equilibrium():
     skewed = LineIntensities(h0=1.1, h1=1.0, f0=0.9407, f1=0.9407)
-    bad_eq = fit_doublet(make_spectrum(skewed, nucleus=2))
-    fit1 = fit_doublet(make_spectrum(EQ, nucleus=1))
-    fit2 = fit_doublet(make_spectrum(EQ, nucleus=2))
+    bad_eq = fit_doublet(make_spectrum(skewed, nucleus=2), SYS, 1.0)
+    fit1 = fit_doublet(make_spectrum(EQ, nucleus=1), SYS, 1.0)
+    fit2 = fit_doublet(make_spectrum(EQ, nucleus=2), SYS, 1.0)
     with pytest.raises(InconsistentEquilibrium):
         coefficients_from_fits(fit1, fit2, eq_fit(1), bad_eq, PpsLabel.P00)
 
