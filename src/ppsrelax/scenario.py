@@ -79,8 +79,9 @@ MAX_TIME_SAMPLES = 10**6
 MAX_SPECTRUM_POINTS = 100_000
 
 #: Grid samples of the spectra the pipeline synthesizes and fits in one
-#: solver call: 32 spectra of the default 801 points.
-BATCH_SAMPLES = 32 * 801
+#: solver call: 128 spectra of the default 801 points, whose normal
+#: equations the solver builds spectra.NORMAL_EQUATION_ROWS at a time.
+BATCH_SAMPLES = 128 * 801
 
 #: Noise-key state code of the two equilibrium reference spectra; a
 #: pseudo-pure state uses its basis index, 0 (00) to 3 (11).
@@ -722,10 +723,47 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
     return str(csv_path)
 
 
-def _read_csv(path) -> tuple[str, dict, list[str], list[list[str]]]:
-    """Kind, scenario document, header and rows of a CSV this tool wrote;
-    a file that does not parse as one raises SchemaMismatch."""
-    kind, scenario_doc, header, rows = "", {}, [], []
+#: The columns each report reads: name -> the type they are kept as;
+#: text columns are printed or compared as written.
+REPORT_COLUMNS = {
+    "simulate": {"pps": str, "t": float, "A": float, "B": float, "C": float},
+    "sweep": dict.fromkeys(SWEEP_COLUMNS, float),
+    "pipeline": {
+        "pps": str,
+        "t": str,
+        "A_proton": float,
+        "residual_norm": float,
+        "converged": str,
+    },
+}
+
+#: Data rows whose cells ``report`` holds as strings before it converts
+#: them to arrays.
+REPORT_BLOCK_ROWS = 4096
+
+
+def _read_csv(path) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """Kind, scenario document and the columns (name -> array) that the
+    kind's report reads of a CSV this tool wrote; a file that does not
+    parse as one raises SchemaMismatch. Cells are converted a block of
+    rows at a time, so no other cell of the file is ever held."""
+    kind, scenario_doc, header, count = "", {}, [], 0
+    # per kept column: its type, the cells of the rows read since the last
+    # conversion, and the arrays converted so far
+    wanted: dict[str, type] = {}
+    cells: dict[str, list[str]] = {}
+    blocks: dict[str, list[np.ndarray]] = {}
+
+    def convert() -> None:
+        for name, values in cells.items():
+            try:
+                blocks[name].append(np.array(values, dtype=wanted[name]))
+            except ValueError:
+                raise SchemaMismatch(
+                    f"{path}: column {name!r} holds a non-numeric cell"
+                ) from None
+            values.clear()
+
     try:
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
@@ -738,13 +776,26 @@ def _read_csv(path) -> tuple[str, dict, list[str], list[list[str]]]:
                         scenario_doc = json.loads(body.split(":", 1)[1])
                 elif line and not header:
                     header = line.split(",")
+                    wanted = {
+                        name: kept_as
+                        for name, kept_as in REPORT_COLUMNS.get(kind, {}).items()
+                        if name in header
+                    }
+                    cells = {name: [] for name in wanted}
+                    blocks = {name: [] for name in wanted}
+                    kept = [(header.index(name), cells[name]) for name in wanted]
                 elif line:
-                    rows.append(line.split(","))
-                    if len(rows[-1]) != len(header):
+                    row = line.split(",")
+                    if len(row) != len(header):
                         raise SchemaMismatch(
-                            f"{path}: line {number} has {len(rows[-1])} cells, "
+                            f"{path}: line {number} has {len(row)} cells, "
                             f"the header {len(header)}"
                         )
+                    for column, values in kept:
+                        values.append(row[column])
+                    count += 1
+                    if count % REPORT_BLOCK_ROWS == 0:
+                        convert()
     except UnicodeDecodeError:
         raise SchemaMismatch(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
@@ -753,24 +804,23 @@ def _read_csv(path) -> tuple[str, dict, list[str], list[list[str]]]:
         raise SchemaMismatch(f"{path}: not a ppsrelax CSV (missing header)")
     if not isinstance(scenario_doc, dict):
         raise SchemaMismatch(f"{path}: scenario line is not a JSON object")
-    if not rows:
+    if not count:
         raise SchemaMismatch(f"{path}: no data rows")
-    return kind, scenario_doc, header, rows
+    convert()
+    return kind, scenario_doc, {name: np.concatenate(arrays) for name, arrays in blocks.items()}
 
 
-def _column(header: list[str], rows: list[list[str]], name: str, path) -> list[str]:
+def _column(columns: dict[str, np.ndarray], name: str, path) -> np.ndarray:
     try:
-        idx = header.index(name)
-    except ValueError:
+        return columns[name]
+    except KeyError:
         raise SchemaMismatch(f"{path}: missing column {name!r}") from None
-    return [row[idx] for row in rows]
 
 
-def _floats(header: list[str], rows: list[list[str]], name: str, path) -> np.ndarray:
-    try:
-        return np.array(_column(header, rows, name, path), dtype=float)
-    except ValueError:
-        raise SchemaMismatch(f"{path}: column {name!r} holds a non-numeric cell") from None
+def _first_appearance(labels: np.ndarray) -> list[str]:
+    """The distinct values of ``labels`` in the order they first appear."""
+    names, first = np.unique(labels, return_index=True)
+    return names[np.argsort(first)].tolist()
 
 
 def run_report(csv_paths: Sequence[str], stream: TextIO | None = None) -> None:
@@ -782,20 +832,20 @@ def run_report(csv_paths: Sequence[str], stream: TextIO | None = None) -> None:
     """
     stream = stream if stream is not None else _sys.stdout
     for path in csv_paths:
-        kind, doc, header, rows = _read_csv(path)
+        kind, doc, columns = _read_csv(path)
         print(f"== {kind} report: {doc.get('id', '?')} ({path}) ==", file=stream)
         if kind == "simulate":
-            _report_simulate(doc, header, rows, path, stream)
+            _report_simulate(doc, columns, path, stream)
         elif kind == "sweep":
-            _report_sweep(doc, header, rows, path, stream)
+            _report_sweep(doc, columns, path, stream)
         elif kind == "pipeline":
-            _report_pipeline(header, rows, path, stream)
+            _report_pipeline(columns, path, stream)
         else:
             print(f"  (no summary implemented for kind {kind!r})", file=stream)
         print(file=stream)
 
 
-def _report_simulate(doc, header, rows, path, stream) -> None:
+def _report_simulate(doc, columns, path, stream) -> None:
     try:
         scenario = parse_scenario(doc)
     except ConfigError as exc:
@@ -804,14 +854,15 @@ def _report_simulate(doc, header, rows, path, stream) -> None:
     eig = ", ".join(format(v, ".6f") for v in gamma.eigenvalues)
     print(f"rate-matrix eigenvalues (1/s): {eig}", file=stream)
 
-    labels = np.array(_column(header, rows, "pps", path))
-    times = _floats(header, rows, "t", path)
-    abc = np.column_stack([_floats(header, rows, name, path) for name in "ABC"])
-    # (times, (A, B, C) rows) of each state, in the order states first appear
-    series = {
-        label: (times[labels == label], abc[labels == label])
-        for label in dict.fromkeys(labels.tolist())
-    }
+    labels = _column(columns, "pps", path)
+    times = _column(columns, "t", path)
+    abc = [_column(columns, name, path) for name in "ABC"]
+    # (times, (A, B, C) rows) of the first two rows of each state, in the
+    # order states first appear
+    series = {}
+    for label in _first_appearance(labels):
+        rows = np.flatnonzero(labels == label)[:2]
+        series[label] = (times[rows], np.column_stack([column[rows] for column in abc]))
 
     print("initial slopes (1/s, first sampled interval):", file=stream)
     for label, (ts, coeffs) in series.items():
@@ -865,32 +916,30 @@ def _report_simulate(doc, header, rows, path, stream) -> None:
     )
 
 
-def _report_pipeline(header, rows, path, stream) -> None:
-    converged = _column(header, rows, "converged", path)
-    residuals = _floats(header, rows, "residual_norm", path)
+def _report_pipeline(columns, path, stream) -> None:
+    converged = _column(columns, "converged", path)
+    residuals = _column(columns, "residual_norm", path)
     residuals = residuals[~np.isnan(residuals)]
-    n_rows, n_ok = len(converged), converged.count("1")
+    n_rows, n_ok = len(converged), int(np.count_nonzero(converged == "1"))
     print(f"measurement rows: {n_rows}, converged fits: {n_ok}/{n_rows}", file=stream)
     if residuals.size:
         print(
             f"residual norm: median {np.median(residuals):.4g}, max {residuals.max():.4g}",
             file=stream,
         )
-    labels = _column(header, rows, "pps", path)
-    t_col = _column(header, rows, "t", path)
+    a_proton = _column(columns, "A_proton", path)
+    extracted = np.flatnonzero(~np.isnan(a_proton))
+    labels = _column(columns, "pps", path)[extracted]
+    t_col = _column(columns, "t", path)
     # a bounded summary: the first and last extracted time of each state
-    first, last = {}, {}
-    for label, t, a in zip(labels, t_col, _floats(header, rows, "A_proton", path)):
-        if not math.isnan(a):
-            first.setdefault(label, (t, a))
-            last[label] = (t, a)
-    for label in first:
-        for t, a in dict((first[label], last[label])).items():
+    for label in _first_appearance(labels):
+        ends = extracted[labels == label][[0, -1]]
+        for t, a in dict(zip(t_col[ends].tolist(), a_proton[ends].tolist())).items():
             print(f"  pps {label} t={t}: A(proton readout)={a:.6g}", file=stream)
 
 
-def _report_sweep(doc, header, rows, path, stream) -> None:
-    table = np.column_stack([_floats(header, rows, name, path) for name in SWEEP_COLUMNS])
+def _report_sweep(doc, columns, path, stream) -> None:
+    table = np.column_stack([_column(columns, name, path) for name in SWEEP_COLUMNS])
     sweep = doc.get("sweep")
     parameter = sweep.get("parameter", "?") if isinstance(sweep, dict) else "?"
     print(f"swept {parameter} over {len(table)} values", file=stream)

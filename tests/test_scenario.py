@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -578,12 +579,18 @@ def test_pipeline_noise_does_not_depend_on_label_order(tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_pipeline_bytes_do_not_depend_on_threads_or_batch_size(tmp_path, monkeypatch, threads):
+    """Nor on the rows whose normal equations the solver builds at once."""
     doc = pipeline_doc(noise={"snr": 100.0, "seed": 11}, pps_labels=["00", "01", "10", "11"])
     reference = Path(run_pipeline(parse_scenario(doc), tmp_path / "reference")).read_bytes()
     monkeypatch.setattr(scenario_module, "_usable_cpus", lambda: threads)
     for batch in (1, 3, 7):
         monkeypatch.setattr(scenario_module, "BATCH_SAMPLES", batch * 801)
         path = run_pipeline(parse_scenario(doc), tmp_path / f"batch{batch}")
+        assert Path(path).read_bytes() == reference
+    monkeypatch.setattr(scenario_module, "BATCH_SAMPLES", 42 * 801)  # the whole run
+    for chunk in (2, 5):
+        monkeypatch.setattr(spectra, "NORMAL_EQUATION_ROWS", chunk)
+        path = run_pipeline(parse_scenario(doc), tmp_path / f"chunk{chunk}")
         assert Path(path).read_bytes() == reference
 
 
@@ -677,18 +684,35 @@ def test_csv_blocks_match_row_by_row_formatting(command, n, tmp_path, monkeypatc
     assert data == reference
 
 
+#: Four states over 5 001 times: a simulate CSV of 20 004 rows.
+LONG_SIMULATE = config_doc(
+    pps_labels=["00", "01", "10", "11"], time_grid={"end": 5.0, "step": 0.001}
+)
+
+
+def traced_peak(task):
+    """The result of ``task()`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return task(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_simulate_never_holds_its_text(tmp_path):
     """The traced peak of a simulate run stays below the size of the CSV
     it writes: rows are formatted and written a block at a time."""
-    doc = config_doc(
-        pps_labels=["00", "01", "10", "11"], time_grid={"end": 5.0, "step": 0.001}
-    )
-    tracemalloc.start()
-    try:
-        path = run_simulate(parse_scenario(doc), tmp_path)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    path, peak = traced_peak(lambda: run_simulate(parse_scenario(LONG_SIMULATE), tmp_path)[0])
+    assert peak < Path(path).stat().st_size
+
+
+def test_report_never_holds_the_text_of_a_csv(tmp_path):
+    """The traced peak of a report stays below the size of the CSV it
+    reads: only the columns it uses are kept, as arrays."""
+    path = run_simulate(parse_scenario(LONG_SIMULATE), tmp_path)[0]
+    text = io.StringIO()
+    _, peak = traced_peak(lambda: run_report([path], text))
+    assert "00 slower than 11 (A): PASS" in text.getvalue()
     assert peak < Path(path).stat().st_size
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,18 +278,25 @@ def assert_same_rows(fits, rows, reference, reference_rows=slice(None)):
 
 
 @pytest.mark.parametrize("max_iter", [FIT_MAX_ITER, 5])
-def test_batch_fit_matches_fitting_each_spectrum_alone(max_iter):
+def test_batch_fit_matches_fitting_each_spectrum_alone(max_iter, monkeypatch):
+    """Also with 3-row normal-equation chunks: the 14 rows then span 5
+    chunks, the last one of 2 rows, and the working set shrinks across
+    their borders."""
     amps = noisy_batch()
-    batch = fit_batch(amps, max_iter=max_iter)
-    # rows leave the working set at different iterations
-    assert len(set(batch.iterations.tolist())) > 1
+    alone = []
     for row in range(len(amps)):
         s = Spectrum(FREQS.copy(), amps[row].copy(), 2)
         try:
-            alone = fit_doublet(s, SYS, 1.0, max_iter=max_iter)
+            alone.append(fit_doublet(s, SYS, 1.0, max_iter=max_iter))
         except spectra.NotConverged as exc:
-            alone = exc.fit
-        assert batch.fit(row) == alone
+            alone.append(exc.fit)
+    for chunk in (spectra.NORMAL_EQUATION_ROWS, 3):
+        monkeypatch.setattr(spectra, "NORMAL_EQUATION_ROWS", chunk)
+        batch = fit_batch(amps, max_iter=max_iter)
+        # rows leave the working set at different iterations
+        assert len(set(batch.iterations.tolist())) > 1
+        for row, fit in enumerate(alone):
+            assert batch.fit(row) == fit
 
 
 def explicit_jacobian(params):
@@ -367,6 +375,24 @@ def test_fused_normal_equations_match_an_explicit_jacobian(rows, seed):
             # to the scale of the whole Jacobian: moving one center also
             # moves the other line's rounding, as the model is built
             np.testing.assert_allclose(central, jac[:, k], rtol=0, atol=1e-6 * np.abs(jac).max())
+
+
+def test_fit_memory_does_not_grow_with_the_batch_beyond_amps():
+    """The traced peak of one fit of 256 spectra stays below 3x their
+    size: the normal equations are built in one fixed-depth buffer."""
+    rng = np.random.default_rng(11)
+    pairs = rng.uniform(-1.0, 1.0, size=(256, 2))
+    amps = spectra.doublet_amps(FREQS, pairs, SYS.j_coupling, 1.0)
+    amps = spectra.noisy_amps(amps, 100.0, range(len(amps)))
+    seeds = doublet_seeds(FREQS, amps, SYS, 1.0)
+    fit_doublets(FREQS, amps[:1], seeds[:1])  # first-call imports are not the fit's
+    tracemalloc.start()
+    try:
+        fit_doublets(FREQS, amps, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * amps.nbytes
 
 
 def test_zero_spectrum_row_leaves_other_rows_unchanged():
