@@ -17,19 +17,14 @@ from .analysis import (
     compare_pps,
     decompose,
     deviation_report,
-    recompose,
 )
 from .relaxation import (
     InitialRateWindowWarning,
     NotPositiveDefiniteWarning,
     RelaxationMatrix,
     RelaxationRates,
-    StepTooLarge,
-    Trajectory,
     build_matrix,
     evolve_exact,
-    evolve_ode,
-    initial_rate,
     propagate,
 )
 from .scenario import (
@@ -63,15 +58,11 @@ from .spectra import (
 from .spins import (
     LineIntensities,
     ModeVector,
-    NotTraceless,
-    PopulationVector,
     PpsLabel,
     SignPattern,
     SpinSystem,
     equilibrium_modes,
     line_intensities,
-    modes_to_populations,
-    populations_to_modes,
     pps_modes,
 )
 

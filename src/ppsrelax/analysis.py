@@ -27,7 +27,6 @@ __all__ = [
     "PpsComparison",
     "decompose_rows",
     "decompose",
-    "recompose",
     "closed_form_auto",
     "closed_form_cross",
     "deviation_report",
@@ -94,16 +93,6 @@ def decompose(m: ModeVector, label: PpsLabel) -> CoefficientTriple:
     return CoefficientTriple(a=a, b=b, c=c)
 
 
-def recompose(t: CoefficientTriple, label: PpsLabel) -> ModeVector:
-    """Exact inverse of :func:`decompose` for the same label."""
-    s = label.sign_pattern
-    return ModeVector(
-        c1=s.s1 * t.a + t.b,
-        c2=s.s2 * t.a + t.c,
-        c12=s.s12 * t.a,
-    )
-
-
 #: Rate-matrix entries holding auto-correlation rates (rho, sigma12); the
 #: others hold the interference rates delta1, delta2.
 AUTO_BLOCK = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
@@ -158,13 +147,6 @@ class PpsComparison:
     coefficients: dict[PpsLabel, np.ndarray]
     k: float
 
-    @property
-    def triples(self) -> dict[PpsLabel, tuple[CoefficientTriple, ...]]:
-        return {
-            label: tuple(CoefficientTriple(*row) for row in rows.tolist())
-            for label, rows in self.coefficients.items()
-        }
-
     def a(self, label: PpsLabel) -> np.ndarray:
         return self.coefficients[label][:, 0]
 
@@ -173,10 +155,6 @@ class PpsComparison:
 
     def c(self, label: PpsLabel) -> np.ndarray:
         return self.coefficients[label][:, 2]
-
-    def a_deviation(self, label: PpsLabel) -> np.ndarray:
-        """a(t) minus the preparation value k."""
-        return self.a(label) - self.k
 
 
 def compare_pps(

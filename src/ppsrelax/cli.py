@@ -12,7 +12,6 @@ import sys
 import numpy as np
 
 from . import scenario as sc
-from .relaxation import StepTooLarge
 from .spectra import InconsistentEquilibrium, NotConverged
 
 EXIT_OK = 0
@@ -83,7 +82,6 @@ def main(argv=None) -> int:
         print(f"ppsrelax: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (
-        StepTooLarge,
         NotConverged,
         InconsistentEquilibrium,
         np.linalg.LinAlgError,

@@ -16,10 +16,10 @@ delta1/delta2 the interference rates coupling each single-spin order to
 the two-spin order. With delta1 = delta2 = 0 the matrix is block
 diagonal and the two-spin order decays as a bare exponential.
 
-Propagation is offered on two independent routes: spectral decomposition
-of G (``propagate`` and its scalar form ``evolve_exact``) and classical
-fixed-step RK4 integration (``evolve_ode``), so each can serve as an
-oracle for the other.
+States are propagated on one route, the spectral decomposition of G
+(``propagate`` and its scalar form ``evolve_exact``). The fixed-step RK4
+cross-check that the tests hold it against lives in ``tests/oracle.py``,
+outside the package.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .spins import ModeVector
 __all__ = [
     "RelaxationRates",
     "RelaxationMatrix",
-    "Trajectory",
-    "StepTooLarge",
     "NotPositiveDefiniteWarning",
     "InitialRateWindowWarning",
     "rate_matrix",
@@ -45,22 +43,13 @@ __all__ = [
     "build_matrix",
     "propagate",
     "evolve_exact",
-    "evolve_ode",
     "linear_step",
     "check_initial_rate_window",
-    "initial_rate",
 ]
-
-#: dt * lambda_max above which fixed-step RK4 accuracy is not guaranteed.
-RK4_STEP_LIMIT = 0.1
 
 #: tau * lambda_max beyond which the linearized evolution leaves the
 #: initial-rate regime.
 INITIAL_RATE_WINDOW = 0.2
-
-
-class StepTooLarge(ValueError):
-    """RK4 step size violates the accuracy guard dt * lambda_max <= 0.1."""
 
 
 class NotPositiveDefiniteWarning(UserWarning):
@@ -146,29 +135,6 @@ class RelaxationMatrix:
         return float(np.max(np.abs(self.eigenvalues)))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled mode-vector time series; ``states`` holds one row
-    (c1, c2, c12) per sample time."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        if self.states.shape != (len(self.times), 3):
-            raise ValueError("states must have one (c1, c2, c12) row per time")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-        self.times.setflags(write=False)
-        self.states.setflags(write=False)
-
-    def state(self, index: int) -> ModeVector:
-        return ModeVector.from_sequence(self.states[index])
-
-    def component(self, index: int) -> np.ndarray:
-        return self.states[:, index]
-
-
 def diagonalize(entries: np.ndarray) -> RelaxationMatrix:
     """Spectral decomposition of symmetric rate matrices [..., 3, 3].
 
@@ -233,53 +199,6 @@ def evolve_exact(
     return ModeVector.from_sequence(states[0])
 
 
-def rk4_update_matrix(gamma: RelaxationMatrix, dt: float) -> np.ndarray:
-    """Single-step update applied by classical RK4 to the deviation
-    d = M - M_inf of this constant-coefficient linear system.
-
-    For d' = A d the four stages combine to exactly
-    d_next = (I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24) d,
-    so the whole step is one matrix precomputable from G and dt.
-    """
-    ha = -dt * gamma.entries
-    ha2 = ha @ ha
-    return np.eye(3) + ha + ha2 / 2.0 + ha2 @ ha / 6.0 + ha2 @ ha2 / 24.0
-
-
-def evolve_ode(
-    gamma: RelaxationMatrix,
-    m0: ModeVector,
-    m_inf: ModeVector,
-    t_end: float,
-    dt: float = 1e-3,
-) -> Trajectory:
-    """Classical fixed-step RK4 trajectory of dM/dt = -G (M - M_inf).
-
-    Independent of the spectral route: only powers of G enter. Raises
-    StepTooLarge when dt * lambda_max exceeds the accuracy guard.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if t_end < dt:
-        raise ValueError(f"t_end must be >= dt, got {t_end} < {dt}")
-    if dt * gamma.max_eigenvalue > RK4_STEP_LIMIT:
-        raise StepTooLarge(
-            f"dt * lambda_max = {dt * gamma.max_eigenvalue:.4g} exceeds "
-            f"{RK4_STEP_LIMIT}"
-        )
-    n_steps = int(math.floor(t_end / dt + 1e-12))
-    base = np.array(m_inf.to_tuple())
-    # deviations U^i d0 for i = 0..n_steps under the one-step update U, by
-    # doubling: the first k deviations times (U^k)^T are the next k
-    devs = (np.array(m0.to_tuple()) - base)[None, :]
-    power = rk4_update_matrix(gamma, dt)
-    while len(devs) <= n_steps:
-        devs = np.concatenate((devs, devs @ power.T))
-        power = power @ power
-    times = np.arange(n_steps + 1) * dt
-    return Trajectory(times, base + devs[: n_steps + 1])
-
-
 def linear_step(entries: np.ndarray, m0, m_inf, tau: float) -> np.ndarray:
     """Linearized state M0 - tau E (M0 - M_inf) under rate blocks E.
 
@@ -303,13 +222,3 @@ def check_initial_rate_window(gamma: RelaxationMatrix, tau: float) -> None:
             InitialRateWindowWarning,
             stacklevel=3,
         )
-
-
-def initial_rate(
-    gamma: RelaxationMatrix, m0: ModeVector, m_inf: ModeVector, tau: float
-) -> ModeVector:
-    """Linearized (initial-rate) state M0 - G tau (M0 - M_inf); scalar
-    form of :func:`linear_step` with the initial-rate window warning."""
-    check_initial_rate_window(gamma, tau)
-    state = linear_step(gamma.entries, m0.to_tuple(), m_inf.to_tuple(), tau)
-    return ModeVector.from_sequence(state)

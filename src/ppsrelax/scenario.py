@@ -293,7 +293,10 @@ def _value(kind, raw, path: str, sentinels=()):
         if not isinstance(raw, list) or not raw:
             raise ConfigError(f"{path} must be a nonempty list, got {raw!r}")
         if item is float and set(map(type, raw)) <= {int, float}:
-            return tuple(map(float, raw))  # all numbers: one pass
+            try:
+                return tuple(map(float, raw))  # all numbers: one pass
+            except OverflowError:
+                pass  # an integer beyond the float range: name it below
         return tuple(_value(item, v, f"{path}[{i}]") for i, v in enumerate(raw))
     if is_dataclass(kind):
         return _build(kind, raw, path)
@@ -301,7 +304,10 @@ def _value(kind, raw, path: str, sentinels=()):
         if isinstance(raw, str) and raw in sentinels:
             return sentinels[raw]
         if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            return float(raw)
+            try:
+                return float(raw)
+            except OverflowError:
+                raise ConfigError(f"{path} is beyond the float range") from None
         raise ConfigError(f"{path} must be a number, got {raw!r}")
     if kind is int:
         if isinstance(raw, int) and not isinstance(raw, bool):
@@ -360,10 +366,16 @@ def load_sweep(path) -> SweepSpec:
 
 def _load_json(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    except ValueError:  # an integer literal over Python's digit limit
+        raise ConfigError(f"{path}: a number has too many digits") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

