@@ -4,8 +4,9 @@ The package separates the physics into small composable layers: mode
 algebra (:mod:`ppsrelax.spins`), rate-matrix propagation
 (:mod:`ppsrelax.relaxation`), coefficient analysis
 (:mod:`ppsrelax.analysis`), the spectral measurement chain
-(:mod:`ppsrelax.spectra`) and scenario execution
-(:mod:`ppsrelax.scenario`).
+(:mod:`ppsrelax.spectra`), typed configs (:mod:`ppsrelax.scenario`),
+the runners and their CSV format (:mod:`ppsrelax.run`) and the CSV
+summaries (:mod:`ppsrelax.report`).
 """
 
 from .analysis import (
@@ -27,20 +28,17 @@ from .relaxation import (
     evolve_exact,
     propagate,
 )
+from .report import run_report
+from .run import SchemaMismatch, run_pipeline, run_simulate, run_sweep
 from .scenario import (
     ConfigError,
     Scenario,
-    SchemaMismatch,
     SweepSpec,
     default_pipeline_scenario,
     default_scenario,
     default_sweep,
     load_scenario,
     load_sweep,
-    run_pipeline,
-    run_report,
-    run_simulate,
-    run_sweep,
 )
 from .spectra import (
     DoubletFit,

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import scenario as sc
+from . import report, run, scenario
 from .spectra import InconsistentEquilibrium, NotConverged
 
 EXIT_OK = 0
@@ -55,30 +55,32 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
-            scenario = (
-                sc.load_scenario(args.config) if args.config else sc.default_scenario()
+            config = (
+                scenario.load_scenario(args.config)
+                if args.config
+                else scenario.default_scenario()
             )
-            written = sc.run_simulate(scenario, args.out, plot=args.plot)
+            written = run.run_simulate(config, args.out, plot=args.plot)
             if not args.quiet:
                 for path in written:
                     print(f"wrote {path}")
         elif args.command == "sweep":
-            spec = sc.load_sweep(args.config) if args.config else sc.default_sweep()
-            path = sc.run_sweep(spec, args.out)
+            spec = scenario.load_sweep(args.config) if args.config else scenario.default_sweep()
+            path = run.run_sweep(spec, args.out)
             if not args.quiet:
                 print(f"wrote {path}")
         elif args.command == "pipeline":
-            scenario = (
-                sc.load_scenario(args.config)
+            config = (
+                scenario.load_scenario(args.config)
                 if args.config
-                else sc.default_pipeline_scenario()
+                else scenario.default_pipeline_scenario()
             )
-            path = sc.run_pipeline(scenario, args.out, seed_override=args.seed)
+            path = run.run_pipeline(config, args.out, seed_override=args.seed)
             if not args.quiet:
                 print(f"wrote {path}")
         elif args.command == "report":
-            sc.run_report(args.csvs)
-    except (sc.ConfigError, sc.SchemaMismatch) as exc:
+            report.run_report(args.csvs)
+    except (scenario.ConfigError, run.SchemaMismatch) as exc:
         print(f"ppsrelax: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (

@@ -1,0 +1,427 @@
+"""The simulate, sweep and pipeline runners and the CSV format they share.
+
+Each runner turns a parsed config into one deterministic CSV: identical
+config and seed give byte-identical files. Every file opens with ``#``
+lines (kind and schema version, units, the scenario as JSON), so a
+report needs nothing but the CSV; ``_read_csv`` reads that layout back.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import threading
+from dataclasses import replace
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from . import analysis, relaxation, spectra, svg
+from .scenario import (
+    SCHEMA_VERSION,
+    ConfigError,
+    NoiseSpec,
+    Scenario,
+    SweepSpec,
+    _decode_json,
+    _to_doc,
+    scenario_to_dict,
+    sweep_rates,
+)
+from .spins import PpsLabel, doublet_pairs, equilibrium_modes, pps_modes
+
+__all__ = ["SchemaMismatch", "run_simulate", "run_sweep", "run_pipeline"]
+
+#: Grid samples of the spectra the pipeline synthesizes and fits in one
+#: solver call: 128 spectra of the default 801 points, whose normal
+#: equations the solver builds spectra.NORMAL_EQUATION_ROWS at a time.
+BATCH_SAMPLES = 128 * 801
+
+#: Noise-key state code of the two equilibrium reference spectra; a
+#: pseudo-pure state uses its basis index, 0 (00) to 3 (11).
+EQUILIBRIUM_STATE_CODE = 4
+
+#: CSV rows formatted by one ``%`` call; sizes from 16 to 1 024 rows run
+#: within a few percent of each other.
+CSV_BLOCK_ROWS = 64
+
+SIMULATE_COLUMNS = ("pps", "t", "c1", "c2", "c12", "A", "B", "C", "A_minus_A0")
+SWEEP_COLUMNS = (
+    "value",
+    "a_diff_initial",
+    "a_diff_probe",
+    "b_absdiff_probe",
+    "c_absdiff_probe",
+)
+PIPELINE_COLUMNS = (
+    "pps",
+    "t",
+    "nucleus",
+    "line0",
+    "line1",
+    "A_proton",
+    "A_fluorine",
+    "B",
+    "C",
+    "residual_norm",
+    "converged",
+)
+
+
+class SchemaMismatch(ValueError):
+    """A CSV handed to the report does not carry the expected schema."""
+
+
+def _write_csv(path, kind: str, scenario_doc: dict, columns: Sequence[str], lines) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# ppsrelax {kind} v{SCHEMA_VERSION}\n")
+        fh.write("# units: time s, rates 1/s, amplitudes relative\n")
+        fh.write(
+            "# scenario: "
+            + json.dumps(scenario_doc, sort_keys=True, separators=(",", ":"))
+            + "\n"
+        )
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(lines)
+
+
+def _csv_text(template: str, table: np.ndarray):
+    """Text of the rows of ``table`` [R, C], each formatted by the one-row
+    ``%`` template, yielded CSV_BLOCK_ROWS rows at a time, so the text of
+    a whole table is never held."""
+    block = template * CSV_BLOCK_ROWS
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        rows = table[start : start + CSV_BLOCK_ROWS]
+        text = block if len(rows) == CSV_BLOCK_ROWS else template * len(rows)
+        yield text % tuple(rows.ravel().tolist())
+
+
+def run_simulate(scenario: Scenario, out_dir, plot: bool = False) -> list[str]:
+    """Exact coefficient trajectories for every requested state.
+
+    Writes ``simulate.csv`` (and SVG companions with ``plot=True``);
+    returns the written paths.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    gamma = relaxation.build_matrix(scenario.rates)
+    times = scenario.time_grid.times()
+    sys_obj = scenario.sys
+    labels = scenario.pps_labels
+    m0 = [pps_modes(label, sys_obj).to_tuple() for label in labels]
+    states = relaxation.propagate(gamma, m0, equilibrium_modes(sys_obj).to_tuple(), times)
+    coeffs = {
+        label: analysis.decompose_rows(modes, label) for label, modes in zip(labels, states)
+    }
+    lines = (
+        text
+        for label, modes in zip(labels, states)
+        for text in _csv_text(
+            label.value + ",%.12g" * 8 + "\n",
+            np.column_stack((times, modes, coeffs[label], coeffs[label][:, 0] - sys_obj.k)),
+        )
+    )
+    csv_path = out / "simulate.csv"
+    _write_csv(csv_path, "simulate", scenario_to_dict(scenario), SIMULATE_COLUMNS, lines)
+    written = [str(csv_path)]
+    if plot:
+        # A(t) - A(0), B(t), C(t)
+        deviations = {label: rows - (sys_obj.k, 0.0, 0.0) for label, rows in coeffs.items()}
+        for name, column, ylab in (
+            ("simulate_A.svg", 0, "A(t) - A(0)"),
+            ("simulate_B.svg", 1, "B(t)"),
+            ("simulate_C.svg", 2, "C(t)"),
+        ):
+            series = [
+                (f"pps {label.value}", times, deviations[label][:, column])
+                for label in labels
+            ]
+            svg_path = out / name
+            svg.line_plot(
+                svg_path,
+                series,
+                title=f"{scenario.scenario_id}: {ylab}",
+                xlabel="time (s)",
+                ylabel=ylab,
+            )
+            written.append(str(svg_path))
+    return written
+
+
+def _sweep_table(sweep: SweepSpec) -> np.ndarray:
+    """Rows (value, a_diff_initial, a_diff_probe, b_absdiff_probe,
+    c_absdiff_probe) [N, 5] of the 00 / 11 pair, one per swept value."""
+    base = sweep.base
+    rates = sweep_rates(base, sweep.parameter, sweep.values)
+    # one matrix per swept value, broadcast over the two states
+    gamma = relaxation.diagonalize(relaxation.rate_matrix(rates)[:, None])
+    relaxation.check_initial_rate_window(gamma, base.tau)
+    labels = (PpsLabel.P00, PpsLabel.P11)
+    m0 = [pps_modes(label, base.sys).to_tuple() for label in labels]
+    m_inf = equilibrium_modes(base.sys).to_tuple()
+    initial = relaxation.linear_step(gamma.entries, m0, m_inf, base.tau)
+    probe = relaxation.propagate(gamma, m0, m_inf, (sweep.probe_time,))[:, :, 0]
+    (initial00, initial11), (probe00, probe11) = [
+        [analysis.decompose_rows(states[:, i], label) for i, label in enumerate(labels)]
+        for states in (initial, probe)
+    ]
+    split = probe00 - probe11
+    return np.column_stack(
+        (sweep.values, initial00[:, 0] - initial11[:, 0], split[:, 0], np.abs(split[:, 1:]))
+    )
+
+
+def run_sweep(sweep: SweepSpec, out_dir) -> str:
+    """Differential-decay metrics of the 00 / 11 pair per swept value."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = _csv_text(",".join(["%.12g"] * 5) + "\n", _sweep_table(sweep))
+    doc = scenario_to_dict(sweep.base)
+    doc["sweep"] = {k: v for k, v in _to_doc(sweep).items() if k != "base"}
+    csv_path = out / "sweep.csv"
+    _write_csv(csv_path, "sweep", doc, SWEEP_COLUMNS, lines)
+    return str(csv_path)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_threads(task, items: Sequence) -> list:
+    """``[task(item) for item in items]`` on one thread per usable CPU,
+    the calling thread among them; item i runs on thread i mod threads.
+
+    Once a call raises, no thread starts another item, and the first
+    exception raised (an interrupt of the calling thread before any) is
+    re-raised here after every thread has stopped.
+    """
+    results = [None] * len(items)
+    errors = []
+    count = min(_usable_cpus(), len(items))
+
+    def work(first: int) -> None:
+        try:
+            for index in range(first, len(items), count):
+                if errors:
+                    return
+                results[index] = task(items[index])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(first,)) for first in range(1, count)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    except BaseException as exc:  # an interrupt reaches the calling thread only
+        errors.insert(0, exc)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _fit_spectra(
+    scenario: Scenario, freqs: np.ndarray, pairs: np.ndarray, keys: np.ndarray
+) -> spectra.DoubletFits:
+    """Synthesize, degrade and fit one doublet per line-integral pair of
+    ``pairs`` [K, 2]; spectrum k draws its noise from
+    ``default_rng([seed, *keys[k]])``.
+
+    Spectra are made and fitted a batch of about BATCH_SAMPLES grid
+    samples at a time, so the whole run's spectra are never held at once,
+    and the batches run on one thread per usable CPU (numpy releases the
+    GIL in the array work that dominates a batch). A row's result depends
+    neither on the batch size nor on the thread count.
+    """
+    sys_obj, spec, noise = scenario.sys, scenario.spectrum, scenario.noise
+    batch = max(1, BATCH_SAMPLES // len(freqs))
+
+    def fit(start: int) -> spectra.DoubletFits:
+        block = pairs[start : start + batch]
+        amps = spectra.doublet_amps(freqs, block, sys_obj.j_coupling, spec.fwhm)
+        seeds = [[noise.seed, *key] for key in keys[start : start + batch].tolist()]
+        amps = spectra.noisy_amps(amps, noise.snr, seeds)
+        return spectra.fit_doublets(
+            freqs, amps, spectra.doublet_seeds(freqs, amps, sys_obj, spec.fwhm)
+        )
+
+    parts = _map_threads(fit, range(0, len(pairs), batch))
+    return spectra.DoubletFits(*map(np.concatenate, zip(*parts)))
+
+
+def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) -> str:
+    """Full measurement chain over the scenario time grid.
+
+    Requires ``readout = "spectra"`` and a noise block (the snr may be
+    the "inf" sentinel). Fit failures are recorded per row and the run
+    continues; only a failed equilibrium reference fit ends it.
+    """
+    if scenario.readout != "spectra":
+        raise ConfigError(
+            f'pipeline requires readout "spectra", got {scenario.readout!r}'
+        )
+    if scenario.noise is None:
+        raise ConfigError("pipeline requires the noise block (snr may be \"inf\")")
+    if seed_override is not None:
+        scenario = replace(
+            scenario, noise=NoiseSpec(scenario.noise.snr, seed_override)
+        )
+
+    sys_obj = scenario.sys
+    spec = scenario.spectrum
+    try:
+        freqs = spectra.frequency_grid(sys_obj.j_coupling, spec.fwhm, spec.span, spec.points)
+    except ValueError as exc:
+        raise ConfigError(f"spectrum: {exc}") from None
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    gamma = relaxation.build_matrix(scenario.rates)
+    labels = scenario.pps_labels
+    times = scenario.time_grid.times()
+    m_inf = equilibrium_modes(sys_obj).to_tuple()
+    m0 = [pps_modes(label, sys_obj).to_tuple() for label in labels]
+    states = relaxation.propagate(gamma, m0, m_inf, times)
+    # the equilibrium references of nucleus 1 and 2, then label by label,
+    # time by time, nucleus 1 before 2; each spectrum's noise is keyed by
+    # (state code, time index, nucleus), never by its place in this list
+    modes = np.concatenate(([m_inf], states.reshape(-1, 3)))
+    keys = np.array(
+        [(EQUILIBRIUM_STATE_CODE, 0, nucleus) for nucleus in (1, 2)]
+        + [
+            (int(label.value, 2), index, nucleus)
+            for label in labels
+            for index in range(len(times))
+            for nucleus in (1, 2)
+        ]
+    )
+    fits = _fit_spectra(scenario, freqs, doublet_pairs(modes).reshape(-1, 2), keys)
+    for nucleus in (1, 2):
+        if not fits.converged[nucleus - 1]:
+            raise spectra.NotConverged(
+                f"equilibrium fit of nucleus {nucleus}: no convergence in "
+                f"{spectra.FIT_MAX_ITER} iterations",
+                fits.fit(nucleus - 1),
+            )
+
+    # rows in spectrum order after the two references: label, time, nucleus
+    eq1, eq2 = fits.peaks[:2, :, 1]
+    fitted = fits.peaks[2:, :, 1]  # (line0, line1) of each row
+    by_state = fitted.reshape(len(labels), len(times), 2, 2)
+    both = fits.converged[2:].reshape(len(labels), len(times), 2).all(axis=-1)
+    extracted = np.full((len(labels), len(times), 4), np.nan)
+    for i, label in enumerate(labels):
+        if both[i].any():
+            extracted[i, both[i]] = spectra.coefficient_rows(
+                by_state[i, both[i], 0], by_state[i, both[i], 1], eq1, eq2, label
+            )
+    table = np.column_stack(
+        (
+            np.tile(np.repeat(times, 2), len(labels)),
+            np.tile([1, 2], len(labels) * len(times)),
+            fitted,
+            np.repeat(extracted.reshape(-1, 4), 2, axis=0),
+            fits.residual_norm[2:],
+            fits.converged[2:],
+        )
+    )
+    lines = (
+        text
+        for label, rows in zip(labels, table.reshape(len(labels), -1, table.shape[1]))
+        for text in _csv_text(label.value + ",%.12g,%d" + ",%.12g" * 7 + ",%d\n", rows)
+    )
+    csv_path = out / "pipeline.csv"
+    _write_csv(csv_path, "pipeline", scenario_to_dict(scenario), PIPELINE_COLUMNS, lines)
+    return str(csv_path)
+
+
+#: The columns each report reads: name -> the type they are kept as;
+#: text columns are printed or compared as written.
+REPORT_COLUMNS = {
+    "simulate": {"pps": str, "t": float, "A": float, "B": float, "C": float},
+    "sweep": dict.fromkeys(SWEEP_COLUMNS, float),
+    "pipeline": {
+        "pps": str,
+        "t": str,
+        "A_proton": float,
+        "residual_norm": float,
+        "converged": str,
+    },
+}
+
+#: Data rows whose cells ``report`` holds as strings before it converts
+#: them to arrays.
+REPORT_BLOCK_ROWS = 4096
+
+
+def _read_csv(path) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """Kind, scenario document and the columns (name -> array) that the
+    kind's report reads of a CSV this tool wrote; a file that does not
+    parse as one raises SchemaMismatch. Cells are converted a block of
+    rows at a time, so no other cell of the file is ever held."""
+    kind, scenario_doc, header, count = "", {}, [], 0
+    # per kept column: its type, the cells of the rows read since the last
+    # conversion, and the arrays converted so far
+    wanted: dict[str, type] = {}
+    cells: dict[str, list[str]] = {}
+    blocks: dict[str, list[np.ndarray]] = {}
+
+    def convert() -> None:
+        for name, values in cells.items():
+            try:
+                blocks[name].append(np.array(values, dtype=wanted[name]))
+            except ValueError:
+                raise SchemaMismatch(
+                    f"{path}: column {name!r} holds a non-numeric cell"
+                ) from None
+            values.clear()
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("ppsrelax "):
+                        kind = body.split()[1]
+                    elif body.startswith("scenario:"):
+                        scenario_doc = _decode_json(body.split(":", 1)[1], "scenario line")
+                elif line and not header:
+                    header = line.split(",")
+                    wanted = {
+                        name: kept_as
+                        for name, kept_as in REPORT_COLUMNS.get(kind, {}).items()
+                        if name in header
+                    }
+                    cells = {name: [] for name in wanted}
+                    blocks = {name: [] for name in wanted}
+                    kept = [(header.index(name), cells[name]) for name in wanted]
+                elif line:
+                    row = line.split(",")
+                    if len(row) != len(header):
+                        raise SchemaMismatch(
+                            f"{path}: line {number} has {len(row)} cells, "
+                            f"the header {len(header)}"
+                        )
+                    for column, values in kept:
+                        values.append(row[column])
+                    count += 1
+                    if count % REPORT_BLOCK_ROWS == 0:
+                        convert()
+    except UnicodeDecodeError:
+        raise SchemaMismatch(f"{path}: not UTF-8 text") from None
+    except ConfigError as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from None
+    if not kind or not header:
+        raise SchemaMismatch(f"{path}: not a ppsrelax CSV (missing header)")
+    if not isinstance(scenario_doc, dict):
+        raise SchemaMismatch(f"{path}: scenario line is not a JSON object")
+    if not count:
+        raise SchemaMismatch(f"{path}: no data rows")
+    convert()
+    return kind, scenario_doc, {name: np.concatenate(arrays) for name, arrays in blocks.items()}

@@ -17,12 +17,15 @@ _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 36
 _MARGIN_BOTTOM = 48
+_WIDTH = 720
+_HEIGHT = 480
+_TICK_COUNT = 5
 
 
-def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(count, 1)
+    raw = (hi - lo) / _TICK_COUNT
     power = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * power:
@@ -47,13 +50,13 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 480,
 ) -> None:
     """Write a multi-series line plot to ``path``.
 
     ``series`` is a list of (label, xs, ys) with equal-length xs/ys.
     """
+    from xml.sax.saxutils import escape  # imported here: it pulls in urllib.request
+
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
@@ -68,8 +71,8 @@ def line_plot(
     y_lo -= pad
     y_hi += pad
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -78,16 +81,16 @@ def line_plot(
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#444" stroke-width="1"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14" font-family="sans-serif">{title}</text>'
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+            f'font-size="14" font-family="sans-serif">{escape(title)}</text>'
         )
     for tick in _nice_ticks(x_lo, x_hi):
         x = px(tick)
@@ -112,16 +115,16 @@ def line_plot(
         )
     if xlabel:
         parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 10}" '
+            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
             f'text-anchor="middle" font-size="12" font-family="sans-serif">'
-            f"{xlabel}</text>"
+            f"{escape(xlabel)}</text>"
         )
     if ylabel:
         y_mid = _MARGIN_TOP + plot_h / 2
         parts.append(
             f'<text x="16" y="{y_mid:.1f}" text-anchor="middle" font-size="12" '
             f'font-family="sans-serif" transform="rotate(-90 16 {y_mid:.1f})">'
-            f"{ylabel}</text>"
+            f"{escape(ylabel)}</text>"
         )
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
@@ -138,7 +141,7 @@ def line_plot(
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-size="11" '
-            f'font-family="sans-serif">{label}</text>'
+            f'font-family="sans-serif">{escape(label)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", newline="") as fh:

@@ -162,10 +162,23 @@ def edit_first_row(edit):
     return apply
 
 
+def scenario_line(text):
+    """Edit of a CSV's bytes: its scenario line set to ``text``."""
+
+    def apply(data):
+        lines = data.split(b"\n")
+        lines[2] = b"# scenario: " + text  # after the kind and units lines
+        return b"\n".join(lines)
+
+    return apply
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         pytest.param(lambda data: data.replace(b"# scenario: {", b"# scenario: {,"), id="json"),
+        pytest.param(scenario_line(b'{"id": ' + b"9" * 5000 + b"}"), id="too-many-digits"),
+        pytest.param(scenario_line(b"[" * 100_000 + b"]" * 100_000), id="nested-too-deeply"),
         pytest.param(lambda data: data.replace(b'"k":0.5', b'"k":"x"'), id="scenario"),
         pytest.param(edit_first_row(lambda cells: [*cells[:5], b"x", *cells[6:]]), id="cell"),
         pytest.param(edit_first_row(lambda cells: cells[:3]), id="short-row"),
@@ -177,8 +190,27 @@ def test_report_malformed_csv_is_schema_error(corrupt, tmp_path, capsys):
     path = tmp_path / "simulate.csv"
     path.write_bytes(corrupt(path.read_bytes()))
     code = main(["report", str(path)])
+    err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert f"config error: {path}: " in capsys.readouterr().err
+    assert f"config error: {path}: " in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "pipeline"])
+def test_benchmark_entry_points(command, tmp_path):
+    """What perfbench's child process does before it times a run: import
+    ``cli`` and ``scenario`` from the package and load the config through
+    ``scenario.load_sweep`` or ``scenario.load_scenario``; then the run."""
+    from ppsrelax import cli, scenario
+
+    if command == "sweep":
+        config = write_config(tmp_path, sweep={"parameter": "delta_scale", "values": [0.0, 1.0]})
+        assert scenario.load_sweep(config).values == (0.0, 1.0)
+    else:
+        config = write_config(tmp_path, readout="spectra", noise={"snr": 100.0, "seed": 3})
+        assert scenario.load_scenario(config).noise.seed == 3
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out), "--quiet"]) == EXIT_OK
+    assert (out / f"{command}.csv").is_file()
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -187,7 +219,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(cli.sc, "run_simulate", explode)
+    monkeypatch.setattr(cli.run, "run_simulate", explode)
     config = write_config(tmp_path)
     code = main(["simulate", "--config", config, "--out", str(tmp_path)])
     assert code == EXIT_NUMERICAL
@@ -199,7 +231,7 @@ def test_failure_in_a_threaded_fit_batch_is_numerical_failure(tmp_path, capsys, 
     ends the pipeline with exit 2: no traceback and no thread left over."""
     import threading
 
-    from ppsrelax import scenario, spectra
+    from ppsrelax import run, spectra
 
     noisy_amps = spectra.noisy_amps
 
@@ -209,8 +241,8 @@ def test_failure_in_a_threaded_fit_batch_is_numerical_failure(tmp_path, capsys, 
             raise np.linalg.LinAlgError("Singular matrix in batch 2")
         return noisy_amps(amps, snr, seeds)
 
-    monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(scenario, "BATCH_SAMPLES", 3 * 801)
+    monkeypatch.setattr(run, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(run, "BATCH_SAMPLES", 3 * 801)
     monkeypatch.setattr(spectra, "noisy_amps", second_batch_fails)
     config = write_config(tmp_path, readout="spectra", noise={"snr": 100.0, "seed": 11})
     threads = threading.active_count()

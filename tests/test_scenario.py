@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -15,25 +16,21 @@ from ppsrelax.relaxation import (
     NotPositiveDefiniteWarning,
     RelaxationRates,
 )
-from ppsrelax import scenario as scenario_module
+from ppsrelax import run as run_module
+from ppsrelax.report import run_report
+from ppsrelax.run import SchemaMismatch, _csv_text, run_pipeline, run_simulate, run_sweep
 from ppsrelax.scenario import (
     MAX_TIME_SAMPLES,
     ConfigError,
     NoiseSpec,
     Scenario,
-    SchemaMismatch,
     SpectrumSpec,
     TimeGrid,
-    _csv_text,
     default_scenario,
     default_sweep,
     load_scenario,
     parse_scenario,
     parse_sweep,
-    run_pipeline,
-    run_report,
-    run_simulate,
-    run_sweep,
     scenario_to_dict,
     sweep_rates,
 )
@@ -360,13 +357,19 @@ def test_simulate_deterministic(tmp_path):
 
 
 def test_simulate_emits_svg(tmp_path):
-    paths = run_simulate(parse_scenario(config_doc()), tmp_path, plot=True)
-    svgs = [p for p in paths if p.endswith(".svg")]
-    assert len(svgs) == 3
-    for svg_path in svgs:
-        text = Path(svg_path).read_text()
-        assert text.startswith("<svg")
-        assert "polyline" in text
+    """Every plot is well-formed XML whose title names the scenario, also
+    when the id holds markup characters."""
+    for index, scenario_id in enumerate(["test", "R&D <run 1>"]):
+        doc = config_doc(id=scenario_id)
+        paths = run_simulate(parse_scenario(doc), tmp_path / str(index), plot=True)
+        svgs = [p for p in paths if p.endswith(".svg")]
+        assert len(svgs) == 3
+        for svg_path in svgs:
+            text = Path(svg_path).read_text()
+            assert text.startswith("<svg")
+            assert "polyline" in text
+            title = ElementTree.parse(svg_path).find("{http://www.w3.org/2000/svg}text")
+            assert title.text.startswith(f"{scenario_id}: ")
 
 
 def test_simulate_golden_file(tmp_path):
@@ -516,7 +519,7 @@ def test_pipeline_noise_seed_order(tmp_path):
     under the reserved state code; a row rebuilt by hand from the public
     functions matches the CSV to every printed digit."""
     from ppsrelax.relaxation import build_matrix, propagate
-    from ppsrelax.scenario import EQUILIBRIUM_STATE_CODE
+    from ppsrelax.run import EQUILIBRIUM_STATE_CODE
     from ppsrelax.spins import ModeVector, equilibrium_modes, line_intensities, pps_modes
 
     scenario = parse_scenario(pipeline_doc(noise={"snr": 100.0, "seed": 11}))
@@ -584,12 +587,12 @@ def test_pipeline_bytes_do_not_depend_on_threads_or_batch_size(tmp_path, monkeyp
     """Nor on the rows whose normal equations the solver builds at once."""
     doc = pipeline_doc(noise={"snr": 100.0, "seed": 11}, pps_labels=["00", "01", "10", "11"])
     reference = Path(run_pipeline(parse_scenario(doc), tmp_path / "reference")).read_bytes()
-    monkeypatch.setattr(scenario_module, "_usable_cpus", lambda: threads)
+    monkeypatch.setattr(run_module, "_usable_cpus", lambda: threads)
     for batch in (1, 3, 7):
-        monkeypatch.setattr(scenario_module, "BATCH_SAMPLES", batch * 801)
+        monkeypatch.setattr(run_module, "BATCH_SAMPLES", batch * 801)
         path = run_pipeline(parse_scenario(doc), tmp_path / f"batch{batch}")
         assert Path(path).read_bytes() == reference
-    monkeypatch.setattr(scenario_module, "BATCH_SAMPLES", 42 * 801)  # the whole run
+    monkeypatch.setattr(run_module, "BATCH_SAMPLES", 42 * 801)  # the whole run
     for chunk in (2, 5):
         monkeypatch.setattr(spectra, "NORMAL_EQUATION_ROWS", chunk)
         path = run_pipeline(parse_scenario(doc), tmp_path / f"chunk{chunk}")
@@ -602,12 +605,12 @@ def test_map_threads_keeps_item_order_and_runs_the_caller(monkeypatch):
     import sys
     import threading
 
-    monkeypatch.setattr(scenario_module, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(run_module, "_usable_cpus", lambda: 8)
     seen = []  # holds the thread objects, so no two of them share an identity
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = scenario_module._map_threads(
+        results = run_module._map_threads(
             lambda item: seen.append((item, threading.current_thread())) or item * item,
             range(500),
         )
@@ -663,7 +666,7 @@ def test_csv_blocks_match_row_by_row_formatting(command, n, tmp_path, monkeypatc
         tables.append(table.copy())
         return _csv_text(template, table)
 
-    monkeypatch.setattr("ppsrelax.scenario._csv_text", recording)
+    monkeypatch.setattr("ppsrelax.run._csv_text", recording)
     prefixes = [("00",), ("11",)]
     if command == "sweep":
         doc = config_doc()
