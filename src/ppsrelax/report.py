@@ -23,11 +23,10 @@ from .spins import PpsLabel
 __all__ = ["run_report"]
 
 
-def _column(columns: dict[str, np.ndarray], name: str, path) -> np.ndarray:
-    try:
-        return columns[name]
-    except KeyError:
-        raise SchemaMismatch(f"{path}: missing column {name!r}") from None
+def _column(columns: np.ndarray, name: str, path) -> np.ndarray:
+    if name not in columns.dtype.names:
+        raise SchemaMismatch(f"{path}: missing column {name!r}")
+    return columns[name]
 
 
 def _first_appearance(labels: np.ndarray) -> list[str]:
@@ -133,7 +132,7 @@ def _report_pipeline(columns, path, stream) -> None:
     converged = _column(columns, "converged", path)
     residuals = _column(columns, "residual_norm", path)
     residuals = residuals[~np.isnan(residuals)]
-    n_rows, n_ok = len(converged), int(np.count_nonzero(converged == "1"))
+    n_rows, n_ok = len(converged), int(np.count_nonzero(converged == 1))
     print(f"measurement rows: {n_rows}, converged fits: {n_ok}/{n_rows}", file=stream)
     if residuals.size:
         print(
@@ -148,7 +147,7 @@ def _report_pipeline(columns, path, stream) -> None:
     for label in _first_appearance(labels):
         ends = extracted[labels == label][[0, -1]]
         for t, a in dict(zip(t_col[ends].tolist(), a_proton[ends].tolist())).items():
-            print(f"  pps {label} t={t}: A(proton readout)={a:.6g}", file=stream)
+            print(f"  pps {label} t={t:.12g}: A(proton readout)={a:.6g}", file=stream)
 
 
 def _report_sweep(doc, columns, path, stream) -> None:

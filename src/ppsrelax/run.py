@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -340,88 +341,40 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
     return str(csv_path)
 
 
-#: The columns each report reads: name -> the type they are kept as;
-#: text columns are printed or compared as written.
-REPORT_COLUMNS = {
-    "simulate": {"pps": str, "t": float, "A": float, "B": float, "C": float},
-    "sweep": dict.fromkeys(SWEEP_COLUMNS, float),
-    "pipeline": {
-        "pps": str,
-        "t": str,
-        "A_proton": float,
-        "residual_norm": float,
-        "converged": str,
-    },
-}
-
-#: Data rows whose cells ``report`` holds as strings before it converts
-#: them to arrays.
-REPORT_BLOCK_ROWS = 4096
-
-
-def _read_csv(path) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Kind, scenario document and the columns (name -> array) that the
-    kind's report reads of a CSV this tool wrote; a file that does not
-    parse as one raises SchemaMismatch. Cells are converted a block of
-    rows at a time, so no other cell of the file is ever held."""
-    kind, scenario_doc, header, count = "", {}, [], 0
-    # per kept column: its type, the cells of the rows read since the last
-    # conversion, and the arrays converted so far
-    wanted: dict[str, type] = {}
-    cells: dict[str, list[str]] = {}
-    blocks: dict[str, list[np.ndarray]] = {}
-
-    def convert() -> None:
-        for name, values in cells.items():
-            try:
-                blocks[name].append(np.array(values, dtype=wanted[name]))
-            except ValueError:
-                raise SchemaMismatch(
-                    f"{path}: column {name!r} holds a non-numeric cell"
-                ) from None
-            values.clear()
-
+def _read_csv(path) -> tuple[str, dict, np.ndarray]:
+    """Kind, scenario document and data rows of a CSV this tool wrote, the
+    rows read by numpy's ``loadtxt`` straight into one structured array
+    with a field per header column (``pps`` as text, every other as
+    float); a file that does not parse as one raises SchemaMismatch."""
+    kind, scenario_doc, header = "", {}, []
     try:
         with open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("ppsrelax "):
-                        kind = body.split()[1]
-                    elif body.startswith("scenario:"):
-                        scenario_doc = _decode_json(body.split(":", 1)[1], "scenario line")
-                elif line and not header:
-                    header = line.split(",")
-                    wanted = {
-                        name: kept_as
-                        for name, kept_as in REPORT_COLUMNS.get(kind, {}).items()
-                        if name in header
-                    }
-                    cells = {name: [] for name in wanted}
-                    blocks = {name: [] for name in wanted}
-                    kept = [(header.index(name), cells[name]) for name in wanted]
-                elif line:
-                    row = line.split(",")
-                    if len(row) != len(header):
-                        raise SchemaMismatch(
-                            f"{path}: line {number} has {len(row)} cells, "
-                            f"the header {len(header)}"
-                        )
-                    for column, values in kept:
-                        values.append(row[column])
-                    count += 1
-                    if count % REPORT_BLOCK_ROWS == 0:
-                        convert()
+            line = fh.readline()
+            while line.startswith("#") or line == "\n":
+                body = line[1:].strip()
+                if body.startswith("ppsrelax "):
+                    kind = body.split()[1]
+                elif body.startswith("scenario:"):
+                    scenario_doc = _decode_json(body.split(":", 1)[1], "scenario line")
+                line = fh.readline()
+            if kind and line:
+                header = line.rstrip("\n").split(",")
+                fields = [(name, "U3" if name == "pps" else float) for name in header]
+                with warnings.catch_warnings():  # an empty input is reported below
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(fh, dtype=fields, delimiter=",", ndmin=1)
     except UnicodeDecodeError:
         raise SchemaMismatch(f"{path}: not UTF-8 text") from None
     except ConfigError as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None
-    if not kind or not header:
+    except ValueError as exc:  # numpy's advice after the ";" is for its callers
+        raise SchemaMismatch(f"{path}: malformed table: {str(exc).partition(';')[0]}") from None
+    if not header:
         raise SchemaMismatch(f"{path}: not a ppsrelax CSV (missing header)")
     if not isinstance(scenario_doc, dict):
         raise SchemaMismatch(f"{path}: scenario line is not a JSON object")
-    if not count:
+    if not rows.size:
         raise SchemaMismatch(f"{path}: no data rows")
-    convert()
-    return kind, scenario_doc, {name: np.concatenate(arrays) for name, arrays in blocks.items()}
+    if "pps" in header and not np.isin(rows["pps"], [label.value for label in PpsLabel]).all():
+        raise SchemaMismatch(f"{path}: column 'pps' holds a cell that is not a state label")
+    return kind, scenario_doc, rows

@@ -487,7 +487,8 @@ def fit_doublets(
     residual by less than ``rtol`` relatively, or when damping escalation
     shows the iteration is stalled at a minimum. Spectra that exhaust
     ``max_iter`` are returned with ``converged`` False and their best
-    parameters. A row's result does not depend on the other rows of the
+    parameters, as are spectra whose residual is not finite (a NaN or inf
+    sample). A row's result does not depend on the other rows of the
     batch. The normal equations are built NORMAL_EQUATION_ROWS spectra
     at a time in one fixed buffer, so beyond ``amps`` the working memory
     does not grow with S.
@@ -526,7 +527,7 @@ def fit_doublets(
         peaks=peaks,
         residual_norm=np.sqrt(ssr / freqs.size),
         iterations=iterations,
-        converged=converged,
+        converged=converged & np.isfinite(ssr),
         low_confidence=low_confidence,
     )
 
@@ -571,7 +572,7 @@ def coefficient_rows(lines1, lines2, eq1, eq2, label: PpsLabel) -> np.ndarray:
     for name, eq in (("nucleus 1", eq1), ("nucleus 2", eq2)):
         line0, line1 = (float(v) for v in eq)
         mean = (line0 + line1) / 2.0
-        if mean == 0 or abs(line0 - line1) / abs(mean) > EQ_ASYMMETRY_LIMIT:
+        if mean == 0 or not abs(line0 - line1) / abs(mean) <= EQ_ASYMMETRY_LIMIT:
             raise InconsistentEquilibrium(
                 f"{name} equilibrium doublet asymmetry exceeds "
                 f"{EQ_ASYMMETRY_LIMIT:.0%}: {line0:.6g} vs {line1:.6g}"

@@ -182,6 +182,12 @@ def scenario_line(text):
         pytest.param(lambda data: data.replace(b'"k":0.5', b'"k":"x"'), id="scenario"),
         pytest.param(edit_first_row(lambda cells: [*cells[:5], b"x", *cells[6:]]), id="cell"),
         pytest.param(edit_first_row(lambda cells: cells[:3]), id="short-row"),
+        pytest.param(edit_first_row(lambda cells: [*cells, b"1"]), id="long-row"),
+        pytest.param(
+            edit_first_row(lambda cells: [*cells[:2], b"x", *cells[3:]]), id="unread-cell"
+        ),
+        pytest.param(lambda data: data.replace(b"pps,t,c1,", b"pps,t,t,"), id="duplicate-column"),
+        pytest.param(edit_first_row(lambda cells: [b"000", *cells[1:]]), id="bad-label"),
         pytest.param(lambda data: data + b"\xff\xfe\n", id="not-utf8"),
     ],
 )
@@ -193,6 +199,7 @@ def test_report_malformed_csv_is_schema_error(corrupt, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert f"config error: {path}: " in err and err.count("\n") == 1
+    assert "usecols" not in err
 
 
 @pytest.mark.parametrize("command", ["sweep", "pipeline"])
@@ -286,6 +293,21 @@ def test_inconsistent_equilibrium_is_numerical_failure(tmp_path, capsys):
     code = main(["pipeline", "--config", config, "--out", str(tmp_path / "out")])
     assert code == EXIT_NUMERICAL
     assert "equilibrium doublet asymmetry" in capsys.readouterr().err
+
+
+def test_non_finite_spectrum_is_numerical_failure(tmp_path, capsys):
+    """An snr of 5e-324 makes the noise sd infinite: the equilibrium fits
+    must fail, not pass as converged with NaN residuals."""
+    config = write_config(tmp_path, readout="spectra", noise={"snr": 5e-324, "seed": 1})
+    with np.errstate(all="ignore"):
+        code = main(["pipeline", "--config", config, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert err == (
+        "ppsrelax: numerical failure: equilibrium fit of nucleus 1: "
+        "no convergence in 200 iterations\n"
+    )
+    assert not (tmp_path / "out" / "pipeline.csv").exists()
 
 
 def test_invalid_swept_value_is_config_error(tmp_path, capsys):

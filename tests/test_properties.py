@@ -1,6 +1,12 @@
-"""Property tests of the propagation core and the coefficient map over
-random inputs (hypothesis, derandomized so that every run draws the same
-examples)."""
+"""Property tests of the propagation core, the coefficient map and the
+CSV round trip over random inputs (hypothesis, derandomized so that every
+run draws the same examples)."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracle import evolve_ode, recompose
 from ppsrelax.analysis import CoefficientTriple, decompose
+from ppsrelax.cli import EXIT_OK, main
 from ppsrelax.relaxation import RelaxationRates, build_matrix, evolve_exact, propagate
 from ppsrelax.spins import ModeVector, PpsLabel
 
@@ -77,3 +84,58 @@ def test_recompose_inverts_decompose(m, label):
 def test_decompose_inverts_recompose(abc, label):
     triple = decompose(recompose(CoefficientTriple(*abc), label), label)
     np.testing.assert_allclose((triple.a, triple.b, triple.c), abc, rtol=0, atol=1e-15)
+
+
+@st.composite
+def run_configs(draw):
+    """Config documents of small runs, each with a sweep block: a subset of
+    the states, a grid of two to five times, an snr (or "inf") and up to
+    six delta_scale values."""
+    start, step = draw(st.floats(0.0, 5.0)), draw(st.floats(0.01, 1.0))
+    end = start + draw(st.integers(1, 4)) * step
+    states = draw(st.lists(labels, min_size=1, unique=True))
+    snr = draw(st.just("inf") | st.floats(100.0, 1e6))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    return {
+        "schema_version": 1,
+        "id": "round-trip",
+        "system": {},
+        "rates": {
+            "rho1": 0.3125,
+            "rho2": 0.33,
+            "rho12": 0.33,
+            "sigma12": 0.02,
+            "delta1": 0.15,
+            "delta2": 0.05,
+        },
+        "pps_labels": [label.value for label in states],
+        "time_grid": {"start": start, "end": end, "step": step},
+        "tau": min(0.1, end),
+        "readout": "spectra",
+        "noise": {"snr": snr, "seed": draw(st.integers(0, 2**32))},
+        "sweep": {"parameter": "delta_scale", "values": values},
+    }
+
+
+@PROPERTY
+@given(run_configs())
+def test_report_reads_every_csv_the_runners_write(doc):
+    """Every CSV that simulate, sweep and pipeline write passes report, and
+    the summary stays bounded: at most 16 + labels lines for a simulate,
+    8 for a sweep and 4 + 2 x labels for a pipeline."""
+    count = len(doc["pps_labels"])
+    with tempfile.TemporaryDirectory() as out:
+        sweep = Path(out, "sweep.json")
+        sweep.write_text(json.dumps(doc))
+        scenario = Path(out, "scenario.json")
+        scenario.write_text(json.dumps({k: v for k, v in doc.items() if k != "sweep"}))
+        for command, config, bound in (
+            ("simulate", scenario, 16 + count),
+            ("sweep", sweep, 8),
+            ("pipeline", scenario, 4 + 2 * count),
+        ):
+            assert main([command, "--config", str(config), "--out", out, "--quiet"]) == EXIT_OK
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                assert main(["report", str(Path(out, f"{command}.csv"))]) == EXIT_OK
+            assert len(text.getvalue().splitlines()) <= bound

@@ -713,7 +713,7 @@ def test_simulate_never_holds_its_text(tmp_path):
 
 def test_report_never_holds_the_text_of_a_csv(tmp_path):
     """The traced peak of a report stays below the size of the CSV it
-    reads: only the columns it uses are kept, as arrays."""
+    reads: the rows are read straight into arrays."""
     path = run_simulate(parse_scenario(LONG_SIMULATE), tmp_path)[0]
     text = io.StringIO()
     _, peak = traced_peak(lambda: run_report([path], text))

@@ -232,6 +232,17 @@ def test_fit_not_converged_carries_best_fit():
     assert len(best.peaks) == 2
 
 
+def test_fit_non_finite_sample_is_not_converged():
+    from ppsrelax.spectra import NotConverged
+
+    s = make_spectrum(EQ)
+    amps = s.amps.copy()
+    amps[400] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NotConverged) as excinfo:
+        fit_doublet(Spectrum(s.freqs, amps, s.nucleus), SYS, 1.0)
+    assert math.isnan(excinfo.value.fit.residual_norm)
+
+
 def test_fit_rejects_short_spectrum():
     s = Spectrum(np.linspace(-20, 20, 40), np.zeros(40), 2)
     with pytest.raises(ValueError):
@@ -545,6 +556,12 @@ def test_extraction_rejects_asymmetric_equilibrium():
     fit2 = fit_doublet(make_spectrum(EQ, nucleus=2), SYS, 1.0)
     with pytest.raises(InconsistentEquilibrium):
         coefficients_from_fits(fit1, fit2, eq_fit(1), bad_eq, PpsLabel.P00)
+
+
+@pytest.mark.parametrize("eq2", [(np.nan, np.nan), (1.0, np.nan), (0.0, 0.0)])
+def test_coefficient_rows_reject_nan_or_zero_equilibrium(eq2):
+    with pytest.raises(InconsistentEquilibrium):
+        spectra.coefficient_rows([0.9, 0.1], [0.9, 0.1], [1.0, 1.0], eq2, PpsLabel.P00)
 
 
 # --------------------------------------------------------------------- file
