@@ -12,12 +12,10 @@ summaries (:mod:`ppsrelax.report`).
 from .analysis import (
     CoefficientTriple,
     Deviation,
-    DeviationReport,
     closed_form_auto,
     closed_form_cross,
     compare_pps,
     decompose,
-    deviation_report,
 )
 from .relaxation import (
     InitialRateWindowWarning,
@@ -57,7 +55,6 @@ from .spins import (
     LineIntensities,
     ModeVector,
     PpsLabel,
-    SignPattern,
     SpinSystem,
     equilibrium_modes,
     line_intensities,

@@ -23,13 +23,11 @@ from .spins import ModeVector, PpsLabel, SpinSystem, equilibrium_modes, pps_mode
 __all__ = [
     "CoefficientTriple",
     "Deviation",
-    "DeviationReport",
     "PpsComparison",
     "decompose_rows",
     "decompose",
     "closed_form_auto",
     "closed_form_cross",
-    "deviation_report",
     "compare_pps",
 ]
 
@@ -50,28 +48,6 @@ class Deviation(NamedTuple):
     a: float
     b: float
     c: float
-
-
-@dataclass(frozen=True)
-class DeviationReport:
-    """Initial-rate deviations split into auto and interference parts.
-
-    The totals are componentwise sums of the two parts; the split is
-    exact because the linearized evolution is linear in the rate matrix.
-    """
-
-    pps: PpsLabel
-    tau: float
-    auto: Deviation
-    cross: Deviation
-
-    @property
-    def total(self) -> Deviation:
-        return Deviation(
-            self.auto.a + self.cross.a,
-            self.auto.b + self.cross.b,
-            self.auto.c + self.cross.c,
-        )
 
 
 def decompose_rows(modes, label: PpsLabel) -> np.ndarray:
@@ -125,25 +101,15 @@ def closed_form_cross(
     return _block_deviation(np.where(AUTO_BLOCK, 0.0, rates.matrix()), label, sys, tau)
 
 
-def deviation_report(
-    label: PpsLabel, rates: RelaxationRates, sys: SpinSystem, tau: float
-) -> DeviationReport:
-    """Auto/interference split of the initial-rate deviations."""
-    return DeviationReport(
-        pps=label,
-        tau=tau,
-        auto=closed_form_auto(label, rates, sys, tau),
-        cross=closed_form_cross(label, rates, sys, tau),
-    )
-
-
 @dataclass(frozen=True)
 class PpsComparison:
-    """Coefficient trajectories of several pseudo-pure states on a shared
-    time grid, for rate-comparison plots and tables. ``coefficients``
-    maps each state to its (a, b, c) rows [T, 3]."""
+    """Mode and coefficient trajectories of several pseudo-pure states on
+    a shared time grid. ``states`` holds the mode rows [L, T, 3] of the L
+    requested states in request order, and ``coefficients`` maps each
+    state to its (a, b, c) rows [T, 3]."""
 
     times: np.ndarray
+    states: np.ndarray
     coefficients: dict[PpsLabel, np.ndarray]
     k: float
 
@@ -163,7 +129,8 @@ def compare_pps(
     times: Sequence[float],
     labels: Iterable[PpsLabel] = tuple(PpsLabel),
 ) -> PpsComparison:
-    """Exact (a, b, c) trajectories of the requested pseudo-pure states."""
+    """Exact mode and (a, b, c) trajectories of the requested pseudo-pure
+    states."""
     times_arr = np.asarray(times, dtype=float)
     if times_arr.size == 0:
         raise ValueError("times must be nonempty")
@@ -173,4 +140,4 @@ def compare_pps(
     m0 = [pps_modes(label, sys).to_tuple() for label in labels]
     states = propagate(gamma, m0, equilibrium_modes(sys).to_tuple(), times_arr)
     coefficients = {label: decompose_rows(s, label) for label, s in zip(labels, states)}
-    return PpsComparison(times=times_arr, coefficients=coefficients, k=sys.k)
+    return PpsComparison(times=times_arr, states=states, coefficients=coefficients, k=sys.k)

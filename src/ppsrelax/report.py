@@ -30,9 +30,11 @@ def _column(columns: np.ndarray, name: str, path) -> np.ndarray:
 
 
 def _first_appearance(labels: np.ndarray) -> list[str]:
-    """The distinct values of ``labels`` in the order they first appear."""
-    names, first = np.unique(labels, return_index=True)
-    return names[np.argsort(first)].tolist()
+    """The distinct values of ``labels`` in the order they first appear,
+    by one scan per state label: no sorted copy of the column is made."""
+    scans = ((label.value, labels == label.value) for label in PpsLabel)
+    first = {value: int(hits.argmax()) for value, hits in scans if hits.any()}
+    return sorted(first, key=first.get)
 
 
 def run_report(csv_paths: Sequence[str], stream: TextIO | None = None) -> None:

@@ -104,20 +104,17 @@ def run_simulate(scenario: Scenario, out_dir, plot: bool = False) -> list[str]:
     Writes ``simulate.csv`` (and SVG companions with ``plot=True``);
     returns the written paths.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    gamma = relaxation.build_matrix(scenario.rates)
-    times = scenario.time_grid.times()
     sys_obj = scenario.sys
     labels = scenario.pps_labels
-    m0 = [pps_modes(label, sys_obj).to_tuple() for label in labels]
-    states = relaxation.propagate(gamma, m0, equilibrium_modes(sys_obj).to_tuple(), times)
-    coeffs = {
-        label: analysis.decompose_rows(modes, label) for label, modes in zip(labels, states)
-    }
+    trajectories = analysis.compare_pps(
+        relaxation.build_matrix(scenario.rates), sys_obj, scenario.time_grid.times(), labels
+    )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    times, coeffs = trajectories.times, trajectories.coefficients
     lines = (
         text
-        for label, modes in zip(labels, states)
+        for label, modes in zip(labels, trajectories.states)
         for text in _csv_text(
             label.value + ",%.12g" * 8 + "\n",
             np.column_stack((times, modes, coeffs[label], coeffs[label][:, 0] - sys_obj.k)),
@@ -238,19 +235,19 @@ def _fit_spectra(
     samples at a time, so the whole run's spectra are never held at once,
     and the batches run on one thread per usable CPU (numpy releases the
     GIL in the array work that dominates a batch). A row's result depends
-    neither on the batch size nor on the thread count.
+    neither on the batch size nor on the thread count. Numpy's float
+    warnings are off in every batch: a spectrum that overflows fails its
+    fit, and its row records that.
     """
-    sys_obj, spec, noise = scenario.sys, scenario.spectrum, scenario.noise
+    j_coupling, fwhm, noise = scenario.sys.j_coupling, scenario.spectrum.fwhm, scenario.noise
     batch = max(1, BATCH_SAMPLES // len(freqs))
 
     def fit(start: int) -> spectra.DoubletFits:
-        block = pairs[start : start + batch]
-        amps = spectra.doublet_amps(freqs, block, sys_obj.j_coupling, spec.fwhm)
         seeds = [[noise.seed, *key] for key in keys[start : start + batch].tolist()]
-        amps = spectra.noisy_amps(amps, noise.snr, seeds)
-        return spectra.fit_doublets(
-            freqs, amps, spectra.doublet_seeds(freqs, amps, sys_obj, spec.fwhm)
-        )
+        with np.errstate(all="ignore"):  # numpy keeps this state per thread
+            amps = spectra.doublet_amps(freqs, pairs[start : start + batch], j_coupling, fwhm)
+            amps = spectra.noisy_amps(amps, noise.snr, seeds)
+            return spectra.fit_doublets(freqs, amps, j_coupling, fwhm)
 
     parts = _map_threads(fit, range(0, len(pairs), batch))
     return spectra.DoubletFits(*map(np.concatenate, zip(*parts)))
@@ -280,18 +277,19 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
         freqs = spectra.frequency_grid(sys_obj.j_coupling, spec.fwhm, spec.span, spec.points)
     except ValueError as exc:
         raise ConfigError(f"spectrum: {exc}") from None
+    labels = scenario.pps_labels
+    trajectories = analysis.compare_pps(
+        relaxation.build_matrix(scenario.rates), sys_obj, scenario.time_grid.times(), labels
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    gamma = relaxation.build_matrix(scenario.rates)
-    labels = scenario.pps_labels
-    times = scenario.time_grid.times()
-    m_inf = equilibrium_modes(sys_obj).to_tuple()
-    m0 = [pps_modes(label, sys_obj).to_tuple() for label in labels]
-    states = relaxation.propagate(gamma, m0, m_inf, times)
+    times = trajectories.times
     # the equilibrium references of nucleus 1 and 2, then label by label,
     # time by time, nucleus 1 before 2; each spectrum's noise is keyed by
     # (state code, time index, nucleus), never by its place in this list
-    modes = np.concatenate(([m_inf], states.reshape(-1, 3)))
+    modes = np.concatenate(
+        ([equilibrium_modes(sys_obj).to_tuple()], trajectories.states.reshape(-1, 3))
+    )
     keys = np.array(
         [(EQUILIBRIUM_STATE_CODE, 0, nucleus) for nucleus in (1, 2)]
         + [

@@ -92,7 +92,15 @@ class TimeGrid:
         return math.floor(intervals + 1e-9) + 1
 
     def times(self) -> np.ndarray:
-        return self.start + np.arange(self.samples) * self.step
+        """The grid times start + i * step; raises ConfigError when the step
+        is too small for two neighbouring times to differ as floats."""
+        times = self.start + np.arange(self.samples) * self.step
+        if not (times[1:] > times[:-1]).all():
+            raise ConfigError(
+                f"time_grid step {self.step} is below the float resolution of "
+                f"its times; got start={self.start}, end={self.end}"
+            )
+        return times
 
 
 @dataclass(frozen=True)

@@ -40,13 +40,10 @@ __all__ = [
     "noisy_amps",
     "add_noise",
     "estimate_noise_floor",
-    "doublet_seeds",
     "fit_doublets",
     "fit_doublet",
     "coefficient_rows",
     "coefficients_from_fits",
-    "save_spectrum",
-    "load_spectrum",
 ]
 
 #: Grid spacing must not exceed this fraction of the linewidth.
@@ -258,21 +255,6 @@ def estimate_noise_floor(amps: np.ndarray) -> float | np.ndarray:
     return 1.4826 * np.median(diffs, axis=-1, overwrite_input=True) / math.sqrt(2.0)
 
 
-def doublet_seeds(
-    freqs: np.ndarray, amps: np.ndarray, sys: SpinSystem, fwhm: float
-) -> np.ndarray:
-    """Fit seeds [S, 2, 3] of the spectra ``amps`` [S, N] at the known
-    doublet geometry: (center, integral, fwhm) rows for lines at -J/2 and
-    +J/2, with integrals read off the sampled amplitude at each center."""
-    centers = np.array([-sys.j_coupling / 2.0, sys.j_coupling / 2.0])
-    nearest = np.abs(freqs - centers[:, None]).argmin(axis=1)
-    seeds = np.empty((len(amps), 2, 3))
-    seeds[:, :, 0] = centers
-    seeds[:, :, 1] = amps[:, nearest] * math.pi * fwhm / 2.0
-    seeds[:, :, 2] = fwhm
-    return seeds
-
-
 class DoubletFits(NamedTuple):
     """Fits of a batch of spectra sampled on one grid; row s belongs to
     spectrum s.
@@ -380,14 +362,14 @@ def _levenberg_marquardt(
     freqs: np.ndarray,
     amps: np.ndarray,
     params: np.ndarray,
-    center_lo: np.ndarray,
-    center_hi: np.ndarray,
+    center_box: tuple[np.ndarray, np.ndarray],
     min_width: float,
     max_iter: int,
     rtol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Gauss-Newton iteration on every row of ``params`` [S, 5] at
-    once; returns the final (params, squared residual, iterations,
+    once, each line center held in ``center_box`` (lower and upper bounds
+    [2]); returns the final (params, squared residual, iterations,
     converged) per row.
 
     Each row keeps its own diagonal damping, gain-ratio schedule and
@@ -420,7 +402,7 @@ def _levenberg_marquardt(
         step, solved = _solve_rows(damped, -gradient)
         trial = params + step
         trial[:, 4] = np.maximum(trial[:, 4], min_width)
-        trial[:, :2] = np.clip(trial[:, :2], center_lo, center_hi)
+        trial[:, :2] = np.clip(trial[:, :2], *center_box)
         trial_ssr, trial_gradient, trial_hessian = _normal_equations(
             freqs, amps, live, trial, work
         )
@@ -455,7 +437,6 @@ def _levenberg_marquardt(
                 live[keep], params[keep], ssr[keep], gradient[keep], hessian[keep]
             )
             damping, escalation = damping[keep], escalation[keep]
-            center_lo, center_hi = center_lo[keep], center_hi[keep]
         if not live.size:
             break
     final[live] = params
@@ -467,31 +448,32 @@ def _levenberg_marquardt(
 def fit_doublets(
     freqs: np.ndarray,
     amps: np.ndarray,
-    seeds: np.ndarray,
+    j_coupling: float,
+    fwhm: float,
     *,
     max_iter: int = FIT_MAX_ITER,
     rtol: float = FIT_RTOL,
 ) -> DoubletFits:
-    """Bi-Lorentzian fits of the spectra ``amps`` [S, N] sampled on the
-    uniform grid ``freqs`` [N], all in one Levenberg-Marquardt iteration.
+    """Bi-Lorentzian fits of the doublets split by ``j_coupling`` Hz in the
+    spectra ``amps`` [S, N] sampled on the uniform grid ``freqs`` [N], all
+    in one Levenberg-Marquardt iteration.
 
-    ``seeds`` [S, 2, 3] holds the starting (center, integral, fwhm) of
-    both lines of each spectrum (:func:`doublet_seeds` gives them at the
-    known doublet geometry). The seed fixes line identity: each component
-    stays on its own side, inside a box of half the seed separation, so a
-    near-zero line cannot drift across its partner and swap the
-    assignment. Both lines share one width, started at the mean of the
-    seed widths. The damping follows the gain-ratio schedule (rejected
-    steps escalate it geometrically, as does a singular damped system),
-    and a spectrum converges when an accepted step changes its squared
-    residual by less than ``rtol`` relatively, or when damping escalation
-    shows the iteration is stalled at a minimum. Spectra that exhaust
-    ``max_iter`` are returned with ``converged`` False and their best
-    parameters, as are spectra whose residual is not finite (a NaN or inf
-    sample). A row's result does not depend on the other rows of the
-    batch. The normal equations are built NORMAL_EQUATION_ROWS spectra
-    at a time in one fixed buffer, so beyond ``amps`` the working memory
-    does not grow with S.
+    Each fit starts at the known doublet geometry: lines at -J/2 and +J/2
+    with integrals read off the sampled amplitude at each center, and one
+    width ``fwhm`` shared by both lines. The geometry fixes line identity:
+    each component stays on its own side, inside a box of J/2 (at least
+    two grid spacings) around its start, so a near-zero line cannot drift
+    across its partner and swap the assignment. The damping follows the
+    gain-ratio schedule (rejected steps escalate it geometrically, as does
+    a singular damped system), and a spectrum converges when an accepted
+    step changes its squared residual by less than ``rtol`` relatively, or
+    when damping escalation shows the iteration is stalled at a minimum.
+    Spectra that exhaust ``max_iter`` are returned with ``converged``
+    False and their best parameters, as are spectra whose residual is not
+    finite (a NaN or inf sample). A row's result does not depend on the
+    other rows of the batch. The normal equations are built
+    NORMAL_EQUATION_ROWS spectra at a time in one fixed buffer, so beyond
+    ``amps`` the working memory does not grow with S.
     """
     freqs = np.asarray(freqs, dtype=float)
     if freqs.size < FIT_MIN_POINTS:
@@ -499,19 +481,19 @@ def fit_doublets(
             f"spectrum too short to fit ({freqs.size} < {FIT_MIN_POINTS} samples)"
         )
     amps = np.asarray(amps, dtype=float)
-    seeds = np.asarray(seeds, dtype=float)
-    if seeds.ndim != 3 or seeds.shape[1:] != (2, 3) or amps.shape != (len(seeds), freqs.size):
-        raise ValueError(
-            f"need amps [S, {freqs.size}] and seeds [S, 2, 3], got {amps.shape} and {seeds.shape}"
-        )
-    centers, integrals, widths = seeds[:, :, 0], seeds[:, :, 1], seeds[:, :, 2]
-    width = (widths[:, :1] + widths[:, 1:]) / 2.0
-    params = np.concatenate((centers, integrals, width), axis=1)
+    if amps.ndim != 2 or amps.shape[1] != freqs.size:
+        raise ValueError(f"need amps [S, {freqs.size}], got {amps.shape}")
+    centers = np.array([-j_coupling / 2.0, j_coupling / 2.0])
+    nearest = np.abs(freqs - centers[:, None]).argmin(axis=1)
+    params = np.empty((len(amps), 5))
+    params[:, :2] = centers
+    params[:, 2:4] = amps[:, nearest] * math.pi * fwhm / 2.0
+    params[:, 4] = fwhm
     spacing = float(freqs[1] - freqs[0])
-    half_sep = np.maximum(np.abs(centers[:, 1:] - centers[:, :1]) / 2.0, 2.0 * spacing)
+    half_sep = max(j_coupling / 2.0, 2.0 * spacing)
 
     params, ssr, iterations, converged = _levenberg_marquardt(
-        freqs, amps, params, centers - half_sep, centers + half_sep, 2.0 * spacing, max_iter, rtol
+        freqs, amps, params, (centers - half_sep, centers + half_sep), 2.0 * spacing, max_iter, rtol
     )
     widths = params[:, 4:5].repeat(2, axis=1)
     peaks = np.stack((params[:, 0:2], params[:, 2:4], widths), axis=-1)
@@ -541,18 +523,16 @@ def fit_doublet(
     rtol: float = FIT_RTOL,
 ) -> DoubletFit:
     """Least-squares bi-Lorentzian fit of one spectrum of the doublet of
-    ``sys`` with linewidth ``fwhm``: a batch of one of :func:`fit_doublets`,
-    seeded by :func:`doublet_seeds` at -J/2 and +J/2.
+    ``sys`` with linewidth ``fwhm``: a batch of one of :func:`fit_doublets`.
 
     Exhausting ``max_iter`` raises NotConverged carrying the best fit so
     far. When one doublet line is consistent with zero, the location of
     that component is not identifiable; the result is then flagged
-    ``low_confidence``, while the seed still keeps the 0-line below the
-    1-line.
+    ``low_confidence``, while the start geometry still keeps the 0-line
+    below the 1-line.
     """
-    amps = s.amps[None]
     fits = fit_doublets(
-        s.freqs, amps, doublet_seeds(s.freqs, amps, sys, fwhm), max_iter=max_iter, rtol=rtol
+        s.freqs, s.amps[None], sys.j_coupling, fwhm, max_iter=max_iter, rtol=rtol
     )
     fit = fits.fit(0)
     if not fit.converged:
@@ -614,35 +594,3 @@ def coefficients_from_fits(
             raise ValueError(f"{name} did not converge")
     pairs = [[peak.integral for peak in fit.peaks] for fit in (fit1, fit2, eq1, eq2)]
     return NormalizedCoefficients(*coefficient_rows(*pairs, label).tolist())
-
-
-def save_spectrum(s: Spectrum, path, *, time: float = 0.0, scenario_id: str = "") -> None:
-    """Two-column plain-text spectrum with ``#`` metadata header."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# nucleus: {s.nucleus}\n")
-        fh.write(f"# time_s: {time!r}\n")
-        fh.write(f"# scenario: {scenario_id}\n")
-        fh.write("# columns: frequency_hz amplitude\n")
-        for f, a in zip(s.freqs, s.amps):
-            fh.write(f"{float(f)!r} {float(a)!r}\n")
-
-
-def load_spectrum(path) -> Spectrum:
-    """Read a spectrum written by :func:`save_spectrum`."""
-    nucleus = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# nucleus:"):
-                    nucleus = int(line.split(":", 1)[1])
-                continue
-            f, a = line.split()
-            rows.append((float(f), float(a)))
-    if nucleus is None or not rows:
-        raise ValueError(f"not a spectrum file: {path}")
-    arr = np.array(rows)
-    return Spectrum(freqs=arr[:, 0], amps=arr[:, 1], nucleus=nucleus)

@@ -96,7 +96,7 @@ class SpinSystem:
                 f"k={self.k} exceeds min(gamma1, gamma2)="
                 f"{min(self.gamma1, self.gamma2)}; state amplitude is unphysical",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to its caller
             )
 
 

@@ -8,7 +8,6 @@ from ppsrelax.analysis import (
     closed_form_cross,
     compare_pps,
     decompose,
-    deviation_report,
 )
 from ppsrelax.relaxation import RelaxationRates, build_matrix
 from ppsrelax.spins import ModeVector, PpsLabel, SpinSystem, equilibrium_modes, pps_modes
@@ -239,13 +238,6 @@ def test_linear_split_is_exact():
             assert auto.a + cross.a == pytest.approx(total.a - SYS.k, abs=1e-14)
             assert auto.b + cross.b == pytest.approx(total.b, abs=1e-14)
             assert auto.c + cross.c == pytest.approx(total.c, abs=1e-14)
-
-
-def test_deviation_report_totals():
-    report = deviation_report(PpsLabel.P00, RATES, SYS, 0.1)
-    assert report.total.a == report.auto.a + report.cross.a
-    assert report.total.b == report.auto.b + report.cross.b
-    assert report.total.c == report.auto.c + report.cross.c
 
 
 # -------------------------------------------------------------- compare_pps

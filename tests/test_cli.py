@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ppsrelax
 from ppsrelax.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from ppsrelax.relaxation import NotPositiveDefiniteWarning
 from ppsrelax.scenario import default_pipeline_scenario, scenario_to_dict
@@ -299,8 +304,7 @@ def test_non_finite_spectrum_is_numerical_failure(tmp_path, capsys):
     """An snr of 5e-324 makes the noise sd infinite: the equilibrium fits
     must fail, not pass as converged with NaN residuals."""
     config = write_config(tmp_path, readout="spectra", noise={"snr": 5e-324, "seed": 1})
-    with np.errstate(all="ignore"):
-        code = main(["pipeline", "--config", config, "--out", str(tmp_path / "out")])
+    code = main(["pipeline", "--config", config, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == EXIT_NUMERICAL
     assert err == (
@@ -308,6 +312,35 @@ def test_non_finite_spectrum_is_numerical_failure(tmp_path, capsys):
         "no convergence in 200 iterations\n"
     )
     assert not (tmp_path / "out" / "pipeline.csv").exists()
+
+
+def test_overflowing_pipeline_warns_only_of_its_amplitude(tmp_path):
+    """At k = 1e160 the fit's Gram products overflow in every batch. The
+    run still exits 0 and records the failed fits per row; its stderr
+    holds the unphysical-k warning and no numpy warning."""
+    config = write_config(
+        tmp_path,
+        system={"k": 1e160},
+        readout="spectra",
+        noise={"snr": 100.0, "seed": 1},
+        time_grid={"start": 0.0, "end": 20.0, "step": 0.25},
+    )
+    command = ["pipeline", "--quiet", "--config", config, "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(Path(ppsrelax.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "ppsrelax", *command], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == EXIT_OK
+    shown = [line for line in result.stderr.splitlines() if "Warning: " in line]
+    assert len(shown) == 1 and "UserWarning: k=1e+160" in shown[0]
+
+
+def test_time_grid_below_float_resolution_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, time_grid={"start": 1e16, "end": 1e16 + 8, "step": 1.0})
+    code = main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "below the float resolution" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_swept_value_is_config_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import evolve_ode, recompose
-from ppsrelax.analysis import CoefficientTriple, decompose
+from ppsrelax.analysis import CoefficientTriple, compare_pps, decompose
 from ppsrelax.cli import EXIT_OK, main
 from ppsrelax.relaxation import RelaxationRates, build_matrix, evolve_exact, propagate
-from ppsrelax.spins import ModeVector, PpsLabel
+from ppsrelax.spins import ModeVector, PpsLabel, SpinSystem
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -70,6 +71,32 @@ def test_propagate_matches_evolve_exact_pointwise(rates, m0s, m_inf, times):
             np.testing.assert_allclose(state, single.to_tuple(), rtol=0, atol=1e-13)
             if t == 0:
                 assert tuple(state) == m0
+
+
+@PROPERTY
+@given(dominant_rates(), rows, rows, st.lists(st.floats(0.0, 50.0), min_size=2, max_size=8))
+def test_distance_to_equilibrium_never_grows(rates, m0, m_inf, times):
+    """For a symmetric positive-definite G, d|M - M_inf|^2/dt =
+    -2 (M - M_inf)^T G (M - M_inf) <= 0: the distance only shrinks."""
+    states = propagate(build_matrix(rates), m0, m_inf, np.sort(times))
+    distance = np.linalg.norm(states - m_inf, axis=-1)
+    assert (np.diff(distance) <= 1e-14).all()
+
+
+@PROPERTY
+@given(dominant_rates(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=6, unique=True))
+def test_11_is_00_under_flipped_interference_rates(rates, times):
+    """P = diag(1, 1, -1) maps the fresh 11 state to the fresh 00 state and
+    the rate matrix of (delta1, delta2) to that of (-delta1, -delta2), and
+    the 00 coefficients read P M as the 11 coefficients read M: the two
+    trajectories agree bit for bit."""
+    sys_obj, times = SpinSystem(), sorted(times)
+    flipped = replace(rates, delta1=-rates.delta1, delta2=-rates.delta2)
+    state11 = compare_pps(build_matrix(rates), sys_obj, times, (PpsLabel.P11,))
+    state00 = compare_pps(build_matrix(flipped), sys_obj, times, (PpsLabel.P00,))
+    np.testing.assert_array_equal(
+        state11.coefficients[PpsLabel.P11], state00.coefficients[PpsLabel.P00]
+    )
 
 
 @PROPERTY

@@ -721,6 +721,17 @@ def test_report_never_holds_the_text_of_a_csv(tmp_path):
     assert peak < Path(path).stat().st_size
 
 
+def test_first_appearance_holds_no_copy_of_the_labels():
+    """Finding the states of a label column traces less memory than the
+    column itself: no sorted copy of it is made."""
+    from ppsrelax.report import _first_appearance
+
+    labels = np.repeat(np.array(["11", "00", "10"], dtype="U3"), 100_000)
+    found, peak = traced_peak(lambda: _first_appearance(labels))
+    assert found == ["11", "00", "10"]
+    assert peak < labels.nbytes
+
+
 # ------------------------------------------------------------------- report
 
 def test_report_simulate_verdicts(tmp_path, capsys):

@@ -15,13 +15,10 @@ from ppsrelax.spectra import (
     Spectrum,
     add_noise,
     coefficients_from_fits,
-    doublet_seeds,
     estimate_noise_floor,
     fit_doublet,
     fit_doublets,
-    load_spectrum,
     lorentzian,
-    save_spectrum,
     synthesize,
 )
 from ppsrelax.spins import LineIntensities, PpsLabel, SpinSystem, line_intensities, pps_modes
@@ -169,14 +166,6 @@ def test_fit_noiseless_across_intensity_scales(scale):
     assert fit.peaks[1].integral == pytest.approx(0.3 * scale, rel=1e-6)
 
 
-def test_fit_doublets_from_an_off_geometry_seed():
-    s = make_spectrum(LineIntensities(h0=0.9, h1=0.3, f0=0, f1=0))
-    seeds = [[(-2.8, 1.0, 1.2), (2.8, 0.2, 1.2)]]
-    fits = fit_doublets(s.freqs, s.amps[None], seeds)
-    assert fits.converged[0]
-    np.testing.assert_allclose(fits.peaks[0, :, 1], (0.9, 0.3), rtol=1e-6)
-
-
 def test_fit_monte_carlo_median_error_below_one_percent():
     truth = LineIntensities(h0=0.9, h1=0.3, f0=0, f1=0)
     clean = make_spectrum(truth)
@@ -278,7 +267,7 @@ def noisy_batch():
 
 
 def fit_batch(amps, **options):
-    return fit_doublets(FREQS, amps, doublet_seeds(FREQS, amps, SYS, 1.0), **options)
+    return fit_doublets(FREQS, amps, SYS.j_coupling, 1.0, **options)
 
 
 def assert_same_rows(fits, rows, reference, reference_rows=slice(None)):
@@ -395,11 +384,10 @@ def test_fit_memory_does_not_grow_with_the_batch_beyond_amps():
     pairs = rng.uniform(-1.0, 1.0, size=(256, 2))
     amps = spectra.doublet_amps(FREQS, pairs, SYS.j_coupling, 1.0)
     amps = spectra.noisy_amps(amps, 100.0, range(len(amps)))
-    seeds = doublet_seeds(FREQS, amps, SYS, 1.0)
-    fit_doublets(FREQS, amps[:1], seeds[:1])  # first-call imports are not the fit's
+    fit_batch(amps[:1])  # first-call imports are not the fit's
     tracemalloc.start()
     try:
-        fit_doublets(FREQS, amps, seeds)
+        fit_batch(amps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -415,11 +403,6 @@ def test_zero_spectrum_row_leaves_other_rows_unchanged():
     # every step on an empty spectrum is rejected: the damping (1e-3) grows
     # by 2, 4, 8, ... and passes the 1e14 stall limit at the 11th rejection
     assert fits.iterations[4] == 11
-    # seeded at a real doublet, the lines of an empty spectrum end tiny but
-    # not 0 over a noise floor of 0; they are flagged all the same
-    seeds = doublet_seeds(FREQS, amps[:1], SYS, 1.0)
-    seeded = fit_doublets(FREQS, np.zeros((1, FREQS.size)), seeds)
-    assert seeded.peaks[0, :, 1].all() and seeded.low_confidence[0]
 
 
 def test_singular_system_fails_only_its_row():
@@ -463,13 +446,13 @@ def test_singular_step_escalates_only_its_row(monkeypatch):
     st.floats(0.1, 2.0),
 )
 def test_noiseless_doublet_recovered(magnitudes, signs, offsets, fwhm):
-    # fwhm >= 2 grid spacings; each center within one fwhm of its seed,
-    # well inside the seed box of half the seed separation (2.9 Hz)
+    # fwhm >= 2 grid spacings; each center within one fwhm of its start
+    # at -J/2 or +J/2, well inside the center box of J/2 (2.9 Hz)
     integrals = np.multiply(magnitudes, signs)
-    seed_centers = (-SYS.j_coupling / 2.0, SYS.j_coupling / 2.0)
-    centers = np.add(seed_centers, np.multiply(offsets, fwhm))
+    starts = (-SYS.j_coupling / 2.0, SYS.j_coupling / 2.0)
+    centers = np.add(starts, np.multiply(offsets, fwhm))
     amps = sum(lorentzian(FREQS, c, i, fwhm) for c, i in zip(centers, integrals))[None]
-    fits = fit_doublets(FREQS, amps, doublet_seeds(FREQS, amps, SYS, fwhm))
+    fits = fit_doublets(FREQS, amps, SYS.j_coupling, fwhm)
     assert fits.converged[0]
     np.testing.assert_allclose(fits.peaks[0, :, 1], integrals, rtol=1e-9)
     np.testing.assert_allclose(fits.peaks[0, :, 0], centers, rtol=1e-9)
@@ -562,22 +545,3 @@ def test_extraction_rejects_asymmetric_equilibrium():
 def test_coefficient_rows_reject_nan_or_zero_equilibrium(eq2):
     with pytest.raises(InconsistentEquilibrium):
         spectra.coefficient_rows([0.9, 0.1], [0.9, 0.1], [1.0, 1.0], eq2, PpsLabel.P00)
-
-
-# --------------------------------------------------------------------- file
-
-def test_spectrum_file_round_trip(tmp_path):
-    s = make_spectrum(EQ)
-    path = tmp_path / "spec.txt"
-    save_spectrum(s, path, time=1.25, scenario_id="demo")
-    loaded = load_spectrum(path)
-    assert loaded.nucleus == s.nucleus
-    np.testing.assert_array_equal(loaded.freqs, s.freqs)
-    np.testing.assert_array_equal(loaded.amps, s.amps)
-
-
-def test_load_spectrum_rejects_other_files(tmp_path):
-    path = tmp_path / "junk.txt"
-    path.write_text("hello\n")
-    with pytest.raises(ValueError):
-        load_spectrum(path)

@@ -149,8 +149,9 @@ def test_spin_system_validation():
 
 
 def test_spin_system_warns_on_unreachable_amplitude():
-    with pytest.warns(UserWarning, match="unphysical"):
+    with pytest.warns(UserWarning, match="unphysical") as record:
         SpinSystem(gamma1=0.9, gamma2=1.0, k=0.95)
+    assert record[0].filename == __file__  # the caller, not the generated __init__
 
 
 def test_mode_vector_rejects_non_finite():
