@@ -38,27 +38,7 @@ from .scenario import (
     load_scenario,
     load_sweep,
 )
-from .spectra import (
-    DoubletFit,
-    GridTooCoarse,
-    InconsistentEquilibrium,
-    LinePeak,
-    NormalizedCoefficients,
-    NotConverged,
-    Spectrum,
-    add_noise,
-    coefficients_from_fits,
-    fit_doublet,
-    synthesize,
-)
-from .spins import (
-    LineIntensities,
-    ModeVector,
-    PpsLabel,
-    SpinSystem,
-    equilibrium_modes,
-    line_intensities,
-    pps_modes,
-)
+from .spectra import GridTooCoarse, InconsistentEquilibrium, NotConverged
+from .spins import ModeVector, PpsLabel, SpinSystem, equilibrium_modes, pps_modes
 
 __version__ = "0.1.0"

@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("sweep", parents=[common], help="interference-rate sweep metrics")
 
     p_pipe = sub.add_parser(
-        "pipeline", parents=[common], help="synthesize, fit and extract coefficients"
+        "pipeline", parents=[common], help="fit noisy doublet spectra and extract coefficients"
     )
     p_pipe.add_argument("--seed", type=int, help="override the noise seed")
 

@@ -300,12 +300,12 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
         ]
     )
     fits = _fit_spectra(scenario, freqs, doublet_pairs(modes).reshape(-1, 2), keys)
-    for nucleus in (1, 2):
-        if not fits.converged[nucleus - 1]:
+    for row in (0, 1):
+        if not fits.converged[row]:
             raise spectra.NotConverged(
-                f"equilibrium fit of nucleus {nucleus}: no convergence in "
-                f"{spectra.FIT_MAX_ITER} iterations",
-                fits.fit(nucleus - 1),
+                f"equilibrium fit of nucleus {row + 1}: not converged after "
+                f"{fits.iterations[row]} iterations, residual norm "
+                f"{fits.residual_norm[row]:.6g}"
             )
 
     # rows in spectrum order after the two references: label, time, nucleus

@@ -8,42 +8,36 @@ parameterized by their integral (not height), because integrals are what
 the coefficient extraction consumes and they are robust against
 linewidth changes.
 
-The measurement chain mirrors an actual relaxation experiment:
-synthesize the doublets of both nuclei, add white Gaussian noise, fit a
-bi-Lorentzian model, and convert fitted line integrals back into the
+The measurement chain mirrors an actual relaxation experiment and works
+on batches of spectra that share one frequency grid: ``doublet_amps``
+synthesizes the doublets of line-integral pairs (``spins.doublet_pairs``
+gives the pairs of mode rows), ``noisy_amps`` adds white Gaussian noise,
+``fit_doublets`` fits a bi-Lorentzian model to every spectrum, and
+``coefficient_rows`` converts fitted line integrals back into the
 pseudo-pure-state coefficients normalized by equilibrium intensities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .spins import LineIntensities, PpsLabel, SpinSystem
+from .spins import PpsLabel
 
 __all__ = [
-    "LinePeak",
-    "Spectrum",
-    "DoubletFit",
     "DoubletFits",
-    "NormalizedCoefficients",
     "GridTooCoarse",
     "NotConverged",
     "InconsistentEquilibrium",
     "lorentzian",
     "frequency_grid",
     "doublet_amps",
-    "synthesize",
     "noisy_amps",
-    "add_noise",
     "estimate_noise_floor",
     "fit_doublets",
-    "fit_doublet",
     "coefficient_rows",
-    "coefficients_from_fits",
 ]
 
 #: Grid spacing must not exceed this fraction of the linewidth.
@@ -71,78 +65,11 @@ class GridTooCoarse(ValueError):
 
 
 class NotConverged(RuntimeError):
-    """Fit iteration budget exhausted; ``fit`` holds the best attempt."""
-
-    def __init__(self, message: str, fit: "DoubletFit"):
-        super().__init__(message)
-        self.fit = fit
+    """A doublet fit the run cannot do without did not converge."""
 
 
 class InconsistentEquilibrium(ValueError):
     """Equilibrium doublet lines differ by more than the accepted asymmetry."""
-
-
-@dataclass(frozen=True)
-class LinePeak:
-    """One absorption line: center (Hz), integral (intensity units),
-    full width at half maximum (Hz)."""
-
-    center: float
-    integral: float
-    fwhm: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.fwhm) and self.fwhm > 0):
-            raise ValueError(f"fwhm must be finite and > 0, got {self.fwhm!r}")
-        if not math.isfinite(self.center):
-            raise ValueError(f"center must be finite, got {self.center!r}")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Sampled 1D absorption spectrum of one nucleus (1 or 2)."""
-
-    freqs: np.ndarray
-    amps: np.ndarray
-    nucleus: int
-
-    def __post_init__(self):
-        if self.freqs.shape != self.amps.shape or self.freqs.ndim != 1:
-            raise ValueError("freqs and amps must be 1D arrays of equal length")
-        if self.nucleus not in (1, 2):
-            raise ValueError(f"nucleus must be 1 or 2, got {self.nucleus!r}")
-        steps = np.diff(self.freqs)
-        if len(steps) and (steps.min() <= 0 or np.ptp(steps) > 1e-9 * steps.mean()):
-            raise ValueError("freqs must be strictly increasing and uniform")
-        self.freqs.setflags(write=False)
-        self.amps.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class DoubletFit:
-    """Bi-Lorentzian fit result; peaks ordered by ascending center."""
-
-    peaks: tuple[LinePeak, LinePeak]
-    residual_norm: float
-    iterations: int
-    converged: bool
-    low_confidence: bool = False
-
-
-@dataclass(frozen=True)
-class NormalizedCoefficients:
-    """Pseudo-pure coefficients from fitted line integrals, normalized by
-    the equilibrium doublet sum of the readout nucleus.
-
-    The ``a`` coefficient is measurable on either nucleus; both readouts
-    are reported and never averaged. ``b`` (spin-1 excess) comes from the
-    spin-1 doublet and ``c`` (spin-2 excess) from the spin-2 doublet.
-    """
-
-    a_from_spin2: float
-    a_from_spin1: float
-    b: float
-    c: float
 
 
 def lorentzian(freqs: np.ndarray, center: float, integral: float, fwhm: float) -> np.ndarray:
@@ -191,36 +118,11 @@ def doublet_amps(freqs: np.ndarray, pairs, j_coupling: float, fwhm: float) -> np
     return amps
 
 
-def synthesize(
-    intensities: LineIntensities,
-    sys: SpinSystem,
-    nucleus: int,
-    fwhm: float,
-    span: float,
-    points: int,
-) -> Spectrum:
-    """Doublet spectrum of one nucleus on a symmetric grid around 0 Hz.
-
-    The 0-line sits at -J/2 and the 1-line at +J/2. For nucleus 2 the
-    pair carries (h0, h1), for nucleus 1 (f0, f1). The grid is
-    ``points`` samples across ``span`` Hz and must cover both centers by
-    5 fwhm; spacing coarser than fwhm/10 raises GridTooCoarse.
-    """
-    if nucleus == 1:
-        pair = (intensities.f0, intensities.f1)
-    elif nucleus == 2:
-        pair = (intensities.h0, intensities.h1)
-    else:
-        raise ValueError(f"nucleus must be 1 or 2, got {nucleus!r}")
-    freqs = frequency_grid(sys.j_coupling, fwhm, span, points)
-    amps = doublet_amps(freqs, pair, sys.j_coupling, fwhm)
-    return Spectrum(freqs=freqs, amps=amps, nucleus=nucleus)
-
-
 def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
     """Adds white Gaussian noise with sd = max|row| / snr to the spectra
     ``amps`` [S, N] in place and returns ``amps``; row s draws its noise
-    from ``default_rng(seeds[s])`` (an int or a sequence of ints).
+    from ``default_rng(seeds[s])`` (an int or a sequence of ints), and a
+    ``seeds`` of another length than S raises ValueError.
     ``snr=math.inf`` leaves ``amps`` as it is."""
     if not snr > 0:
         raise ValueError(f"snr must be > 0, got {snr}")
@@ -229,21 +131,11 @@ def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
     # max|row| without an |amps| temporary the size of the batch
     sd = np.maximum(amps.max(axis=-1), -amps.min(axis=-1)) / snr
     noise = np.empty(amps.shape[-1])
-    for row, seed, scale in zip(amps, seeds, sd):
+    for row, seed, scale in zip(amps, seeds, sd, strict=True):
         np.random.default_rng(seed).standard_normal(out=noise)
         noise *= scale
         row += noise
     return amps
-
-
-def add_noise(s: Spectrum, snr: float, seed) -> Spectrum:
-    """White Gaussian noise with sd = max|amps| / snr, seeded (an int or a
-    sequence of ints) and reproducible. ``snr=math.inf`` returns the
-    spectrum unchanged."""
-    noisy = noisy_amps(s.amps[None].copy(), snr, (seed,))
-    if math.isinf(snr):
-        return s
-    return Spectrum(freqs=s.freqs.copy(), amps=noisy[0], nucleus=s.nucleus)
 
 
 def estimate_noise_floor(amps: np.ndarray) -> float | np.ndarray:
@@ -260,8 +152,9 @@ class DoubletFits(NamedTuple):
     spectrum s.
 
     ``peaks`` [S, 2, 3] holds (center, integral, fwhm) of both lines in
-    ascending center order; the other fields are [S] arrays carrying the
-    same-named :class:`DoubletFit` field of each row.
+    ascending center order; the other fields are [S] arrays: the RMS
+    residual, the Levenberg-Marquardt iterations taken, whether the fit
+    converged, and whether a line is consistent with zero.
     """
 
     peaks: np.ndarray
@@ -269,16 +162,6 @@ class DoubletFits(NamedTuple):
     iterations: np.ndarray
     converged: np.ndarray
     low_confidence: np.ndarray
-
-    def fit(self, row: int) -> DoubletFit:
-        first, second = (LinePeak(*map(float, peak)) for peak in self.peaks[row])
-        return DoubletFit(
-            peaks=(first, second),
-            residual_norm=float(self.residual_norm[row]),
-            iterations=int(self.iterations[row]),
-            converged=bool(self.converged[row]),
-            low_confidence=bool(self.low_confidence[row]),
-        )
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -456,7 +339,8 @@ def fit_doublets(
 ) -> DoubletFits:
     """Bi-Lorentzian fits of the doublets split by ``j_coupling`` Hz in the
     spectra ``amps`` [S, N] sampled on the uniform grid ``freqs`` [N], all
-    in one Levenberg-Marquardt iteration.
+    in one Levenberg-Marquardt iteration. A grid that is not strictly
+    increasing and uniform raises ValueError.
 
     Each fit starts at the known doublet geometry: lines at -J/2 and +J/2
     with integrals read off the sampled amplitude at each center, and one
@@ -480,6 +364,9 @@ def fit_doublets(
         raise ValueError(
             f"spectrum too short to fit ({freqs.size} < {FIT_MIN_POINTS} samples)"
         )
+    steps = np.diff(freqs)
+    if freqs.ndim != 1 or not (steps.min() > 0 and np.ptp(steps) <= 1e-9 * steps.mean()):
+        raise ValueError("freqs must be strictly increasing and uniform")
     amps = np.asarray(amps, dtype=float)
     if amps.ndim != 2 or amps.shape[1] != freqs.size:
         raise ValueError(f"need amps [S, {freqs.size}], got {amps.shape}")
@@ -512,32 +399,6 @@ def fit_doublets(
         converged=converged & np.isfinite(ssr),
         low_confidence=low_confidence,
     )
-
-
-def fit_doublet(
-    s: Spectrum,
-    sys: SpinSystem,
-    fwhm: float,
-    *,
-    max_iter: int = FIT_MAX_ITER,
-    rtol: float = FIT_RTOL,
-) -> DoubletFit:
-    """Least-squares bi-Lorentzian fit of one spectrum of the doublet of
-    ``sys`` with linewidth ``fwhm``: a batch of one of :func:`fit_doublets`.
-
-    Exhausting ``max_iter`` raises NotConverged carrying the best fit so
-    far. When one doublet line is consistent with zero, the location of
-    that component is not identifiable; the result is then flagged
-    ``low_confidence``, while the start geometry still keeps the 0-line
-    below the 1-line.
-    """
-    fits = fit_doublets(
-        s.freqs, s.amps[None], sys.j_coupling, fwhm, max_iter=max_iter, rtol=rtol
-    )
-    fit = fits.fit(0)
-    if not fit.converged:
-        raise NotConverged(f"no convergence in {max_iter} iterations", fit)
-    return fit
 
 
 def coefficient_rows(lines1, lines2, eq1, eq2, label: PpsLabel) -> np.ndarray:
@@ -573,24 +434,3 @@ def coefficient_rows(lines1, lines2, eq1, eq2, label: PpsLabel) -> np.ndarray:
         axis=-1,
     )
 
-
-def coefficients_from_fits(
-    fit1: DoubletFit,
-    fit2: DoubletFit,
-    eq1: DoubletFit,
-    eq2: DoubletFit,
-    label: PpsLabel,
-) -> NormalizedCoefficients:
-    """Pseudo-pure coefficients from fitted doublets of both nuclei.
-
-    fit1/eq1 belong to nucleus 1 (spin-1 lines f0, f1), fit2/eq2 to
-    nucleus 2 (h0, h1); the eq fits are the equilibrium reference used
-    for normalization. The lower-center peak of each doublet is the
-    0-line. Raises InconsistentEquilibrium when an equilibrium doublet
-    is asymmetric beyond 5%.
-    """
-    for name, fit in (("fit1", fit1), ("fit2", fit2), ("eq1", eq1), ("eq2", eq2)):
-        if not fit.converged:
-            raise ValueError(f"{name} did not converge")
-    pairs = [[peak.integral for peak in fit.peaks] for fit in (fit1, fit2, eq1, eq2)]
-    return NormalizedCoefficients(*coefficient_rows(*pairs, label).tolist())

@@ -9,8 +9,11 @@ makes 2*I1z*I2z = diag(+1/2, -1/2, -1/2, +1/2) and puts the equilibrium
 deviation populations proportional to
 (g1+g2, g1-g2, -g1+g2, -g1-g2)/2.
 
-Everything in this module is a pure function over small immutable value
-types (or mode rows in arrays); there is no hidden state.
+``doublet_pairs`` turns mode rows into the line integrals of both
+nuclei's doublets, the input of the measurement chain in
+:mod:`ppsrelax.spectra`. Everything in this module is a pure function
+over small immutable value types (or mode rows in arrays); there is no
+hidden state.
 """
 
 from __future__ import annotations
@@ -28,11 +31,9 @@ __all__ = [
     "ModeVector",
     "PpsLabel",
     "SignPattern",
-    "LineIntensities",
     "equilibrium_modes",
     "pps_modes",
     "doublet_pairs",
-    "line_intensities",
 ]
 
 class SignPattern(NamedTuple):
@@ -121,20 +122,6 @@ class ModeVector:
         return cls(c1, c2, c12)
 
 
-@dataclass(frozen=True)
-class LineIntensities:
-    """Integrated intensities of the four single-quantum transitions.
-
-    h0/h1 are the spin-2 (proton) lines with spin 1 in state 0/1; f0/f1
-    the spin-1 (fluorine) lines with spin 2 in state 0/1.
-    """
-
-    h0: float
-    h1: float
-    f0: float
-    f1: float
-
-
 def equilibrium_modes(sys: SpinSystem) -> ModeVector:
     """Thermal-equilibrium mode vector (g1, g2, 0); no two-spin order."""
     return ModeVector(sys.gamma1, sys.gamma2, 0.0)
@@ -149,7 +136,14 @@ def pps_modes(label: PpsLabel, sys: SpinSystem) -> ModeVector:
 
 def doublet_pairs(modes) -> np.ndarray:
     """Line-integral pairs [..., 2, 2] of mode rows [..., 3] (c1, c2, c12):
-    ((f0, f1), (h0, h1)), the doublet of nucleus 1 then of nucleus 2."""
+    ((f0, f1), (h0, h1)), the doublet of nucleus 1 then of nucleus 2.
+
+    The integrals are population differences of the single-quantum
+    transitions: f0 = p00-p10 and f1 = p01-p11 are the spin-1 (fluorine)
+    lines with spin 2 in state 0/1, h0 = p00-p01 and h1 = p10-p11 the
+    spin-2 (proton) lines with spin 1 in state 0/1. In modes they are
+    f = c1 +- c12 and h = c2 +- c12.
+    """
     modes = np.asarray(modes, dtype=float)
     c1, c2, c12 = modes[..., 0], modes[..., 1], modes[..., 2]
     return np.stack(
@@ -157,13 +151,3 @@ def doublet_pairs(modes) -> np.ndarray:
         axis=-2,
     )
 
-
-def line_intensities(m: ModeVector) -> LineIntensities:
-    """Transition intensities as population differences.
-
-    h0 = p00-p01, h1 = p10-p11, f0 = p00-p10, f1 = p01-p11, which reduce
-    to sums and differences of the mode coefficients (see
-    :func:`doublet_pairs`).
-    """
-    (f0, f1), (h0, h1) = doublet_pairs(m.to_tuple()).tolist()
-    return LineIntensities(h0=h0, h1=h1, f0=f0, f1=f1)

@@ -17,14 +17,14 @@ from ppsrelax.analysis import (
     decompose,
 )
 from ppsrelax.relaxation import RelaxationRates, build_matrix, evolve_exact
-from ppsrelax.spectra import add_noise, coefficients_from_fits, fit_doublet, synthesize
-from ppsrelax.spins import (
-    PpsLabel,
-    SpinSystem,
-    equilibrium_modes,
-    line_intensities,
-    pps_modes,
+from ppsrelax.spectra import (
+    coefficient_rows,
+    doublet_amps,
+    fit_doublets,
+    frequency_grid,
+    noisy_amps,
 )
+from ppsrelax.spins import PpsLabel, SpinSystem, doublet_pairs, equilibrium_modes, pps_modes
 
 SYS = SpinSystem(gamma1=0.9407, gamma2=1.0, k=0.5, j_coupling=5.8)
 M_INF = equilibrium_modes(SYS)
@@ -206,26 +206,18 @@ def test_criterion_6_excess_asymmetry():
         assert np.all(db > dc)
 
 
-def _measured_coefficients(m, label, snr, seeds, eq_fits):
-    fwhm, span, points = 1.0, 40.0, 801
-    ints = line_intensities(m)
-    fits = {}
-    for nucleus, seed in zip((1, 2), seeds):
-        s = synthesize(ints, SYS, nucleus, fwhm, span, points)
-        s = add_noise(s, snr, seed)
-        fits[nucleus] = fit_doublet(s, SYS, fwhm)
-    return coefficients_from_fits(fits[1], fits[2], eq_fits[1], eq_fits[2], label)
+FWHM = 1.0
+FREQS = frequency_grid(SYS.j_coupling, FWHM, 40.0, 801)
 
 
-def _equilibrium_fits(snr, seeds):
-    fwhm, span, points = 1.0, 40.0, 801
-    ints = line_intensities(M_INF)
-    out = {}
-    for nucleus, seed in zip((1, 2), seeds):
-        s = synthesize(ints, SYS, nucleus, fwhm, span, points)
-        s = add_noise(s, snr, seed)
-        out[nucleus] = fit_doublet(s, SYS, fwhm)
-    return out
+def _fitted_lines(pairs, snr, seeds):
+    """Fitted line integrals [K, 2] of the doublets with the line-integral
+    pairs ``pairs`` [K, 2], spectrum k degraded with noise drawn from
+    ``default_rng(seeds[k])``, and whether each fit converged [K]: the
+    chain that ``run_pipeline`` runs."""
+    amps = noisy_amps(doublet_amps(FREQS, pairs, SYS.j_coupling, FWHM), snr, seeds)
+    fits = fit_doublets(FREQS, amps, SYS.j_coupling, FWHM)
+    return fits.peaks[:, :, 1], fits.converged
 
 
 def test_criterion_7_measurement_round_trip():
@@ -234,53 +226,49 @@ def test_criterion_7_measurement_round_trip():
     under 30 s."""
     start = time.perf_counter()
     gamma = build_matrix(rates_with(0.15, 0.05))
-    labels = (PpsLabel.P00, PpsLabel.P11)
-    times = (0.0, 1.25, 2.5)
+    cases = [(label, t) for label in (PpsLabel.P00, PpsLabel.P11) for t in (0.0, 1.25, 2.5)]
+    modes, truths = [], []
+    for label, t in cases:
+        m = evolve_exact(gamma, pps_modes(label, SYS), M_INF, t)
+        triple = decompose(m, label)
+        a, b, c = triple.a, triple.b, triple.c
+        modes.append(m.to_tuple())
+        # in the order of coefficient_rows: a_from_spin2, a_from_spin1, b, c
+        truths.append((a / SYS.gamma2, a / SYS.gamma1, b / SYS.gamma1, c / SYS.gamma2))
+    state_pairs = doublet_pairs(modes)  # [case, nucleus, 2]
+    eq_pairs = doublet_pairs(M_INF.to_tuple())  # [nucleus, 2]
 
-    truths = {}
-    for label in labels:
-        for t in times:
-            m = evolve_exact(gamma, pps_modes(label, SYS), M_INF, t)
-            truths[(label, t)] = (m, decompose(m, label))
+    # noiseless: exact chain recovery, against one pair of reference fits
+    pairs = np.concatenate((eq_pairs, state_pairs.reshape(-1, 2)))
+    lines, converged = _fitted_lines(pairs, math.inf, [0] * len(pairs))
+    assert converged.all()
+    eq1, eq2 = lines[:2]
+    for (label, _), (lines1, lines2), want in zip(cases, lines[2:].reshape(-1, 2, 2), truths):
+        got = coefficient_rows(lines1, lines2, eq1, eq2, label)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
-    # noiseless: exact chain recovery
-    eq_fits = _equilibrium_fits(math.inf, (0, 0))
-    for (label, t), (m, triple) in truths.items():
-        got = _measured_coefficients(m, label, math.inf, (0, 0), eq_fits)
-        assert got.a_from_spin2 == pytest.approx(triple.a / SYS.gamma2, abs=1e-6)
-        assert got.a_from_spin1 == pytest.approx(triple.a / SYS.gamma1, abs=1e-6)
-        assert got.b == pytest.approx(triple.b / SYS.gamma1, abs=1e-6)
-        assert got.c == pytest.approx(triple.c / SYS.gamma2, abs=1e-6)
-
-    # noisy: median over 100 seeded repeats within 1% of scale; a rare
-    # non-converged fit counts as an infinite error for its repeat
-    from ppsrelax.spectra import NotConverged
-
+    # noisy: median over 100 seeded repeats within 1% of scale; each
+    # repeat fits its own references (seeds base + 1, base + 2) and the
+    # state (base + 3, base + 4), and a repeat with a non-converged fit
+    # counts as an infinite error
     snr = 100.0
     n_seeds = 100
-    scale2 = SYS.k / SYS.gamma2
-    scale1 = SYS.k / SYS.gamma1
-    for case_index, ((label, t), (m, triple)) in enumerate(truths.items()):
-        errors = {"a2": [], "a1": [], "b": [], "c": []}
-        for i in range(n_seeds):
-            base = 1_000_000 * case_index + 100 * i
-            try:
-                eq_fits = _equilibrium_fits(snr, (base + 1, base + 2))
-                got = _measured_coefficients(
-                    m, label, snr, (base + 3, base + 4), eq_fits
-                )
-            except NotConverged:
-                for values in errors.values():
-                    values.append(math.inf)
-                continue
-            errors["a2"].append(abs(got.a_from_spin2 - triple.a / SYS.gamma2))
-            errors["a1"].append(abs(got.a_from_spin1 - triple.a / SYS.gamma1))
-            errors["b"].append(abs(got.b - triple.b / SYS.gamma1))
-            errors["c"].append(abs(got.c - triple.c / SYS.gamma2))
-        assert np.median(errors["a2"]) < 0.01 * max(abs(triple.a / SYS.gamma2), scale2)
-        assert np.median(errors["a1"]) < 0.01 * max(abs(triple.a / SYS.gamma1), scale1)
-        assert np.median(errors["b"]) < 0.01 * max(abs(triple.b / SYS.gamma1), scale1)
-        assert np.median(errors["c"]) < 0.01 * max(abs(triple.c / SYS.gamma2), scale2)
+    repeats = np.empty((len(cases), n_seeds, 4, 2))
+    repeats[:, :, :2] = eq_pairs
+    repeats[:, :, 2:] = state_pairs[:, None]
+    base = 1_000_000 * np.arange(len(cases))[:, None] + 100 * np.arange(n_seeds)
+    seeds = base[..., None] + np.arange(1, 5)
+    lines, converged = _fitted_lines(repeats.reshape(-1, 2), snr, seeds.ravel().tolist())
+    lines = lines.reshape(len(cases), n_seeds, 4, 2)
+    converged = converged.reshape(len(cases), n_seeds, 4).all(axis=-1)
+    scale = SYS.k / np.array([SYS.gamma2, SYS.gamma1, SYS.gamma1, SYS.gamma2])
+    for (label, _), want, case_lines, case_converged in zip(cases, truths, lines, converged):
+        errors = np.full((n_seeds, 4), math.inf)
+        for i in np.flatnonzero(case_converged):
+            eq1, eq2, lines1, lines2 = case_lines[i]
+            errors[i] = np.abs(coefficient_rows(lines1, lines2, eq1, eq2, label) - want)
+        median = np.median(errors, axis=0)
+        assert np.all(median < 0.01 * np.maximum(np.abs(want), scale)), median
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"runtime {elapsed:.1f} s exceeds 30 s"

@@ -302,14 +302,15 @@ def test_inconsistent_equilibrium_is_numerical_failure(tmp_path, capsys):
 
 def test_non_finite_spectrum_is_numerical_failure(tmp_path, capsys):
     """An snr of 5e-324 makes the noise sd infinite: the equilibrium fits
-    must fail, not pass as converged with NaN residuals."""
+    must fail, not pass as converged with NaN residuals, and the message
+    says how far the fit got and what its residual was."""
     config = write_config(tmp_path, readout="spectra", noise={"snr": 5e-324, "seed": 1})
     code = main(["pipeline", "--config", config, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == EXIT_NUMERICAL
     assert err == (
         "ppsrelax: numerical failure: equilibrium fit of nucleus 1: "
-        "no convergence in 200 iterations\n"
+        "not converged after 11 iterations, residual norm nan\n"
     )
     assert not (tmp_path / "out" / "pipeline.csv").exists()
 

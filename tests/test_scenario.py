@@ -516,47 +516,38 @@ def test_pipeline_noiseless_matches_decomposition(tmp_path):
 def test_pipeline_noise_seed_order(tmp_path):
     """Each spectrum of a run draws its noise from default_rng([seed,
     state code, time index, nucleus]), the two equilibrium references
-    under the reserved state code; a row rebuilt by hand from the public
-    functions matches the CSV to every printed digit."""
+    under the reserved state code; a row rebuilt by hand from one-row
+    calls of the public functions matches the CSV to every printed
+    digit."""
     from ppsrelax.relaxation import build_matrix, propagate
     from ppsrelax.run import EQUILIBRIUM_STATE_CODE
-    from ppsrelax.spins import ModeVector, equilibrium_modes, line_intensities, pps_modes
+    from ppsrelax.spins import doublet_pairs, equilibrium_modes, pps_modes
 
     scenario = parse_scenario(pipeline_doc(noise={"snr": 100.0, "seed": 11}))
     _, rows = read_rows(run_pipeline(scenario, tmp_path))
     sys_obj, spec = scenario.sys, scenario.spectrum
+    freqs = spectra.frequency_grid(sys_obj.j_coupling, spec.fwhm, spec.span, spec.points)
 
     def fit(modes, nucleus, state, index):
-        s = spectra.synthesize(
-            line_intensities(modes), sys_obj, nucleus, spec.fwhm, spec.span, spec.points
-        )
-        s = spectra.add_noise(s, 100.0, [11, state, index, nucleus])
-        return spectra.fit_doublet(s, sys_obj, spec.fwhm)
+        pair = doublet_pairs(modes)[nucleus - 1]
+        amps = spectra.doublet_amps(freqs, [pair], sys_obj.j_coupling, spec.fwhm)
+        amps = spectra.noisy_amps(amps, 100.0, [[11, state, index, nucleus]])
+        fits = spectra.fit_doublets(freqs, amps, sys_obj.j_coupling, spec.fwhm)
+        assert fits.converged[0]
+        return fits.peaks[0, :, 1], fits.residual_norm[0]
 
-    m_inf = equilibrium_modes(sys_obj)
-    eq1 = fit(m_inf, 1, EQUILIBRIUM_STATE_CODE, 0)
-    eq2 = fit(m_inf, 2, EQUILIBRIUM_STATE_CODE, 0)
+    m_inf = equilibrium_modes(sys_obj).to_tuple()
+    (eq1, _), (eq2, _) = (fit(m_inf, nucleus, EQUILIBRIUM_STATE_CODE, 0) for nucleus in (1, 2))
     # state 11 (code 3) is the second of two, t = 1.25 s the second of three times
     m0 = [pps_modes(label, sys_obj).to_tuple() for label in scenario.pps_labels]
-    states = propagate(
-        build_matrix(scenario.rates), m0, m_inf.to_tuple(), scenario.time_grid.times()
-    )
-    m = ModeVector.from_sequence(states[1, 1])
-    fits = {1: fit(m, 1, 3, 1), 2: fit(m, 2, 3, 1)}
-    coeffs = spectra.coefficients_from_fits(fits[1], fits[2], eq1, eq2, PpsLabel.P11)
-    for nucleus, f in fits.items():
+    states = propagate(build_matrix(scenario.rates), m0, m_inf, scenario.time_grid.times())
+    fits = {nucleus: fit(states[1, 1], nucleus, 3, 1) for nucleus in (1, 2)}
+    coeffs = spectra.coefficient_rows(fits[1][0], fits[2][0], eq1, eq2, PpsLabel.P11)
+    for nucleus, (lines, residual_norm) in fits.items():
         (row,) = [
             r for r in rows if (r["pps"], r["t"], r["nucleus"]) == ("11", "1.25", str(nucleus))
         ]
-        expected = (
-            f.peaks[0].integral,
-            f.peaks[1].integral,
-            coeffs.a_from_spin2,
-            coeffs.a_from_spin1,
-            coeffs.b,
-            coeffs.c,
-            f.residual_norm,
-        )
+        expected = (*lines, *coeffs, residual_norm)
         assert list(row.values())[3:] == ["%.12g" % v for v in expected] + ["1"]
 
 

@@ -9,31 +9,35 @@ from hypothesis import strategies as st
 from ppsrelax import spectra
 from ppsrelax.spectra import (
     FIT_MAX_ITER,
-    DoubletFit,
     GridTooCoarse,
     InconsistentEquilibrium,
-    Spectrum,
-    add_noise,
-    coefficients_from_fits,
+    coefficient_rows,
+    doublet_amps,
     estimate_noise_floor,
-    fit_doublet,
     fit_doublets,
+    frequency_grid,
     lorentzian,
-    synthesize,
+    noisy_amps,
 )
-from ppsrelax.spins import LineIntensities, PpsLabel, SpinSystem, line_intensities, pps_modes
+from ppsrelax.spins import PpsLabel, SpinSystem, doublet_pairs, equilibrium_modes, pps_modes
 
 SYS = SpinSystem(gamma1=0.9407, gamma2=1.0, k=0.5, j_coupling=5.8)
 
-EQ = LineIntensities(h0=1.0, h1=1.0, f0=0.9407, f1=0.9407)
+#: equilibrium line-integral pairs: (f0, f1) of nucleus 1, (h0, h1) of nucleus 2
+EQ = doublet_pairs(equilibrium_modes(SYS).to_tuple())
+
+FREQS = frequency_grid(SYS.j_coupling, 1.0, 40.0, 801)
 
 
-def make_spectrum(intensities, nucleus=2, fwhm=1.0, span=40.0, points=801):
-    return synthesize(intensities, SYS, nucleus, fwhm, span, points)
+def spectrum(pair, snr=math.inf, seed=0):
+    """Amplitudes [N] on FREQS of the doublet with the line integrals
+    ``pair`` (0-line, 1-line) and linewidth 1 Hz, with white noise of sd
+    max|amps| / snr drawn from ``default_rng(seed)``."""
+    return noisy_amps(doublet_amps(FREQS, [pair], SYS.j_coupling, 1.0), snr, [seed])[0]
 
 
-def eq_fit(nucleus):
-    return fit_doublet(make_spectrum(EQ, nucleus=nucleus), SYS, 1.0)
+def fit_batch(amps, **options):
+    return fit_doublets(FREQS, amps, SYS.j_coupling, 1.0, **options)
 
 
 def uniform_integral(amps, freqs):
@@ -53,33 +57,29 @@ def test_lorentzian_height_and_area():
 
 def test_synthesize_peak_heights():
     # isolated line, so the partner tail does not shift the maximum
-    s = make_spectrum(LineIntensities(h0=1.0, h1=0.0, f0=0, f1=0))
-    idx0 = np.argmin(np.abs(s.freqs + 2.9))
+    amps = spectrum((1.0, 0.0))
+    idx0 = np.argmin(np.abs(FREQS + 2.9))
     height = 2 * 1.0 / (math.pi * 1.0)
-    assert s.amps[idx0] == pytest.approx(height, rel=1e-12)
+    assert amps[idx0] == pytest.approx(height, rel=1e-12)
 
 
 def test_synthesize_equilibrium_doublet_symmetric():
-    s = make_spectrum(EQ)
-    idx0 = np.argmin(np.abs(s.freqs + SYS.j_coupling / 2))
-    idx1 = np.argmin(np.abs(s.freqs - SYS.j_coupling / 2))
-    assert s.amps[idx0] == pytest.approx(s.amps[idx1], rel=1e-12)
+    amps = spectrum(EQ[1])
+    idx0 = np.argmin(np.abs(FREQS + SYS.j_coupling / 2))
+    idx1 = np.argmin(np.abs(FREQS - SYS.j_coupling / 2))
+    assert amps[idx0] == pytest.approx(amps[idx1], rel=1e-12)
 
 
 def test_synthesize_degenerate_pps_has_one_line():
-    ints = line_intensities(pps_modes(PpsLabel.P00, SYS))
-    s = make_spectrum(ints, nucleus=2)
-    idx1 = np.argmin(np.abs(s.freqs - SYS.j_coupling / 2))
+    amps = spectrum(doublet_pairs(pps_modes(PpsLabel.P00, SYS).to_tuple())[1])
+    idx1 = np.argmin(np.abs(FREQS - SYS.j_coupling / 2))
     # only the tails of the 0-line remain at +J/2
-    assert s.amps[idx1] < 0.02 * s.amps.max()
+    assert amps[idx1] < 0.02 * amps.max()
 
 
 def test_synthesize_linearity():
-    a = LineIntensities(h0=0.8, h1=0.1, f0=0, f1=0)
-    b = LineIntensities(h0=0.1, h1=0.7, f0=0, f1=0)
-    total = LineIntensities(h0=0.9, h1=0.8, f0=0, f1=0)
-    sa, sb, st = make_spectrum(a), make_spectrum(b), make_spectrum(total)
-    np.testing.assert_allclose(sa.amps + sb.amps, st.amps, atol=1e-15)
+    a, b, total = doublet_amps(FREQS, [(0.8, 0.1), (0.1, 0.7), (0.9, 0.8)], SYS.j_coupling, 1.0)
+    np.testing.assert_allclose(a + b, total, atol=1e-15)
 
 
 def test_synthesize_integral_conservation():
@@ -87,10 +87,8 @@ def test_synthesize_integral_conservation():
     # there keeps 1 - (2/pi)*arctan(40) ~ 98.4% of its area, so compare
     # against the analytic truncated value tightly and the nominal
     # integral to 2%
-    s = synthesize(
-        LineIntensities(h0=0.9, h1=0.0, f0=0, f1=0), SYS, 2, 1.0, 46.0, 2001
-    )
-    total = uniform_integral(s.amps, s.freqs)
+    freqs = frequency_grid(SYS.j_coupling, 1.0, 46.0, 2001)
+    total = uniform_integral(doublet_amps(freqs, (0.9, 0.0), SYS.j_coupling, 1.0), freqs)
     center, half = -SYS.j_coupling / 2.0, 0.5
     truncated = (0.9 / math.pi) * (
         math.atan((23.0 - center) / half) + math.atan((23.0 + center) / half)
@@ -101,42 +99,41 @@ def test_synthesize_integral_conservation():
 
 def test_synthesize_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
-        synthesize(EQ, SYS, 2, fwhm=1.0, span=40.0, points=101)
+        frequency_grid(SYS.j_coupling, fwhm=1.0, span=40.0, points=101)
 
 
 def test_synthesize_grid_must_cover_lines():
     with pytest.raises(ValueError):
-        synthesize(EQ, SYS, 2, fwhm=1.0, span=10.0, points=1001)
-
-
-def test_spectrum_validation():
-    with pytest.raises(ValueError):
-        Spectrum(np.array([0.0, 1.0, 1.5]), np.zeros(3), 1)
-    with pytest.raises(ValueError):
-        Spectrum(np.linspace(0, 1, 5), np.zeros(5), 3)
+        frequency_grid(SYS.j_coupling, fwhm=1.0, span=10.0, points=1001)
 
 
 # -------------------------------------------------------------------- noise
 
 def test_add_noise_infinite_snr_is_identity():
-    s = make_spectrum(EQ)
-    assert add_noise(s, math.inf, 1) is s
+    amps = doublet_amps(FREQS, EQ, SYS.j_coupling, 1.0)
+    clean = amps.copy()
+    assert noisy_amps(amps, math.inf, [1, 2]) is amps
+    np.testing.assert_array_equal(amps, clean)
 
 
 def test_add_noise_deterministic():
-    s = make_spectrum(EQ)
-    n1 = add_noise(s, 100.0, 42)
-    n2 = add_noise(s, 100.0, 42)
-    assert np.array_equal(n1.amps, n2.amps)
-    n3 = add_noise(s, 100.0, 43)
-    assert not np.array_equal(n1.amps, n3.amps)
+    n1 = spectrum(EQ[1], 100.0, 42)
+    n2 = spectrum(EQ[1], 100.0, 42)
+    assert np.array_equal(n1, n2)
+    n3 = spectrum(EQ[1], 100.0, 43)
+    assert not np.array_equal(n1, n3)
 
 
 def test_add_noise_standard_deviation():
-    s = Spectrum(np.linspace(-50, 50, 100000), np.zeros(100000) + 1.0, 1)
-    noisy = add_noise(s, 50.0, 7)
-    sd = np.std(noisy.amps - s.amps)
-    assert sd == pytest.approx(1.0 / 50.0, rel=0.02)
+    noisy = noisy_amps(np.ones((1, 100000)), 50.0, [7])
+    assert np.std(noisy - 1.0) == pytest.approx(1.0 / 50.0, rel=0.02)
+
+
+@pytest.mark.parametrize("seeds", [[1], [1, 2, 3, 4]])
+def test_noise_needs_one_seed_per_row(seeds):
+    amps = np.ones((3, 50))
+    with pytest.raises(ValueError):
+        noisy_amps(amps, 10.0, seeds)
 
 
 def test_noise_floor_estimate():
@@ -148,110 +145,100 @@ def test_noise_floor_estimate():
 # ---------------------------------------------------------------------- fit
 
 def test_fit_recovers_noiseless_doublet():
-    truth = LineIntensities(h0=0.9, h1=0.3, f0=0, f1=0)
-    fit = fit_doublet(make_spectrum(truth), SYS, 1.0)
-    assert fit.converged
-    assert fit.peaks[0].center == pytest.approx(-2.9, abs=1e-6)
-    assert fit.peaks[1].center == pytest.approx(2.9, abs=1e-6)
-    assert fit.peaks[0].integral == pytest.approx(0.9, rel=1e-6)
-    assert fit.peaks[1].integral == pytest.approx(0.3, rel=1e-6)
-    assert fit.peaks[0].fwhm == pytest.approx(1.0, rel=1e-6)
+    fits = fit_batch(spectrum((0.9, 0.3))[None])
+    assert fits.converged[0]
+    (center0, integral0, fwhm0), (center1, integral1, _) = fits.peaks[0]
+    assert center0 == pytest.approx(-2.9, abs=1e-6)
+    assert center1 == pytest.approx(2.9, abs=1e-6)
+    assert integral0 == pytest.approx(0.9, rel=1e-6)
+    assert integral1 == pytest.approx(0.3, rel=1e-6)
+    assert fwhm0 == pytest.approx(1.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("scale", [0.01, 0.1, 1.0, 10.0])
 def test_fit_noiseless_across_intensity_scales(scale):
-    truth = LineIntensities(h0=0.9 * scale, h1=0.3 * scale, f0=0, f1=0)
-    fit = fit_doublet(make_spectrum(truth), SYS, 1.0)
-    assert fit.peaks[0].integral == pytest.approx(0.9 * scale, rel=1e-6)
-    assert fit.peaks[1].integral == pytest.approx(0.3 * scale, rel=1e-6)
+    fits = fit_batch(spectrum((0.9 * scale, 0.3 * scale))[None])
+    np.testing.assert_allclose(fits.peaks[0, :, 1], (0.9 * scale, 0.3 * scale), rtol=1e-6)
 
 
 def test_fit_monte_carlo_median_error_below_one_percent():
-    truth = LineIntensities(h0=0.9, h1=0.3, f0=0, f1=0)
-    clean = make_spectrum(truth)
-    errors = []
-    for seed in range(100):
-        fit = fit_doublet(add_noise(clean, 100.0, seed), SYS, 1.0)
-        errors.append(
-            max(
-                abs(fit.peaks[0].integral - 0.9) / 0.9,
-                abs(fit.peaks[1].integral - 0.3) / 0.3,
-            )
-        )
-    assert np.median(errors) < 0.01
+    clean = spectrum((0.9, 0.3))
+    amps = noisy_amps(np.repeat(clean[None], 100, axis=0), 100.0, range(100))
+    integrals = fit_batch(amps).peaks[:, :, 1]
+    errors = np.abs(integrals - (0.9, 0.3)) / (0.9, 0.3)
+    assert np.median(errors.max(axis=1)) < 0.01
 
 
 def test_fit_degenerate_one_line_spectrum():
     # second line identically zero: its fitted integral must stay below
     # a noise-consistent bound and the fit is flagged
-    ints = line_intensities(pps_modes(PpsLabel.P00, SYS))
-    s = make_spectrum(ints, nucleus=2)
-    fit = fit_doublet(s, SYS, 1.0)
-    assert fit.converged
-    assert fit.low_confidence
-    floor = estimate_noise_floor(s.amps)
-    bound = 3.0 * floor * math.pi * fit.peaks[1].fwhm / 2.0
-    small = min(abs(p.integral) for p in fit.peaks)
-    big = max(abs(p.integral) for p in fit.peaks)
-    assert small < max(bound, 1e-9)
-    assert big == pytest.approx(2 * SYS.k, rel=1e-6)
+    amps = spectrum(doublet_pairs(pps_modes(PpsLabel.P00, SYS).to_tuple())[1])
+    fits = fit_batch(amps[None])
+    assert fits.converged[0]
+    assert fits.low_confidence[0]
+    floor = estimate_noise_floor(amps)
+    bound = 3.0 * floor * math.pi * fits.peaks[0, 1, 2] / 2.0
+    integrals = np.abs(fits.peaks[0, :, 1])
+    assert integrals.min() < max(bound, 1e-9)
+    assert integrals.max() == pytest.approx(2 * SYS.k, rel=1e-6)
 
 
 def test_fit_healthy_doublet_not_flagged():
-    fit = fit_doublet(make_spectrum(LineIntensities(h0=0.9, h1=0.3, f0=0, f1=0)), SYS, 1.0)
-    assert not fit.low_confidence
+    assert not fit_batch(spectrum((0.9, 0.3))[None]).low_confidence[0]
 
 
 def test_fit_featureless_spectrum_is_low_confidence():
-    s = Spectrum(np.linspace(-20, 20, 801), np.zeros(801), 2)
-    fit = fit_doublet(s, SYS, 1.0)
-    assert fit.converged
-    assert fit.low_confidence
+    fits = fit_batch(np.zeros((1, FREQS.size)))
+    assert fits.converged[0]
+    assert fits.low_confidence[0]
 
 
 def test_fit_not_converged_carries_best_fit():
-    from ppsrelax.spectra import NotConverged
-
-    s = add_noise(make_spectrum(LineIntensities(h0=0.9, h1=0.3, f0=0, f1=0)), 50.0, 1)
-    with pytest.raises(NotConverged) as excinfo:
-        fit_doublet(s, SYS, 1.0, max_iter=1)
-    best = excinfo.value.fit
-    assert not best.converged
-    assert best.iterations == 1
-    assert len(best.peaks) == 2
+    fits = fit_batch(spectrum((0.9, 0.3), 50.0, 1)[None], max_iter=1)
+    assert not fits.converged[0]
+    assert fits.iterations[0] == 1
+    assert np.isfinite(fits.peaks[0]).all() and np.isfinite(fits.residual_norm[0])
 
 
 def test_fit_non_finite_sample_is_not_converged():
-    from ppsrelax.spectra import NotConverged
-
-    s = make_spectrum(EQ)
-    amps = s.amps.copy()
+    amps = spectrum(EQ[1])
     amps[400] = np.nan
-    with np.errstate(invalid="ignore"), pytest.raises(NotConverged) as excinfo:
-        fit_doublet(Spectrum(s.freqs, amps, s.nucleus), SYS, 1.0)
-    assert math.isnan(excinfo.value.fit.residual_norm)
+    with np.errstate(invalid="ignore"):
+        fits = fit_batch(amps[None])
+    assert not fits.converged[0]
+    assert math.isnan(fits.residual_norm[0])
 
 
 def test_fit_rejects_short_spectrum():
-    s = Spectrum(np.linspace(-20, 20, 40), np.zeros(40), 2)
     with pytest.raises(ValueError):
-        fit_doublet(s, SYS, 1.0)
+        fit_doublets(np.linspace(-20, 20, 40), np.zeros((1, 40)), SYS.j_coupling, 1.0)
+
+
+@pytest.mark.parametrize(
+    "freqs",
+    [
+        FREQS[::-1],
+        np.concatenate((FREQS[:400], FREQS[400:] + 0.01)),
+        np.where(FREQS == 0, np.nan, FREQS),
+    ],
+    ids=["reversed", "uneven", "nan"],
+)
+def test_fit_rejects_a_grid_that_is_not_increasing_and_uniform(freqs):
+    """The fit reads its minimum width and center box off the first grid
+    step, so a reversed or uneven grid would give it wrong ones."""
+    with pytest.raises(ValueError, match="strictly increasing and uniform"):
+        fit_doublets(freqs, spectrum(EQ[1])[None], SYS.j_coupling, 1.0)
 
 
 def test_fit_peaks_ordered_by_center():
     rng = np.random.default_rng(5)
-    for seed in range(10):
-        truth = LineIntensities(
-            h0=rng.uniform(0.2, 1.0), h1=rng.uniform(0.2, 1.0), f0=0, f1=0
-        )
-        fit = fit_doublet(add_noise(make_spectrum(truth), 200.0, seed), SYS, 1.0)
-        assert fit.peaks[0].center < fit.peaks[1].center
+    pairs = [(rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0)) for _ in range(10)]
+    amps = noisy_amps(doublet_amps(FREQS, pairs, SYS.j_coupling, 1.0), 200.0, range(10))
+    centers = fit_batch(amps).peaks[:, :, 0]
+    assert (centers[:, 0] < centers[:, 1]).all()
 
 
 # --------------------------------------------------------------- batch fit
-
-FREQS = np.linspace(-20.0, 20.0, 801)
-
 
 def noisy_batch():
     """Spectra [14, 801] of random doublets at random noise levels, a
@@ -259,15 +246,11 @@ def noisy_batch():
     rng = np.random.default_rng(7)
     rows = []
     for seed in range(12):
-        truth = LineIntensities(h0=rng.uniform(-1, 1), h1=rng.uniform(-1, 1), f0=0, f1=0)
-        rows.append(add_noise(make_spectrum(truth), rng.uniform(20, 200), seed).amps)
-    rows.append(make_spectrum(line_intensities(pps_modes(PpsLabel.P00, SYS))).amps)
+        pair = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+        rows.append(spectrum(pair, rng.uniform(20, 200), seed))
+    rows.append(spectrum(doublet_pairs(pps_modes(PpsLabel.P00, SYS).to_tuple())[1]))
     rows.append(np.zeros(FREQS.size))
     return np.array(rows)
-
-
-def fit_batch(amps, **options):
-    return fit_doublets(FREQS, amps, SYS.j_coupling, 1.0, **options)
 
 
 def assert_same_rows(fits, rows, reference, reference_rows=slice(None)):
@@ -283,20 +266,14 @@ def test_batch_fit_matches_fitting_each_spectrum_alone(max_iter, monkeypatch):
     chunks, the last one of 2 rows, and the working set shrinks across
     their borders."""
     amps = noisy_batch()
-    alone = []
-    for row in range(len(amps)):
-        s = Spectrum(FREQS.copy(), amps[row].copy(), 2)
-        try:
-            alone.append(fit_doublet(s, SYS, 1.0, max_iter=max_iter))
-        except spectra.NotConverged as exc:
-            alone.append(exc.fit)
+    alone = [fit_batch(amps[row : row + 1], max_iter=max_iter) for row in range(len(amps))]
     for chunk in (spectra.NORMAL_EQUATION_ROWS, 3):
         monkeypatch.setattr(spectra, "NORMAL_EQUATION_ROWS", chunk)
         batch = fit_batch(amps, max_iter=max_iter)
         # rows leave the working set at different iterations
         assert len(set(batch.iterations.tolist())) > 1
         for row, fit in enumerate(alone):
-            assert batch.fit(row) == fit
+            assert_same_rows(batch, slice(row, row + 1), fit)
 
 
 def explicit_jacobian(params):
@@ -460,40 +437,42 @@ def test_noiseless_doublet_recovered(magnitudes, signs, offsets, fwhm):
 
 # --------------------------------------------------------------- extraction
 
+def extract(modes, label, eq=EQ):
+    """Coefficient row (a_from_spin2, a_from_spin1, b, c) of the noiseless
+    doublets of the mode row ``modes``, normalized by the fitted doublets
+    of the line-integral pairs ``eq`` (nucleus 1, nucleus 2)."""
+    pairs = np.concatenate((doublet_pairs(modes), eq))
+    fits = fit_batch(doublet_amps(FREQS, pairs, SYS.j_coupling, 1.0))
+    assert fits.converged.all()
+    lines1, lines2, eq1, eq2 = fits.peaks[:, :, 1]
+    return coefficient_rows(lines1, lines2, eq1, eq2, label)
+
+
 def test_extraction_fresh_00():
-    ints = line_intensities(pps_modes(PpsLabel.P00, SYS))
-    fit1 = fit_doublet(make_spectrum(ints, nucleus=1), SYS, 1.0)
-    fit2 = fit_doublet(make_spectrum(ints, nucleus=2), SYS, 1.0)
-    coeffs = coefficients_from_fits(fit1, fit2, eq_fit(1), eq_fit(2), PpsLabel.P00)
-    assert coeffs.a_from_spin2 == pytest.approx(SYS.k / SYS.gamma2, rel=1e-6)
-    assert coeffs.a_from_spin1 == pytest.approx(SYS.k / SYS.gamma1, rel=1e-6)
-    assert coeffs.b == pytest.approx(0.0, abs=1e-6)
-    assert coeffs.c == pytest.approx(0.0, abs=1e-6)
+    a2, a1, b, c = extract(pps_modes(PpsLabel.P00, SYS).to_tuple(), PpsLabel.P00)
+    assert a2 == pytest.approx(SYS.k / SYS.gamma2, rel=1e-6)
+    assert a1 == pytest.approx(SYS.k / SYS.gamma1, rel=1e-6)
+    assert b == pytest.approx(0.0, abs=1e-6)
+    assert c == pytest.approx(0.0, abs=1e-6)
 
 
 def test_extraction_equilibrium_state_gives_zero_a():
-    fit1 = fit_doublet(make_spectrum(EQ, nucleus=1), SYS, 1.0)
-    fit2 = fit_doublet(make_spectrum(EQ, nucleus=2), SYS, 1.0)
-    coeffs = coefficients_from_fits(fit1, fit2, eq_fit(1), eq_fit(2), PpsLabel.P00)
-    assert coeffs.a_from_spin2 == pytest.approx(0.0, abs=1e-9)
-    assert coeffs.a_from_spin1 == pytest.approx(0.0, abs=1e-9)
+    a2, a1, _, _ = extract(equilibrium_modes(SYS).to_tuple(), PpsLabel.P00)
+    assert a2 == pytest.approx(0.0, abs=1e-9)
+    assert a1 == pytest.approx(0.0, abs=1e-9)
 
 
 def test_extraction_11_uses_swapped_lines():
-    ints = line_intensities(pps_modes(PpsLabel.P11, SYS))
-    fit1 = fit_doublet(make_spectrum(ints, nucleus=1), SYS, 1.0)
-    fit2 = fit_doublet(make_spectrum(ints, nucleus=2), SYS, 1.0)
-    coeffs = coefficients_from_fits(fit1, fit2, eq_fit(1), eq_fit(2), PpsLabel.P11)
-    assert coeffs.a_from_spin2 == pytest.approx(SYS.k / SYS.gamma2, rel=1e-6)
-    assert coeffs.b == pytest.approx(0.0, abs=1e-6)
-    assert coeffs.c == pytest.approx(0.0, abs=1e-6)
+    a2, _, b, c = extract(pps_modes(PpsLabel.P11, SYS).to_tuple(), PpsLabel.P11)
+    assert a2 == pytest.approx(SYS.k / SYS.gamma2, rel=1e-6)
+    assert b == pytest.approx(0.0, abs=1e-6)
+    assert c == pytest.approx(0.0, abs=1e-6)
 
 
 def test_extraction_matches_mode_decomposition():
     """Full noiseless chain agrees with the direct coefficient split."""
     from ppsrelax.analysis import decompose
     from ppsrelax.relaxation import RelaxationRates, build_matrix, evolve_exact
-    from ppsrelax.spins import equilibrium_modes
 
     rates = RelaxationRates(
         rho1=0.3125, rho2=0.33, rho12=0.33, sigma12=0.02, delta1=0.15, delta2=0.05
@@ -504,44 +483,20 @@ def test_extraction_matches_mode_decomposition():
         for t in (0.0, 1.25, 2.5):
             m = evolve_exact(gamma, pps_modes(label, SYS), m_inf, t)
             truth = decompose(m, label)
-            ints = line_intensities(m)
-            fit1 = fit_doublet(make_spectrum(ints, nucleus=1), SYS, 1.0)
-            fit2 = fit_doublet(make_spectrum(ints, nucleus=2), SYS, 1.0)
-            coeffs = coefficients_from_fits(
-                fit1, fit2, eq_fit(1), eq_fit(2), label
-            )
-            assert coeffs.a_from_spin2 == pytest.approx(
-                truth.a / SYS.gamma2, abs=1e-6
-            )
-            assert coeffs.a_from_spin1 == pytest.approx(
-                truth.a / SYS.gamma1, abs=1e-6
-            )
-            assert coeffs.b == pytest.approx(truth.b / SYS.gamma1, abs=1e-6)
-            assert coeffs.c == pytest.approx(truth.c / SYS.gamma2, abs=1e-6)
-
-
-def test_extraction_rejects_unconverged_fit():
-    fit = eq_fit(1)
-    bad = DoubletFit(
-        peaks=fit.peaks,
-        residual_norm=fit.residual_norm,
-        iterations=fit.iterations,
-        converged=False,
-    )
-    with pytest.raises(ValueError, match="converge"):
-        coefficients_from_fits(bad, eq_fit(2), eq_fit(1), eq_fit(2), PpsLabel.P00)
+            a2, a1, b, c = extract(m.to_tuple(), label)
+            assert a2 == pytest.approx(truth.a / SYS.gamma2, abs=1e-6)
+            assert a1 == pytest.approx(truth.a / SYS.gamma1, abs=1e-6)
+            assert b == pytest.approx(truth.b / SYS.gamma1, abs=1e-6)
+            assert c == pytest.approx(truth.c / SYS.gamma2, abs=1e-6)
 
 
 def test_extraction_rejects_asymmetric_equilibrium():
-    skewed = LineIntensities(h0=1.1, h1=1.0, f0=0.9407, f1=0.9407)
-    bad_eq = fit_doublet(make_spectrum(skewed, nucleus=2), SYS, 1.0)
-    fit1 = fit_doublet(make_spectrum(EQ, nucleus=1), SYS, 1.0)
-    fit2 = fit_doublet(make_spectrum(EQ, nucleus=2), SYS, 1.0)
+    skewed = (EQ[0], (1.1, 1.0))
     with pytest.raises(InconsistentEquilibrium):
-        coefficients_from_fits(fit1, fit2, eq_fit(1), bad_eq, PpsLabel.P00)
+        extract(equilibrium_modes(SYS).to_tuple(), PpsLabel.P00, eq=skewed)
 
 
 @pytest.mark.parametrize("eq2", [(np.nan, np.nan), (1.0, np.nan), (0.0, 0.0)])
 def test_coefficient_rows_reject_nan_or_zero_equilibrium(eq2):
     with pytest.raises(InconsistentEquilibrium):
-        spectra.coefficient_rows([0.9, 0.1], [0.9, 0.1], [1.0, 1.0], eq2, PpsLabel.P00)
+        coefficient_rows([0.9, 0.1], [0.9, 0.1], [1.0, 1.0], eq2, PpsLabel.P00)
