@@ -16,6 +16,7 @@ import json
 import math
 import types
 import typing
+import warnings
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Sequence
 
@@ -298,19 +299,26 @@ def parse_sweep(doc: dict) -> SweepSpec:
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(_load_json(path))
+    return _load(parse_scenario, path)
 
 
 def load_sweep(path) -> SweepSpec:
-    return parse_sweep(_load_json(path))
+    return _load(parse_sweep, path)
 
 
-def _load_json(path) -> dict:
+def _load(parse, path):
+    """``parse`` of the JSON file ``path``; the warnings it raises (an
+    unphysical ``k``) show at ``path``, line 0, echoing no source line."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return _decode_json(fh.read(), path)
+            doc = _decode_json(fh.read(), path)
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
+    with warnings.catch_warnings(record=True) as caught:
+        parsed = parse(doc)
+    for warning in caught:
+        warnings.warn_explicit(warning.message, warning.category, str(path), 0)
+    return parsed
 
 
 def _decode_json(text: str, where):

@@ -20,6 +20,7 @@ pseudo-pure-state coefficients normalized by equilibrium intensities.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +36,6 @@ __all__ = [
     "frequency_grid",
     "doublet_amps",
     "noisy_amps",
-    "estimate_noise_floor",
     "fit_doublets",
     "coefficient_rows",
 ]
@@ -120,10 +120,10 @@ def doublet_amps(freqs: np.ndarray, pairs, j_coupling: float, fwhm: float) -> np
 
 def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
     """Adds white Gaussian noise with sd = max|row| / snr to the spectra
-    ``amps`` [S, N] in place and returns ``amps``; row s draws its noise
-    from ``default_rng(seeds[s])`` (an int or a sequence of ints), and a
-    ``seeds`` of another length than S raises ValueError.
-    ``snr=math.inf`` leaves ``amps`` as it is."""
+    ``amps`` [S, N] in place and returns ``amps``: row s gets sd times
+    ``default_rng(seeds[s]).standard_normal(N)`` bit for bit, where a seed
+    is a non-negative int or a sequence of them (ValueError otherwise, or
+    when ``seeds`` is not S long). ``snr=math.inf`` leaves ``amps``."""
     if not snr > 0:
         raise ValueError(f"snr must be > 0, got {snr}")
     if math.isinf(snr):
@@ -131,20 +131,64 @@ def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
     # max|row| without an |amps| temporary the size of the batch
     sd = np.maximum(amps.max(axis=-1), -amps.min(axis=-1)) / snr
     noise = np.empty(amps.shape[-1])
-    for row, seed, scale in zip(amps, seeds, sd, strict=True):
-        np.random.default_rng(seed).standard_normal(out=noise)
+    draw = np.random.Generator(np.random.PCG64(0))  # set to each row's state
+    setting = draw.bit_generator.state
+    for row, state, scale in zip(amps, _pcg64_states(seeds), sd, strict=True):
+        setting["state"] = state
+        draw.bit_generator.state = setting
+        draw.standard_normal(out=noise)
         noise *= scale
         row += noise
     return amps
 
 
-def estimate_noise_floor(amps: np.ndarray) -> float | np.ndarray:
-    """Robust noise estimate from the median absolute successive
-    difference (the signal contributes only smooth, mostly small diffs);
-    one value per spectrum of ``amps`` [..., N]."""
-    diffs = np.diff(amps)
-    np.abs(diffs, out=diffs)
-    return 1.4826 * np.median(diffs, axis=-1, overwrite_input=True) / math.sqrt(2.0)
+# SeedSequence's constants (numpy bit_generator.pyx), Python ints: numpy scalars warn on overflow
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _pcg64_states(seeds) -> list[dict]:
+    """The PCG64 {state, inc} of ``default_rng(seed)`` for each of ``seeds``:
+    SeedSequence's hash in uint32 array operations over all seeds of one
+    entropy length at once, then PCG64's two seeding steps in Python ints."""
+    words = []  # the 32-bit words of each seed, least significant first
+    for seed in seeds:
+        words.append([])
+        for part in [seed] if isinstance(seed, (int, np.integer)) else seed:
+            if (part := operator.index(part)) < 0:
+                raise ValueError(f"noise seeds must be non-negative, got {part}")
+            words[-1].append(part & _MASK32)
+            while part := part >> 32:
+                words[-1].append(part & _MASK32)
+    states = [None] * len(words)
+    for length in set(map(len, words)):
+        rows = [row for row, entropy in enumerate(words) if len(entropy) == length]
+        entropy = np.array([words[row] + [0] * (4 - length) for row in rows], np.uint32).T
+        hash_const = _INIT_A
+
+        def hashmix(value: np.ndarray, mult: int) -> np.ndarray:
+            nonlocal hash_const
+            value = (value ^ hash_const) * (hash_const := hash_const * mult & _MASK32)
+            return value ^ value >> 16
+
+        # mix_entropy (each pool word into every other, then further words into all)
+        pool = [hashmix(word, _MULT_A) for word in entropy[:4]]
+        for src in range(len(entropy)):
+            for dst in (dst for dst in range(4) if dst != src):
+                word = hashmix(pool[src] if src < 4 else entropy[src], _MULT_A)
+                mixed = _MIX_L * pool[dst] - _MIX_R * word
+                pool[dst] = mixed ^ mixed >> 16
+        hash_const = _INIT_B  # generate_state(4, np.uint64)
+        out = np.array([hashmix(pool[index % 4], _MULT_B) for index in range(8)], np.uint64)
+        # little-endian word pairs: seed high, seed low, inc high, inc low
+        halves = (out[0::2] | out[1::2] << 32).T.tolist()
+        for row, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(rows, halves):
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) % 2**128
+            # from state 0: one step, add the seed, one more step
+            state = (((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) % 2**128
+            states[row] = {"state": state, "inc": inc}
+    return states
 
 
 class DoubletFits(NamedTuple):
@@ -153,8 +197,8 @@ class DoubletFits(NamedTuple):
 
     ``peaks`` [S, 2, 3] holds (center, integral, fwhm) of both lines in
     ascending center order; the other fields are [S] arrays: the RMS
-    residual, the Levenberg-Marquardt iterations taken, whether the fit
-    converged, and whether a line is consistent with zero.
+    residual, the Levenberg-Marquardt steps evaluated, whether the fit
+    converged, and whether a line's peak is below 3 RMS residuals.
     """
 
     peaks: np.ndarray
@@ -162,11 +206,6 @@ class DoubletFits(NamedTuple):
     iterations: np.ndarray
     converged: np.ndarray
     low_confidence: np.ndarray
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows of ``a`` and ``b`` [S, K]."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,16 +294,16 @@ def _levenberg_marquardt(
     [2]); returns the final (params, squared residual, iterations,
     converged) per row.
 
-    Each row keeps its own diagonal damping, gain-ratio schedule and
-    convergence state; a row that converges or stalls leaves the working
-    set, so the others iterate on without it. Only the normal equations
-    of the current parameters are kept, never their Jacobian.
+    Each row keeps its own damping, gain-ratio schedule and convergence
+    state. A row that converges or stalls leaves the working set, as does
+    one whose next step predicts a reduction within ``rtol``, before that
+    step is evaluated (Moré 1978, MINPACK's ``ftol``). Only the normal
+    equations of the current parameters are kept, never their Jacobian.
     """
     rows = len(params)
     final = np.empty_like(params)
     final_ssr = np.empty(rows)
-    final_iterations = np.zeros(rows, dtype=int)
-    final_converged = np.zeros(rows, dtype=bool)
+    final_iterations, final_converged = np.zeros(rows, dtype=int), np.zeros(rows, dtype=bool)
     live = np.arange(rows)  # output row of each working row
 
     # one work buffer for the whole iteration, NORMAL_EQUATION_ROWS rows
@@ -276,6 +315,7 @@ def _levenberg_marquardt(
     damping = np.full(rows, 1e-3)
     escalation = np.full(rows, 2.0)
     diagonal = np.arange(params.shape[1])
+    done = np.zeros(rows, dtype=bool)
     iteration = 0
     for iteration in range(1, max_iter + 1):
         diag = hessian[:, diagonal, diagonal]
@@ -283,13 +323,27 @@ def _levenberg_marquardt(
         damped = hessian.copy()
         damped[:, diagonal, diagonal] += damping[:, None] * diag
         step, solved = _solve_rows(damped, -gradient)
+        predicted = damping[:, None] * diag * step - gradient
+        predicted = (step[:, None, :] @ predicted[:, :, None])[:, 0, 0]  # row dot products
+        if iteration > 1:  # > 0: a row whose every step is rejected stalls
+            done |= solved & (predicted > 0) & (predicted <= rtol * np.maximum(ssr, 1e-300))
+        if done.any():  # rows done last iteration, or retired on this step
+            out = live[done]
+            final[out], final_ssr[out] = params[done], ssr[done]
+            final_iterations[out], final_converged[out] = iteration - 1, True
+            keep = ~done
+            live, params, ssr, gradient, hessian, damping, escalation = (
+                a[keep] for a in (live, params, ssr, gradient, hessian, damping, escalation)
+            )
+            step, solved, predicted, done = step[keep], solved[keep], predicted[keep], done[keep]
+        if not live.size:
+            break
         trial = params + step
         trial[:, 4] = np.maximum(trial[:, 4], min_width)
         trial[:, :2] = np.clip(trial[:, :2], *center_box)
         trial_ssr, trial_gradient, trial_hessian = _normal_equations(
             freqs, amps, live, trial, work
         )
-        predicted = _rowdot(step, damping[:, None] * diag * step - gradient)
         accept = solved & (trial_ssr < ssr) & (predicted > 0)
 
         improvement = ssr - trial_ssr
@@ -309,22 +363,8 @@ def _levenberg_marquardt(
         # steps this damped no longer change the residual: stalled at a
         # minimum (a singular system only escalates)
         done |= reject & solved & (damping > 1e14)
-        if done.any():
-            out = live[done]
-            final[out] = params[done]
-            final_ssr[out] = ssr[done]
-            final_iterations[out] = iteration
-            final_converged[out] = True
-            keep = ~done
-            live, params, ssr, gradient, hessian = (
-                live[keep], params[keep], ssr[keep], gradient[keep], hessian[keep]
-            )
-            damping, escalation = damping[keep], escalation[keep]
-        if not live.size:
-            break
-    final[live] = params
-    final_ssr[live] = ssr
-    final_iterations[live] = iteration
+    final[live], final_ssr[live] = params, ssr
+    final_iterations[live], final_converged[live] = iteration, done
     return final, final_ssr, final_iterations, final_converged
 
 
@@ -339,25 +379,25 @@ def fit_doublets(
 ) -> DoubletFits:
     """Bi-Lorentzian fits of the doublets split by ``j_coupling`` Hz in the
     spectra ``amps`` [S, N] sampled on the uniform grid ``freqs`` [N], all
-    in one Levenberg-Marquardt iteration. A grid that is not strictly
-    increasing and uniform raises ValueError.
+    in one Levenberg-Marquardt iteration whose working memory beyond
+    ``amps`` does not grow with S. A grid that is not strictly increasing
+    and uniform raises ValueError.
 
     Each fit starts at the known doublet geometry: lines at -J/2 and +J/2
     with integrals read off the sampled amplitude at each center, and one
-    width ``fwhm`` shared by both lines. The geometry fixes line identity:
-    each component stays on its own side, inside a box of J/2 (at least
-    two grid spacings) around its start, so a near-zero line cannot drift
-    across its partner and swap the assignment. The damping follows the
-    gain-ratio schedule (rejected steps escalate it geometrically, as does
-    a singular damped system), and a spectrum converges when an accepted
-    step changes its squared residual by less than ``rtol`` relatively, or
-    when damping escalation shows the iteration is stalled at a minimum.
-    Spectra that exhaust ``max_iter`` are returned with ``converged``
-    False and their best parameters, as are spectra whose residual is not
-    finite (a NaN or inf sample). A row's result does not depend on the
-    other rows of the batch. The normal equations are built
-    NORMAL_EQUATION_ROWS spectra at a time in one fixed buffer, so beyond
-    ``amps`` the working memory does not grow with S.
+    width ``fwhm`` shared by both lines. Each line stays inside a box of
+    J/2 (at least two grid spacings) around its start, so a near-zero line
+    cannot drift across its partner and swap the assignment. The damping
+    follows the gain-ratio schedule (rejected steps and singular systems
+    escalate it geometrically). A spectrum converges when an accepted step
+    changes its squared residual by less than ``rtol`` relatively, when
+    escalation shows it stalled at a minimum, or, unevaluated, when its
+    next step predicts a change that small. Spectra that exhaust
+    ``max_iter``, or whose residual is not finite (a NaN or inf sample),
+    return ``converged`` False with their best parameters. A fit is
+    ``low_confidence`` when a line's peak is below 3 RMS residuals, the
+    fit's own noise estimate. A row's result does not depend on the other
+    rows of the batch.
     """
     freqs = np.asarray(freqs, dtype=float)
     if freqs.size < FIT_MIN_POINTS:
@@ -386,15 +426,15 @@ def fit_doublets(
     peaks = np.stack((params[:, 0:2], params[:, 2:4], widths), axis=-1)
     swapped = peaks[:, 1, 0] < peaks[:, 0, 0]
     peaks[swapped] = peaks[swapped, ::-1]
-    # an absolute floor of one unit roundoff: a flat spectrum has a noise
-    # floor of 0, yet its fitted integrals are tiny, not exactly 0
-    floor = np.maximum(estimate_noise_floor(amps), np.finfo(float).eps)
+    residual_norm = np.sqrt(ssr / freqs.size)
+    # at least eps: a noiseless fit's residual is about 0, its integrals tiny, not 0
+    floor = np.maximum(residual_norm, np.finfo(float).eps)
     low_confidence = (
         np.abs(peaks[:, :, 1]) < 3.0 * floor[:, None] * math.pi * peaks[:, :, 2] / 2.0
     ).any(axis=1)
     return DoubletFits(
         peaks=peaks,
-        residual_norm=np.sqrt(ssr / freqs.size),
+        residual_norm=residual_norm,
         iterations=iterations,
         converged=converged & np.isfinite(ssr),
         low_confidence=low_confidence,

@@ -336,6 +336,22 @@ def test_overflowing_pipeline_warns_only_of_its_amplitude(tmp_path):
     assert len(shown) == 1 and "UserWarning: k=1e+160" in shown[0]
 
 
+def test_config_warning_is_shown_at_the_config_file(tmp_path):
+    """The unphysical-k warning of a config-built system names the config
+    file, not a package source line, and echoes no source line."""
+    config = write_config(tmp_path, system={"k": 0.95})
+    command = ["simulate", "--quiet", "--config", config, "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(Path(ppsrelax.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "ppsrelax", *command], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == EXIT_OK
+    assert result.stderr.splitlines() == [
+        f"{config}:0: UserWarning: k=0.95 exceeds min(gamma1, gamma2)=0.9407; "
+        "state amplitude is unphysical"
+    ]
+
+
 def test_time_grid_below_float_resolution_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, time_grid={"start": 1e16, "end": 1e16 + 8, "step": 1.0})
     code = main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
