@@ -35,8 +35,10 @@ from .spins import PpsLabel, doublet_pairs, equilibrium_modes, pps_modes
 __all__ = ["SchemaMismatch", "run_simulate", "run_sweep", "run_pipeline"]
 
 #: Grid samples of the spectra the pipeline synthesizes and fits in one
-#: solver call: 128 spectra of the default 801 points, whose normal
-#: equations the solver builds spectra.NORMAL_EQUATION_ROWS at a time.
+#: solver call: 128 spectra of the default 801 points, whose noise is
+#: drawn and whose normal equations are built spectra.NORMAL_EQUATION_ROWS
+#: at a time (the first ones from basis functions the batch shares). A
+#: fit thread takes the next batch whenever it is free.
 BATCH_SAMPLES = 128 * 801
 
 #: Noise-key state code of the two equilibrium reference spectra; a
@@ -191,7 +193,9 @@ def _usable_cpus() -> int:
 
 def _map_threads(task, items: Sequence) -> list:
     """``[task(item) for item in items]`` on one thread per usable CPU,
-    the calling thread among them; item i runs on thread i mod threads.
+    the calling thread among them; each thread takes the next item not
+    yet taken whenever it finishes one, so a slow item holds up only the
+    thread running it.
 
     Once a call raises, no thread starts another item, and the first
     exception raised (an interrupt of the calling thread before any) is
@@ -200,21 +204,25 @@ def _map_threads(task, items: Sequence) -> list:
     results = [None] * len(items)
     errors = []
     count = min(_usable_cpus(), len(items))
+    indices = iter(range(len(items)))
+    taking = threading.Lock()
 
-    def work(first: int) -> None:
+    def work() -> None:
         try:
-            for index in range(first, len(items), count):
-                if errors:
+            while not errors:
+                with taking:
+                    index = next(indices, None)
+                if index is None:
                     return
                 results[index] = task(items[index])
         except Exception as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(first,)) for first in range(1, count)]
+    threads = [threading.Thread(target=work) for _ in range(1, count)]
     for thread in threads:
         thread.start()
     try:
-        work(0)
+        work()
     except BaseException as exc:  # an interrupt reaches the calling thread only
         errors.insert(0, exc)
     for thread in threads:
@@ -233,8 +241,9 @@ def _fit_spectra(
 
     Spectra are made and fitted a batch of about BATCH_SAMPLES grid
     samples at a time, so the whole run's spectra are never held at once,
-    and the batches run on one thread per usable CPU (numpy releases the
-    GIL in the array work that dominates a batch). A row's result depends
+    and the batches run on one thread per usable CPU, each thread taking
+    the next batch when it is free (numpy releases the GIL in the array
+    work that dominates a batch). A row's result depends
     neither on the batch size nor on the thread count. Numpy's float
     warnings are off in every batch: a spectrum that overflows fails its
     fit, and its row records that.

@@ -55,8 +55,9 @@ FIT_MIN_POINTS = 50
 FIT_MAX_ITER = 200
 FIT_RTOL = 1e-10
 
-#: Spectra whose normal equations are built at once: the P + 1 planes of
-#: 32 spectra of 801 points (1.2 MB) stay inside a 2 MB L2 cache.
+#: Spectra whose normal equations are built at once, and whose noise is
+#: drawn into one block: the P + 1 planes of 32 spectra of 801 points
+#: (1.2 MB) stay inside a 2 MB L2 cache.
 NORMAL_EQUATION_ROWS = 32
 
 
@@ -130,15 +131,23 @@ def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
         return amps
     # max|row| without an |amps| temporary the size of the batch
     sd = np.maximum(amps.max(axis=-1), -amps.min(axis=-1)) / snr
-    noise = np.empty(amps.shape[-1])
+    states = _pcg64_states(seeds)
+    if len(states) != len(amps):
+        raise ValueError(f"need one noise seed per spectrum: {len(states)} for {len(amps)}")
+    # each row's stream is drawn into a block of rows, which is scaled
+    # and added in one call each
+    block = np.empty((min(max(len(amps), 1), NORMAL_EQUATION_ROWS), amps.shape[-1]))
     draw = np.random.Generator(np.random.PCG64(0))  # set to each row's state
     setting = draw.bit_generator.state
-    for row, state, scale in zip(amps, _pcg64_states(seeds), sd, strict=True):
-        setting["state"] = state
-        draw.bit_generator.state = setting
-        draw.standard_normal(out=noise)
-        noise *= scale
-        row += noise
+    for start in range(0, len(amps), len(block)):
+        rows = amps[start : start + len(block)]
+        noise = block[: len(rows)]
+        for row, state in zip(noise, states[start : start + len(rows)]):
+            setting["state"] = state
+            draw.bit_generator.state = setting
+            draw.standard_normal(out=row)
+        noise *= sd[start : start + len(rows), None]
+        rows += noise
     return amps
 
 
@@ -151,7 +160,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 def _pcg64_states(seeds) -> list[dict]:
     """The PCG64 {state, inc} of ``default_rng(seed)`` for each of ``seeds``:
     SeedSequence's hash in uint32 array operations over all seeds of one
-    entropy length at once, then PCG64's two seeding steps in Python ints."""
+    entropy length at once, then PCG64's two seeding steps in Python ints.
+    The hash constants do not depend on the data, so the words that one
+    step hashes, each under its own constant, form one [W, S] array."""
     words = []  # the 32-bit words of each seed, least significant first
     for seed in seeds:
         words.append([])
@@ -167,20 +178,27 @@ def _pcg64_states(seeds) -> list[dict]:
         entropy = np.array([words[row] + [0] * (4 - length) for row in rows], np.uint32).T
         hash_const = _INIT_A
 
-        def hashmix(value: np.ndarray, mult: int) -> np.ndarray:
+        def hashmix(value: np.ndarray, mult: int, count: int) -> np.ndarray:
+            """``value`` [count, S] or [S] hashed under the next ``count``
+            hash constants, one per row of the [count, S] result."""
             nonlocal hash_const
-            value = (value ^ hash_const) * (hash_const := hash_const * mult & _MASK32)
+            consts = [hash_const]
+            for _ in range(count):
+                consts.append(consts[-1] * mult & _MASK32)
+            hash_const = consts[-1]
+            consts = np.array(consts, np.uint32)[:, None]
+            value = (value ^ consts[:-1]) * consts[1:]
             return value ^ value >> 16
 
         # mix_entropy (each pool word into every other, then further words into all)
-        pool = [hashmix(word, _MULT_A) for word in entropy[:4]]
+        pool = hashmix(entropy[:4], _MULT_A, 4)
         for src in range(len(entropy)):
-            for dst in (dst for dst in range(4) if dst != src):
-                word = hashmix(pool[src] if src < 4 else entropy[src], _MULT_A)
-                mixed = _MIX_L * pool[dst] - _MIX_R * word
-                pool[dst] = mixed ^ mixed >> 16
+            dst = [dst for dst in range(4) if dst != src]
+            word = hashmix(pool[src] if src < 4 else entropy[src], _MULT_A, len(dst))
+            mixed = _MIX_L * pool[dst] - _MIX_R * word
+            pool[dst] = mixed ^ mixed >> 16
         hash_const = _INIT_B  # generate_state(4, np.uint64)
-        out = np.array([hashmix(pool[index % 4], _MULT_B) for index in range(8)], np.uint64)
+        out = hashmix(np.tile(pool, (2, 1)), _MULT_B, 8).astype(np.uint64)
         # little-endian word pairs: seed high, seed low, inc high, inc low
         halves = (out[0::2] | out[1::2] << 32).T.tolist()
         for row, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(rows, halves):
@@ -198,7 +216,8 @@ class DoubletFits(NamedTuple):
     ``peaks`` [S, 2, 3] holds (center, integral, fwhm) of both lines in
     ascending center order; the other fields are [S] arrays: the RMS
     residual, the Levenberg-Marquardt steps evaluated, whether the fit
-    converged, and whether a line's peak is below 3 RMS residuals.
+    converged, and whether a line's peak is below 3 RMS residuals (True
+    as well wherever the residual is not finite).
     """
 
     peaks: np.ndarray
@@ -241,7 +260,8 @@ def _normal_equations(
     lines. The P = 5 analytic Jacobian rows and the residual of at most
     C rows at a time are written to the P + 1 planes of ``work``
     [P + 1, C, N], so every pass over the data is a contiguous write into
-    one buffer, whatever S is.
+    one buffer, whatever S is. Each pass computes both lines at once, on
+    the plane pairs of the center and integral derivatives.
     """
     size, p = params.shape
     depth = work.shape[1]
@@ -249,58 +269,121 @@ def _normal_equations(
     scratch = np.empty(work.shape[1:])
     for start in range(0, size, depth):
         chunk = params[start : start + depth]
-        a, temp = work[:, : len(chunk)], scratch[: len(chunk)]
-        # twice the residual until the end, so that a line adds its 2 L,
-        # which its center derivative needs anyway
-        twice = np.take(amps, rows[start : start + depth], axis=0, out=a[p], mode="clip")
-        twice *= -2.0
+        a, twice = work[:, : len(chunk)], scratch[: len(chunk)]
+        # [2, C, N] plane pairs, one plane per line, and [2, C, 1] per-line
+        # constants; the width and residual planes are the pair's scratch
+        # until the end
+        diff, d_integral, pair = a[0:2], a[2:4], a[4:6]
+        integral = chunk[:, 2:4].T[:, :, None]
         half = chunk[:, 4, None] / 2.0
-        for line in (0, 1):
-            integral = chunk[:, 2 + line, None]
-            diff = np.subtract(freqs, chunk[:, line, None], out=a[line])
-            np.multiply(diff, diff, out=temp)
-            temp += half * half
-            np.reciprocal(temp, out=temp)  # R = 1 / ((f - c)^2 + h^2)
-            d_integral = np.multiply(temp, half / math.pi, out=a[2 + line])
-            diff *= temp
-            np.multiply(d_integral, 2.0 * integral, out=temp)  # 2 L
-            twice += temp
-            diff *= temp  # dL/dc = 2 L (f - c) R
-            # dL/dw = dL/dI (I / (2 h) - pi I dL/dI)
-            np.multiply(d_integral, -math.pi * integral, out=temp)
-            temp += integral / (2.0 * half)
-            if line:
-                temp *= d_integral
-                a[4] += temp
-            else:
-                np.multiply(temp, d_integral, out=a[4])
-        twice *= 0.5
+        np.subtract(freqs, chunk[:, :2].T[:, :, None], out=diff)
+        np.multiply(diff, diff, out=d_integral)
+        d_integral += half * half
+        np.reciprocal(d_integral, out=d_integral)  # R = 1 / ((f - c)^2 + h^2)
+        diff *= d_integral
+        d_integral *= half / math.pi
+        np.multiply(d_integral, 2.0 * integral, out=pair)  # 2 L
+        diff *= pair  # dL/dc = 2 L (f - c) R
+        # twice the residual until the end: each line adds its 2 L
+        np.take(amps, rows[start : start + depth], axis=0, out=twice, mode="clip")
+        twice *= -2.0
+        twice += pair[0]
+        twice += pair[1]
+        # dL/dw = dL/dI (I / (2 h) - pi I dL/dI), summed over both lines
+        np.multiply(d_integral, -math.pi * integral, out=pair)
+        pair += integral / (2.0 * half)
+        pair *= d_integral
+        np.add(pair[0], pair[1], out=a[4])
+        np.multiply(twice, 0.5, out=a[p])
         by_row = a.transpose(1, 0, 2)
         np.matmul(by_row, by_row.swapaxes(1, 2), out=gram[start : start + depth])
     return gram[:, p, p], gram[:, :p, p], gram[:, :p, :p]
 
 
+def _start_equations(
+    freqs: np.ndarray,
+    amps: np.ndarray,
+    centers: np.ndarray,
+    fwhm: float,
+    integrals: np.ndarray,
+    work: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The normal equations of ``_normal_equations`` for the spectra
+    ``amps`` [S, N], each fitted with lines at ``centers`` [2] of one
+    width ``fwhm`` and its own ``integrals`` [S, 2]: the start of a fit.
+
+    At a shared geometry row s's Jacobian is J_s = B^T T_s. B [6, N]
+    holds per line l the unit-integral line u_l = dL/dI_l, its center
+    derivative per unit integral v_l = 2 u_l (f - c_l) R_l and its width
+    derivative per unit integral z_l = u_l (1 / (2 h) - pi u_l); T_s
+    [6, P] puts I_l v_l on c_l, u_l on I_l and I_0 z_0 + I_1 z_1 on w. So
+    J^T J = T^T (B B^T) T, with B B^T formed once, and J^T r = T^T (B r).
+    Only the residual r = I_0 u_0 + I_1 u_1 - y passes over the data, in
+    the first planes of ``work`` [P + 1, C, N], C rows at a time; r.r is
+    summed from it, never expanded into Gram terms, in which a noiseless
+    row's 1e-30 would cancel away. Every per-row product is a product of
+    that row alone.
+    """
+    size = len(integrals)
+    half = fwhm / 2.0
+    diff = freqs - centers[:, None]
+    recip = 1.0 / (diff * diff + half * half)
+    unit = recip * (half / math.pi)
+    # rows u_0, u_1, v_0, v_1, z_0, z_1
+    basis = np.concatenate(
+        (unit, 2.0 * unit * diff * recip, unit * (1.0 / (2.0 * half) - math.pi * unit))
+    )
+    lines = np.arange(2)
+    jacobian_map = np.zeros((size, 6, 5))
+    jacobian_map[:, 2 + lines, lines] = integrals
+    jacobian_map[:, lines, 2 + lines] = 1.0
+    jacobian_map[:, 4 + lines, 4] = integrals
+    projection, ssr = np.empty((size, 6, 1)), np.empty((size, 1, 1))
+    depth = work.shape[1]
+    for start in range(0, size, depth):
+        stop = min(start + depth, size)
+        residual, model = work[0, : stop - start], work[1:3, : stop - start]
+        np.multiply(integrals[start:stop].T[:, :, None], unit[:, None, :], out=model)
+        np.add(model[0], model[1], out=residual)
+        residual -= amps[start:stop]
+        column = residual[:, :, None]
+        np.matmul(basis, column, out=projection[start:stop])
+        np.matmul(residual[:, None, :], column, out=ssr[start:stop])
+    transposed = jacobian_map.swapaxes(1, 2)
+    hessian = transposed @ (basis @ basis.T) @ jacobian_map
+    return ssr[:, 0, 0], (transposed @ projection)[:, :, 0], hessian
+
+
 def _levenberg_marquardt(
     freqs: np.ndarray,
     amps: np.ndarray,
-    params: np.ndarray,
+    centers: np.ndarray,
+    fwhm: float,
+    integrals: np.ndarray,
     center_box: tuple[np.ndarray, np.ndarray],
     min_width: float,
     max_iter: int,
     rtol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton iteration on every row of ``params`` [S, 5] at
-    once, each line center held in ``center_box`` (lower and upper bounds
-    [2]); returns the final (params, squared residual, iterations,
-    converged) per row.
+    """Damped Gauss-Newton iteration on every spectrum of ``amps`` [S, N]
+    at once, each started at the lines ``centers`` [2] of width ``fwhm``
+    with its own ``integrals`` [S, 2] and each line center held in
+    ``center_box`` (lower and upper bounds [2]); returns the final
+    parameters [S, 5] (``_normal_equations`` layout), squared residual,
+    iterations and convergence per row.
 
     Each row keeps its own damping, gain-ratio schedule and convergence
     state. A row that converges or stalls leaves the working set, as does
     one whose next step predicts a reduction within ``rtol``, before that
     step is evaluated (Moré 1978, MINPACK's ``ftol``). Only the normal
     equations of the current parameters are kept, never their Jacobian.
+    The first ones, at the start geometry every row shares, come from
+    ``_start_equations``; each trial step is one ``_normal_equations``
+    row evaluation.
     """
-    rows = len(params)
+    rows = len(integrals)
+    params = np.empty((rows, 5))
+    params[:, :2], params[:, 2:4], params[:, 4] = centers, integrals, fwhm
     final = np.empty_like(params)
     final_ssr = np.empty(rows)
     final_iterations, final_converged = np.zeros(rows, dtype=int), np.zeros(rows, dtype=bool)
@@ -311,7 +394,7 @@ def _levenberg_marquardt(
     # to fill, and a deeper one falls out of cache between passes
     depth = min(max(rows, 1), NORMAL_EQUATION_ROWS)
     work = np.empty((params.shape[1] + 1, depth, freqs.size))
-    ssr, gradient, hessian = _normal_equations(freqs, amps, live, params, work)
+    ssr, gradient, hessian = _start_equations(freqs, amps, centers, fwhm, integrals, work)
     damping = np.full(rows, 1e-3)
     escalation = np.full(rows, 2.0)
     diagonal = np.arange(params.shape[1])
@@ -385,19 +468,23 @@ def fit_doublets(
 
     Each fit starts at the known doublet geometry: lines at -J/2 and +J/2
     with integrals read off the sampled amplitude at each center, and one
-    width ``fwhm`` shared by both lines. Each line stays inside a box of
-    J/2 (at least two grid spacings) around its start, so a near-zero line
-    cannot drift across its partner and swap the assignment. The damping
-    follows the gain-ratio schedule (rejected steps and singular systems
-    escalate it geometrically). A spectrum converges when an accepted step
-    changes its squared residual by less than ``rtol`` relatively, when
-    escalation shows it stalled at a minimum, or, unevaluated, when its
-    next step predicts a change that small. Spectra that exhaust
+    width ``fwhm`` shared by both lines. Only the integrals differ between
+    rows there, so the first normal equations of the whole batch come
+    from basis functions of that geometry computed once, not from a
+    per-row Jacobian; every later step evaluates its own. Each line stays
+    inside a box of J/2 (at least two grid spacings) around its start, so
+    a near-zero line cannot drift across its partner and swap the
+    assignment. The damping follows the gain-ratio schedule (rejected
+    steps and singular systems escalate it geometrically). A spectrum
+    converges when an accepted step changes its squared residual by less
+    than ``rtol`` relatively, when escalation shows it stalled at a
+    minimum, or, unevaluated, when its next step predicts a change that
+    small. Spectra that exhaust
     ``max_iter``, or whose residual is not finite (a NaN or inf sample),
     return ``converged`` False with their best parameters. A fit is
     ``low_confidence`` when a line's peak is below 3 RMS residuals, the
-    fit's own noise estimate. A row's result does not depend on the other
-    rows of the batch.
+    fit's own noise estimate, or when that residual is not finite. A row's
+    result does not depend on the other rows of the batch.
     """
     freqs = np.asarray(freqs, dtype=float)
     if freqs.size < FIT_MIN_POINTS:
@@ -412,15 +499,13 @@ def fit_doublets(
         raise ValueError(f"need amps [S, {freqs.size}], got {amps.shape}")
     centers = np.array([-j_coupling / 2.0, j_coupling / 2.0])
     nearest = np.abs(freqs - centers[:, None]).argmin(axis=1)
-    params = np.empty((len(amps), 5))
-    params[:, :2] = centers
-    params[:, 2:4] = amps[:, nearest] * math.pi * fwhm / 2.0
-    params[:, 4] = fwhm
+    integrals = amps[:, nearest] * math.pi * fwhm / 2.0
     spacing = float(freqs[1] - freqs[0])
     half_sep = max(j_coupling / 2.0, 2.0 * spacing)
 
+    box = (centers - half_sep, centers + half_sep)
     params, ssr, iterations, converged = _levenberg_marquardt(
-        freqs, amps, params, (centers - half_sep, centers + half_sep), 2.0 * spacing, max_iter, rtol
+        freqs, amps, centers, fwhm, integrals, box, 2.0 * spacing, max_iter, rtol
     )
     widths = params[:, 4:5].repeat(2, axis=1)
     peaks = np.stack((params[:, 0:2], params[:, 2:4], widths), axis=-1)
@@ -429,9 +514,10 @@ def fit_doublets(
     residual_norm = np.sqrt(ssr / freqs.size)
     # at least eps: a noiseless fit's residual is about 0, its integrals tiny, not 0
     floor = np.maximum(residual_norm, np.finfo(float).eps)
-    low_confidence = (
-        np.abs(peaks[:, :, 1]) < 3.0 * floor[:, None] * math.pi * peaks[:, :, 2] / 2.0
-    ).any(axis=1)
+    # not "below": a NaN residual or peak fails every comparison, and flags
+    low_confidence = ~(
+        np.abs(peaks[:, :, 1]) >= 3.0 * floor[:, None] * math.pi * peaks[:, :, 2] / 2.0
+    ).all(axis=1)
     return DoubletFits(
         peaks=peaks,
         residual_norm=residual_norm,

@@ -591,27 +591,31 @@ def test_pipeline_bytes_do_not_depend_on_threads_or_batch_size(tmp_path, monkeyp
 
 
 def test_map_threads_keeps_item_order_and_runs_the_caller(monkeypatch):
-    """More threads than CPUs and a short switch interval: every item's
-    result lands in its own slot, and the caller runs items 0, 8, 16..."""
+    """More threads than CPUs and a short switch interval: every item runs
+    exactly once and its result lands in its own slot, whichever thread
+    takes it, and the calling thread takes items too."""
     import sys
     import threading
+    import time
 
     monkeypatch.setattr(run_module, "_usable_cpus", lambda: 8)
     seen = []  # holds the thread objects, so no two of them share an identity
+
+    def task(item):
+        seen.append((item, threading.current_thread()))
+        time.sleep(1e-4)  # every thread gets to take items
+        return item * item
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = run_module._map_threads(
-            lambda item: seen.append((item, threading.current_thread())) or item * item,
-            range(500),
-        )
+        results = run_module._map_threads(task, range(500))
     finally:
         sys.setswitchinterval(interval)
     assert results == [item * item for item in range(500)]
+    assert sorted(item for item, _ in seen) == list(range(500))
     assert len({thread for _, thread in seen}) == 8
-    assert [item for item, thread in seen if thread is threading.current_thread()] == list(
-        range(0, 500, 8)
-    )
+    assert any(thread is threading.current_thread() for _, thread in seen)
 
 
 def test_pipeline_deterministic_with_noise(tmp_path):
