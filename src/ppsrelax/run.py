@@ -243,10 +243,10 @@ def _fit_spectra(
     samples at a time, so the whole run's spectra are never held at once,
     and the batches run on one thread per usable CPU, each thread taking
     the next batch when it is free (numpy releases the GIL in the array
-    work that dominates a batch). A row's result depends
-    neither on the batch size nor on the thread count. Numpy's float
-    warnings are off in every batch: a spectrum that overflows fails its
-    fit, and its row records that.
+    work that dominates a batch). A row's result depends neither on the
+    batch size nor on the thread count. Numpy's float warnings are off in
+    every batch: a spectrum that overflows fails its fit, and its row
+    records that.
     """
     j_coupling, fwhm, noise = scenario.sys.j_coupling, scenario.spectrum.fwhm, scenario.noise
     batch = max(1, BATCH_SAMPLES // len(freqs))
