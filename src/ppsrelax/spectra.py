@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,16 +124,24 @@ def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
     ``amps`` [S, N] in place and returns ``amps``: row s gets sd times
     ``default_rng(seeds[s]).standard_normal(N)`` bit for bit, where a seed
     is a non-negative int or a sequence of them (ValueError otherwise, or
-    when ``seeds`` is not S long). ``snr=math.inf`` leaves ``amps``."""
+    when ``seeds`` is not S long). ``snr=math.inf`` leaves ``amps``. The
+    seeds are hashed by ``_pcg64_states`` and drawn by ``_add_noise``, as
+    the pipeline does for a whole run."""
     if not snr > 0:
         raise ValueError(f"snr must be > 0, got {snr}")
     if math.isinf(snr):
         return amps
-    # max|row| without an |amps| temporary the size of the batch
-    sd = np.maximum(amps.max(axis=-1), -amps.min(axis=-1)) / snr
     states = _pcg64_states(seeds)
     if len(states) != len(amps):
         raise ValueError(f"need one noise seed per spectrum: {len(states)} for {len(amps)}")
+    return _add_noise(amps, snr, states)
+
+
+def _add_noise(amps: np.ndarray, snr: float, states: np.ndarray) -> np.ndarray:
+    """``noisy_amps`` of the spectra ``amps`` [S, N] at a finite ``snr``,
+    row s drawn from the PCG64 state ``states[s]`` of ``_pcg64_states``."""
+    # max|row| without an |amps| temporary the size of the batch
+    sd = np.maximum(amps.max(axis=-1), -amps.min(axis=-1)) / snr
     # each row's stream is drawn into a block of rows, which is scaled
     # and added in one call each
     block = np.empty((min(max(len(amps), 1), NORMAL_EQUATION_ROWS), amps.shape[-1]))
@@ -142,8 +150,9 @@ def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
     for start in range(0, len(amps), len(block)):
         rows = amps[start : start + len(block)]
         noise = block[: len(rows)]
-        for row, state in zip(noise, states[start : start + len(rows)]):
-            setting["state"] = state
+        words = states[start : start + len(rows)].tolist()
+        for row, (state_hi, state_lo, inc_hi, inc_lo) in zip(noise, words):
+            setting["state"] = {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
             draw.bit_generator.state = setting
             draw.standard_normal(out=row)
         noise *= sd[start : start + len(rows), None]
@@ -154,59 +163,106 @@ def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
 # SeedSequence's constants (numpy bit_generator.pyx), Python ints: numpy scalars warn on overflow
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+# PCG64's 128-bit LCG multiplier as uint64 words, and the uint64 shifts
+# and mask of 128-bit arithmetic on word pairs; uint64 operands only, as
+# a signed int mixed with uint64 gives float64 under numpy 1.x casting
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_U1, _U32, _U63, _LOW32 = np.uint64(1), np.uint64(32), np.uint64(63), np.uint64(_MASK32)
 
 
-def _pcg64_states(seeds) -> list[dict]:
-    """The PCG64 {state, inc} of ``default_rng(seed)`` for each of ``seeds``:
-    SeedSequence's hash in uint32 array operations over all seeds of one
-    entropy length at once, then PCG64's two seeding steps in Python ints.
-    The hash constants do not depend on the data, so the words that one
-    step hashes, each under its own constant, form one [W, S] array."""
-    words = []  # the 32-bit words of each seed, least significant first
-    for seed in seeds:
-        words.append([])
-        for part in [seed] if isinstance(seed, (int, np.integer)) else seed:
-            if (part := operator.index(part)) < 0:
-                raise ValueError(f"noise seeds must be non-negative, got {part}")
-            words[-1].append(part & _MASK32)
-            while part := part >> 32:
-                words[-1].append(part & _MASK32)
-    states = [None] * len(words)
+def _high_product(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of the uint64 arrays ``a``
+    and ``b``, from their 32-bit limbs."""
+    a_lo, a_hi, b_lo, b_hi = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    cross_a, cross_b = a_hi * b_lo, a_lo * b_hi  # each below 2^64
+    middle = (a_lo * b_lo >> _U32) + (cross_a & _LOW32) + (cross_b & _LOW32)
+    return a_hi * b_hi + (cross_a >> _U32) + (cross_b >> _U32) + (middle >> _U32)
+
+
+def _words(part) -> list[int]:
+    """The 32-bit words of the non-negative int ``part``, least
+    significant first (ValueError if it is negative)."""
+    if (part := operator.index(part)) < 0:
+        raise ValueError(f"noise seeds must be non-negative, got {part}")
+    words = [part & _MASK32]
+    while part := part >> 32:
+        words.append(part & _MASK32)
+    return words
+
+
+def _pcg64_states(seeds) -> np.ndarray:
+    """The PCG64 state of ``default_rng(seed)`` for each of ``seeds``, as
+    uint64 rows (state high, state low, inc high, inc low) [S, 4], hashed
+    by ``_seeded_states`` over all seeds of one entropy length at once."""
+    words = [
+        [word for part in ([seed] if isinstance(seed, (int, np.integer)) else seed)
+         for word in _words(part)]
+        for seed in seeds
+    ]
+    states = np.empty((len(words), 4), np.uint64)
     for length in set(map(len, words)):
         rows = [row for row, entropy in enumerate(words) if len(entropy) == length]
-        entropy = np.array([words[row] + [0] * (4 - length) for row in rows], np.uint32).T
-        hash_const = _INIT_A
-
-        def hashmix(value: np.ndarray, mult: int, count: int) -> np.ndarray:
-            """``value`` [count, S] or [S] hashed under the next ``count``
-            hash constants, one per row of the [count, S] result."""
-            nonlocal hash_const
-            consts = [hash_const]
-            for _ in range(count):
-                consts.append(consts[-1] * mult & _MASK32)
-            hash_const = consts[-1]
-            consts = np.array(consts, np.uint32)[:, None]
-            value = (value ^ consts[:-1]) * consts[1:]
-            return value ^ value >> 16
-
-        # mix_entropy (each pool word into every other, then further words into all)
-        pool = hashmix(entropy[:4], _MULT_A, 4)
-        for src in range(len(entropy)):
-            dst = [dst for dst in range(4) if dst != src]
-            word = hashmix(pool[src] if src < 4 else entropy[src], _MULT_A, len(dst))
-            mixed = _MIX_L * pool[dst] - _MIX_R * word
-            pool[dst] = mixed ^ mixed >> 16
-        hash_const = _INIT_B  # generate_state(4, np.uint64)
-        out = hashmix(np.tile(pool, (2, 1)), _MULT_B, 8).astype(np.uint64)
-        # little-endian word pairs: seed high, seed low, inc high, inc low
-        halves = (out[0::2] | out[1::2] << 32).T.tolist()
-        for row, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(rows, halves):
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) % 2**128
-            # from state 0: one step, add the seed, one more step
-            state = (((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) % 2**128
-            states[row] = {"state": state, "inc": inc}
+        states[rows] = _seeded_states(np.array([words[row] for row in rows], np.uint32).T)
     return states
+
+
+def _keyed_pcg64_states(seed: int, keys: np.ndarray) -> np.ndarray:
+    """``_pcg64_states`` of the seeds ``[seed, *key]`` of the non-negative
+    int ``keys`` [K, W], each of whose entries fits one 32-bit word. Such a
+    seed's words are those of ``seed`` followed by the key, so all K are
+    hashed from one array, never a Python list per seed."""
+    seed_words = _words(seed)
+    entropy = np.empty((len(seed_words) + keys.shape[1], len(keys)), np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
+    entropy[len(seed_words) :] = keys.T
+    return _seeded_states(entropy)
+
+
+def _seeded_states(entropy: np.ndarray) -> np.ndarray:
+    """The ``_pcg64_states`` [S, 4] of the seeds whose 32-bit words, least
+    significant first, are the columns of ``entropy`` [W, S]:
+    SeedSequence's hash in uint32 array operations, then PCG64's two
+    128-bit seeding steps on uint64 word pairs. The hash constants do not
+    depend on the data, so the words that one step hashes, each under its
+    own constant, form one [W, S] array."""
+    # SeedSequence's pool of 4 words, zero-padded
+    entropy = np.pad(entropy, ((0, max(0, 4 - len(entropy))), (0, 0)))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray, mult: int, count: int) -> np.ndarray:
+        """``value`` [count, S] or [S] hashed under the next ``count``
+        hash constants, one per row of the [count, S] result."""
+        nonlocal hash_const
+        consts = [hash_const]
+        for _ in range(count):
+            consts.append(consts[-1] * mult & _MASK32)
+        hash_const = consts[-1]
+        consts = np.array(consts, np.uint32)[:, None]
+        value = (value ^ consts[:-1]) * consts[1:]
+        return value ^ value >> 16
+
+    # mix_entropy (each pool word into every other, then further words into all)
+    pool = hashmix(entropy[:4], _MULT_A, 4)
+    for src in range(len(entropy)):
+        dst = [dst for dst in range(4) if dst != src]
+        word = hashmix(pool[src] if src < 4 else entropy[src], _MULT_A, len(dst))
+        mixed = _MIX_L * pool[dst] - _MIX_R * word
+        pool[dst] = mixed ^ mixed >> 16
+    hash_const = _INIT_B  # generate_state(4, np.uint64)
+    out = hashmix(np.tile(pool, (2, 1)), _MULT_B, 8).astype(np.uint64)
+    # little-endian word pairs: seed high, seed low, inc high, inc low
+    seed_hi, seed_lo, inc_hi, inc_lo = out[0::2] | out[1::2] << _U32
+    # inc = 2 inc + 1; from state 0: one step, add the seed, one more
+    # step: state = (seed + inc) MULT + inc, all mod 2^128, where a sum's
+    # low word below an addend's is its carry
+    inc_hi, inc_lo = inc_hi << _U1 | inc_lo >> _U63, inc_lo << _U1 | _U1
+    low = seed_lo + inc_lo
+    high = seed_hi + inc_hi + (low < seed_lo)
+    high = _high_product(low, _PCG_MULT_LO) + low * _PCG_MULT_HI + high * _PCG_MULT_LO
+    low = low * _PCG_MULT_LO
+    state_lo = low + inc_lo
+    state_hi = high + inc_hi + (state_lo < low)
+    return np.stack((state_hi, state_lo, inc_hi, inc_lo), axis=1)
 
 
 class DoubletFits(NamedTuple):
@@ -354,53 +410,171 @@ def _start_equations(
     return ssr[:, 0, 0], (transposed @ projection)[:, :, 0], hessian
 
 
-def _levenberg_marquardt(
-    freqs: np.ndarray,
-    amps: np.ndarray,
-    centers: np.ndarray,
-    fwhm: float,
-    integrals: np.ndarray,
-    center_box: tuple[np.ndarray, np.ndarray],
-    min_width: float,
-    max_iter: int,
-    rtol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton iteration on every spectrum of ``amps`` [S, N]
-    at once, each started at the lines ``centers`` [2] of width ``fwhm``
-    with its own ``integrals`` [S, 2] and each line center held in
-    ``center_box`` (lower and upper bounds [2]); returns the final
-    parameters [S, 5] (``_normal_equations`` layout), squared residual,
-    iterations and convergence per row.
+class _FitSetup(NamedTuple):
+    """What every fit of one doublet on one grid shares: the grid
+    ``freqs`` [N], the start centers [2] and width, the box (lower and
+    upper bounds [2]) that holds each line center, the least width, and
+    the iteration limit and tolerance."""
 
-    Each row keeps its own damping, gain-ratio schedule and convergence
-    state. A row that converges or stalls leaves the working set, as does
-    one whose next step predicts a reduction within ``rtol``, before that
-    step is evaluated (Moré 1978, MINPACK's ``ftol``). Only the normal
-    equations of the current parameters are kept, never their Jacobian.
-    The first ones, at the start geometry every row shares, come from
-    ``_start_equations``; each trial step is one ``_normal_equations``
-    row evaluation.
+    freqs: np.ndarray
+    centers: np.ndarray
+    fwhm: float
+    box: tuple[np.ndarray, np.ndarray]
+    min_width: float
+    max_iter: int
+    rtol: float
+
+
+class _Live(NamedTuple):
+    """The rows of a Levenberg-Marquardt iteration in progress, one per
+    spectrum, each field [L, ...]: the output row, the row of the spectra
+    it fits, its parameters [L, 5] (``_normal_equations`` layout) with
+    their squared residual, gradient and Gauss-Newton matrix, its damping
+    and escalation factor, and the steps it has evaluated."""
+
+    index: np.ndarray
+    rows: np.ndarray
+    params: np.ndarray
+    ssr: np.ndarray
+    gradient: np.ndarray
+    hessian: np.ndarray
+    damping: np.ndarray
+    escalation: np.ndarray
+    steps: np.ndarray
+
+
+class _Fitted(NamedTuple):
+    """The outcome of each fit, [S] per field: the final parameters
+    [S, 5], squared residual, steps evaluated and convergence, and the
+    power of two by which the spectrum was scaled down for its fit."""
+
+    params: np.ndarray
+    ssr: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    exponent: np.ndarray
+
+
+class _Batch(NamedTuple):
+    """A batch whose iteration stopped with rows still live: the outcome
+    of its finished rows (unset for the others), the live rows, and a copy
+    of each live row's spectrum, ``amps`` [L, N], that ``live.rows``
+    indexes."""
+
+    fitted: _Fitted
+    live: _Live
+    amps: np.ndarray
+
+
+#: Spectra whose largest |amplitude| lies outside this band are fitted
+#: scaled into [0.5, 1) by a power of two: the squared residual of a
+#: spectrum of 1e-200 underflows and stalls its fit at the start, and one
+#: of 1e160 overflows the Gram products. Scaling by 2^e is exact both ways.
+_UNSCALED_BAND = (2.0**-300, 2.0**300)
+
+
+def _fit_setup(
+    freqs, j_coupling: float, fwhm: float, max_iter: int = FIT_MAX_ITER, rtol: float = FIT_RTOL
+) -> _FitSetup:
+    """The ``_FitSetup`` of ``fit_doublets``' arguments."""
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.size < FIT_MIN_POINTS:
+        raise ValueError(
+            f"spectrum too short to fit ({freqs.size} < {FIT_MIN_POINTS} samples)"
+        )
+    steps = np.diff(freqs)
+    if freqs.ndim != 1 or not (steps.min() > 0 and np.ptp(steps) <= 1e-9 * steps.mean()):
+        raise ValueError("freqs must be strictly increasing and uniform")
+    centers = np.array([-j_coupling / 2.0, j_coupling / 2.0])
+    spacing = float(freqs[1] - freqs[0])
+    half_sep = max(j_coupling / 2.0, 2.0 * spacing)
+    box = (centers - half_sep, centers + half_sep)
+    return _FitSetup(freqs, centers, fwhm, box, 2.0 * spacing, max_iter, rtol)
+
+
+def _work_buffer(rows: int, points: int) -> np.ndarray:
+    """The [P + 1, C, N] buffer of ``_normal_equations`` for ``rows``
+    spectra, at most NORMAL_EQUATION_ROWS deep: a fresh one per step costs
+    more in page faults than it takes to fill, and a deeper one falls out
+    of cache between passes."""
+    return np.empty((6, min(max(rows, 1), NORMAL_EQUATION_ROWS), points))
+
+
+def _fit_batch(setup: _FitSetup, amps, handoff: int) -> _Batch:
+    """Starts the fits of the spectra ``amps`` [S, N] and iterates them
+    until at most ``handoff`` rows are live (0: until every row is done).
+
+    Every row starts at the doublet geometry, so the first normal
+    equations of the batch come from ``_start_equations``.
     """
-    rows = len(integrals)
-    params = np.empty((rows, 5))
-    params[:, :2], params[:, 2:4], params[:, 4] = centers, integrals, fwhm
-    final = np.empty_like(params)
-    final_ssr = np.empty(rows)
-    final_iterations, final_converged = np.zeros(rows, dtype=int), np.zeros(rows, dtype=bool)
-    live = np.arange(rows)  # output row of each working row
+    amps = np.asarray(amps, dtype=float)
+    if amps.ndim != 2 or amps.shape[1] != setup.freqs.size:
+        raise ValueError(f"need amps [S, {setup.freqs.size}], got {amps.shape}")
+    size = len(amps)
+    peak = np.maximum(amps.max(axis=1), -amps.min(axis=1))
+    scaled = (peak < _UNSCALED_BAND[0]) | (peak > _UNSCALED_BAND[1])
+    exponent = np.where(scaled, np.frexp(peak)[1], 0)
+    if exponent.any():  # never for a spectrum of 0, NaN or inf: their exponent is 0
+        amps = np.ldexp(amps, -exponent[:, None])
+    nearest = np.abs(setup.freqs - setup.centers[:, None]).argmin(axis=1)
+    integrals = amps[:, nearest] * math.pi * setup.fwhm / 2.0
+    params = np.empty((size, 5))
+    params[:, :2], params[:, 2:4], params[:, 4] = setup.centers, integrals, setup.fwhm
+    work = _work_buffer(size, setup.freqs.size)
+    equations = _start_equations(setup.freqs, amps, setup.centers, setup.fwhm, integrals, work)
+    rows = np.arange(size)
+    damping, escalation = np.full(size, 1e-3), np.full(size, 2.0)
+    live = _Live(rows, rows, params, *equations, damping, escalation, np.zeros(size, dtype=int))
+    unset = np.zeros(size, dtype=int), np.zeros(size, dtype=bool)
+    fitted = _Fitted(np.empty_like(params), np.empty(size), *unset, exponent)
+    live = _levenberg_marquardt(setup, amps, live, fitted, work, handoff)
+    return _Batch(fitted, live._replace(rows=np.arange(len(live.rows))), amps[live.rows])
 
-    # one work buffer for the whole iteration, NORMAL_EQUATION_ROWS rows
-    # deep: a fresh one per step costs more in page faults than it takes
-    # to fill, and a deeper one falls out of cache between passes
-    depth = min(max(rows, 1), NORMAL_EQUATION_ROWS)
-    work = np.empty((params.shape[1] + 1, depth, freqs.size))
-    ssr, gradient, hessian = _start_equations(freqs, amps, centers, fwhm, integrals, work)
-    damping = np.full(rows, 1e-3)
-    escalation = np.full(rows, 2.0)
-    diagonal = np.arange(params.shape[1])
-    done = np.zeros(rows, dtype=bool)
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
+
+def _fit_pool(setup: _FitSetup, batches: Sequence[_Batch]) -> DoubletFits:
+    """The fits of the spectra of ``batches``, in order, the live rows of
+    every batch finished together in one iteration."""
+    fitted = _Fitted(*map(np.concatenate, zip(*(batch.fitted for batch in batches))))
+    starts = np.cumsum([0] + [len(batch.fitted.ssr) for batch in batches])
+    moved = [batch.live._replace(index=batch.live.index + at) for batch, at in zip(batches, starts)]
+    live = _Live(*map(np.concatenate, zip(*moved)))
+    amps = np.concatenate([batch.amps for batch in batches])
+    if len(amps):
+        live = live._replace(rows=np.arange(len(amps)))
+        work = _work_buffer(len(amps), setup.freqs.size)
+        _levenberg_marquardt(setup, amps, live, fitted, work, 0)
+    return _doublet_fits(setup, fitted)
+
+
+def _levenberg_marquardt(
+    setup: _FitSetup,
+    amps: np.ndarray,
+    live: _Live,
+    fitted: _Fitted,
+    work: np.ndarray,
+    handoff: int,
+) -> _Live:
+    """Damped Gauss-Newton iteration on the rows ``live`` of the spectra
+    ``amps`` [S, N] at once, until at most ``handoff`` rows are live: each
+    row that finishes is written into ``fitted`` at its output row, and
+    the rows still live are returned, ready to be resumed by a later call,
+    alone or among other rows.
+
+    Each row keeps its own damping, gain-ratio schedule, convergence state
+    and step count, so its steps do not depend on the rows iterated with
+    it. A row that converges or stalls leaves the working set, as does one
+    whose next step predicts a reduction within ``rtol``, before that step
+    is evaluated (Moré 1978, MINPACK's ``ftol``), and one that has
+    evaluated ``max_iter`` steps, converged only if its last step did.
+    Only the normal equations of the current parameters are kept, never
+    their Jacobian; each trial step is one ``_normal_equations`` row
+    evaluation in ``work``.
+    """
+    rtol = setup.rtol
+    diagonal = np.arange(live.params.shape[1])
+    done = np.zeros(len(live.index), dtype=bool)
+    while True:
+        _, _, params, ssr, gradient, hessian, damping, escalation, steps = live
         diag = hessian[:, diagonal, diagonal]
         diag[diag <= 0] = 1e-30
         damped = hessian.copy()
@@ -408,24 +582,26 @@ def _levenberg_marquardt(
         step, solved = _solve_rows(damped, -gradient)
         predicted = damping[:, None] * diag * step - gradient
         predicted = (step[:, None, :] @ predicted[:, :, None])[:, 0, 0]  # row dot products
-        if iteration > 1:  # > 0: a row whose every step is rejected stalls
-            done |= solved & (predicted > 0) & (predicted <= rtol * np.maximum(ssr, 1e-300))
-        if done.any():  # rows done last iteration, or retired on this step
-            out = live[done]
-            final[out], final_ssr[out] = params[done], ssr[done]
-            final_iterations[out], final_converged[out] = iteration - 1, True
-            keep = ~done
-            live, params, ssr, gradient, hessian, damping, escalation = (
-                a[keep] for a in (live, params, ssr, gradient, hessian, damping, escalation)
-            )
-            step, solved, predicted, done = step[keep], solved[keep], predicted[keep], done[keep]
-        if not live.size:
-            break
+        spent = steps >= setup.max_iter
+        small = (predicted > 0) & (predicted <= rtol * np.maximum(ssr, 1e-300))
+        # steps > 0: a row whose every step is rejected stalls
+        done |= ~spent & (steps > 0) & solved & small
+        leaving = done | spent
+        if leaving.any():  # rows done last step, retired on this one, or out of steps
+            out = live.index[leaving]
+            fitted.params[out], fitted.ssr[out] = params[leaving], ssr[leaving]
+            fitted.iterations[out], fitted.converged[out] = steps[leaving], done[leaving]
+            keep = ~leaving
+            live = _Live(*(a[keep] for a in live))
+            _, _, params, ssr, gradient, hessian, damping, escalation, steps = live
+            step, solved, predicted = step[keep], solved[keep], predicted[keep]
+        if len(live.index) <= handoff:
+            return live
         trial = params + step
-        trial[:, 4] = np.maximum(trial[:, 4], min_width)
-        trial[:, :2] = np.clip(trial[:, :2], *center_box)
+        trial[:, 4] = np.maximum(trial[:, 4], setup.min_width)
+        trial[:, :2] = np.clip(trial[:, :2], *setup.box)
         trial_ssr, trial_gradient, trial_hessian = _normal_equations(
-            freqs, amps, live, trial, work
+            setup.freqs, amps, live.rows, trial, work
         )
         accept = solved & (trial_ssr < ssr) & (predicted > 0)
 
@@ -446,9 +622,32 @@ def _levenberg_marquardt(
         # steps this damped no longer change the residual: stalled at a
         # minimum (a singular system only escalates)
         done |= reject & solved & (damping > 1e14)
-    final[live], final_ssr[live] = params, ssr
-    final_iterations[live], final_converged[live] = iteration, done
-    return final, final_ssr, final_iterations, final_converged
+        steps += 1
+
+
+def _doublet_fits(setup: _FitSetup, fitted: _Fitted) -> DoubletFits:
+    """The ``DoubletFits`` of the outcome ``fitted``, at each spectrum's
+    own scale."""
+    params, ssr, iterations, converged, exponent = fitted
+    widths = params[:, 4:5].repeat(2, axis=1)
+    peaks = np.stack((params[:, 0:2], params[:, 2:4], widths), axis=-1)
+    swapped = peaks[:, 1, 0] < peaks[:, 0, 0]
+    peaks[swapped] = peaks[swapped, ::-1]
+    residual_norm = np.sqrt(ssr / setup.freqs.size)
+    # at least eps: a noiseless fit's residual is about 0, its integrals tiny, not 0
+    floor = np.maximum(residual_norm, np.finfo(float).eps)
+    # not "below": a NaN residual or peak fails every comparison, and flags
+    low_confidence = ~(
+        np.abs(peaks[:, :, 1]) >= 3.0 * floor[:, None] * math.pi * peaks[:, :, 2] / 2.0
+    ).all(axis=1)
+    peaks[:, :, 1] = np.ldexp(peaks[:, :, 1], exponent[:, None])
+    return DoubletFits(
+        peaks=peaks,
+        residual_norm=np.ldexp(residual_norm, exponent),
+        iterations=iterations,
+        converged=converged & np.isfinite(ssr),
+        low_confidence=low_confidence,
+    )
 
 
 def fit_doublets(
@@ -481,50 +680,16 @@ def fit_doublets(
     minimum, or, unevaluated, when its next step predicts a change that
     small. Spectra that exhaust
     ``max_iter``, or whose residual is not finite (a NaN or inf sample),
-    return ``converged`` False with their best parameters. A fit is
-    ``low_confidence`` when a line's peak is below 3 RMS residuals, the
-    fit's own noise estimate, or when that residual is not finite. A row's
-    result does not depend on the other rows of the batch.
+    return ``converged`` False with their best parameters. A spectrum
+    whose largest |amplitude| lies outside 2^-300..2^300 is fitted scaled
+    into [0.5, 1) by a power of two, and its integrals and residual are
+    scaled back, so a fit does not depend on the scale of its spectrum. A
+    fit is ``low_confidence`` when a line's peak is below 3 RMS residuals,
+    the fit's own noise estimate, or when that residual is not finite. A
+    row's result does not depend on the other rows of the batch.
     """
-    freqs = np.asarray(freqs, dtype=float)
-    if freqs.size < FIT_MIN_POINTS:
-        raise ValueError(
-            f"spectrum too short to fit ({freqs.size} < {FIT_MIN_POINTS} samples)"
-        )
-    steps = np.diff(freqs)
-    if freqs.ndim != 1 or not (steps.min() > 0 and np.ptp(steps) <= 1e-9 * steps.mean()):
-        raise ValueError("freqs must be strictly increasing and uniform")
-    amps = np.asarray(amps, dtype=float)
-    if amps.ndim != 2 or amps.shape[1] != freqs.size:
-        raise ValueError(f"need amps [S, {freqs.size}], got {amps.shape}")
-    centers = np.array([-j_coupling / 2.0, j_coupling / 2.0])
-    nearest = np.abs(freqs - centers[:, None]).argmin(axis=1)
-    integrals = amps[:, nearest] * math.pi * fwhm / 2.0
-    spacing = float(freqs[1] - freqs[0])
-    half_sep = max(j_coupling / 2.0, 2.0 * spacing)
-
-    box = (centers - half_sep, centers + half_sep)
-    params, ssr, iterations, converged = _levenberg_marquardt(
-        freqs, amps, centers, fwhm, integrals, box, 2.0 * spacing, max_iter, rtol
-    )
-    widths = params[:, 4:5].repeat(2, axis=1)
-    peaks = np.stack((params[:, 0:2], params[:, 2:4], widths), axis=-1)
-    swapped = peaks[:, 1, 0] < peaks[:, 0, 0]
-    peaks[swapped] = peaks[swapped, ::-1]
-    residual_norm = np.sqrt(ssr / freqs.size)
-    # at least eps: a noiseless fit's residual is about 0, its integrals tiny, not 0
-    floor = np.maximum(residual_norm, np.finfo(float).eps)
-    # not "below": a NaN residual or peak fails every comparison, and flags
-    low_confidence = ~(
-        np.abs(peaks[:, :, 1]) >= 3.0 * floor[:, None] * math.pi * peaks[:, :, 2] / 2.0
-    ).all(axis=1)
-    return DoubletFits(
-        peaks=peaks,
-        residual_norm=residual_norm,
-        iterations=iterations,
-        converged=converged & np.isfinite(ssr),
-        low_confidence=low_confidence,
-    )
+    setup = _fit_setup(freqs, j_coupling, fwhm, max_iter, rtol)
+    return _doublet_fits(setup, _fit_batch(setup, amps, 0).fitted)
 
 
 def coefficient_rows(lines1, lines2, eq1, eq2, label: PpsLabel) -> np.ndarray:

@@ -40,6 +40,15 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+def run_cli(command):
+    """``python -m ppsrelax`` (``cli.main``) on ``command`` in a fresh
+    process, so that its warnings reach stderr as a user sees them."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ppsrelax.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "ppsrelax", *command], capture_output=True, text=True, env=env
+    )
+
+
 def test_simulate_subcommand(tmp_path, capsys):
     config = write_config(tmp_path)
     code = main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
@@ -245,23 +254,59 @@ def test_failure_in_a_threaded_fit_batch_is_numerical_failure(tmp_path, capsys, 
 
     from ppsrelax import run, spectra
 
-    noisy_amps = spectra.noisy_amps
+    add_noise = spectra._add_noise
+    # spectrum 3 opens the second batch of three: state 00, time 0, nucleus 2
+    (opening,) = spectra._pcg64_states([[11, 0, 0, 2]]).tolist()
 
-    def second_batch_fails(amps, snr, seeds):
-        # spectrum 3 opens the second batch of three: state 00, time 0, nucleus 2
-        if seeds[0] == [11, 0, 0, 2]:
+    def second_batch_fails(amps, snr, states):
+        if states[0].tolist() == opening:
             raise np.linalg.LinAlgError("Singular matrix in batch 2")
-        return noisy_amps(amps, snr, seeds)
+        return add_noise(amps, snr, states)
 
     monkeypatch.setattr(run, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(run, "BATCH_SAMPLES", 3 * 801)
-    monkeypatch.setattr(spectra, "noisy_amps", second_batch_fails)
+    monkeypatch.setattr(spectra, "_add_noise", second_batch_fails)
     config = write_config(tmp_path, readout="spectra", noise={"snr": 100.0, "seed": 11})
     threads = threading.active_count()
     code = main(["pipeline", "--config", config, "--out", str(tmp_path / "out")])
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err == "ppsrelax: numerical failure: Singular matrix in batch 2\n"
+    assert threading.active_count() == threads
+    assert not (tmp_path / "out" / "pipeline.csv").exists()
+
+
+def test_failure_in_the_straggler_pool_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    """A LinAlgError in the pool that finishes every batch's last fits on
+    the calling thread, after the fit threads, also ends the pipeline with
+    exit 2, no traceback and no thread left over."""
+    import threading
+
+    from ppsrelax import run, spectra
+
+    fit_pool, solve_rows = spectra._fit_pool, spectra._solve_rows
+    pooled = []
+
+    def pool_marked(setup, batches):
+        pooled.append(threading.current_thread())
+        return fit_pool(setup, batches)
+
+    def pool_fails(a, b):
+        if pooled:
+            raise np.linalg.LinAlgError("Singular matrix in the pool")
+        return solve_rows(a, b)
+
+    monkeypatch.setattr(run, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(run, "BATCH_SAMPLES", 3 * 801)
+    monkeypatch.setattr(spectra, "_fit_pool", pool_marked)
+    monkeypatch.setattr(spectra, "_solve_rows", pool_fails)
+    config = write_config(tmp_path, readout="spectra", noise={"snr": 100.0, "seed": 11})
+    threads = threading.active_count()
+    code = main(["pipeline", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "ppsrelax: numerical failure: Singular matrix in the pool\n"
+    assert pooled == [threading.current_thread()]
     assert threading.active_count() == threads
     assert not (tmp_path / "out" / "pipeline.csv").exists()
 
@@ -316,9 +361,10 @@ def test_non_finite_spectrum_is_numerical_failure(tmp_path, capsys):
 
 
 def test_overflowing_pipeline_warns_only_of_its_amplitude(tmp_path):
-    """At k = 1e160 the fit's Gram products overflow in every batch. The
-    run still exits 0 and records the failed fits per row; its stderr
-    holds the unphysical-k warning and no numpy warning."""
+    """At k = 1e160 the fit's Gram products would overflow, so every state
+    spectrum is fitted scaled down by a power of two. The run exits 0 with
+    every row converged; its stderr holds the unphysical-k warning and no
+    numpy warning."""
     config = write_config(
         tmp_path,
         system={"k": 1e160},
@@ -326,25 +372,44 @@ def test_overflowing_pipeline_warns_only_of_its_amplitude(tmp_path):
         noise={"snr": 100.0, "seed": 1},
         time_grid={"start": 0.0, "end": 20.0, "step": 0.25},
     )
-    command = ["pipeline", "--quiet", "--config", config, "--out", str(tmp_path / "out")]
-    env = {**os.environ, "PYTHONPATH": str(Path(ppsrelax.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-m", "ppsrelax", *command], capture_output=True, text=True, env=env
-    )
+    result = run_cli(["pipeline", "--quiet", "--config", config, "--out", str(tmp_path / "out")])
     assert result.returncode == EXIT_OK
     shown = [line for line in result.stderr.splitlines() if "Warning: " in line]
     assert len(shown) == 1 and "UserWarning: k=1e+160" in shown[0]
+    rows = (tmp_path / "out" / "pipeline.csv").read_text().splitlines()[4:]
+    assert rows and all(row.endswith(",1") for row in rows)
+
+
+def test_pipeline_whose_fits_fail_warns_and_exits_0(tmp_path):
+    """At k = 1e308 the t = 0 line integrals overflow to inf, so those 4 of
+    the 12 state spectra fail their fits. Their rows record it and the run
+    exits 0, with one warning at the CSV that counts them."""
+    config = write_config(
+        tmp_path,
+        system={"k": 1e308},
+        readout="spectra",
+        noise={"snr": 100.0, "seed": 1},
+        # by t = 5 s the others have decayed far enough to extract without overflow
+        time_grid={"start": 0.0, "end": 10.0, "step": 5.0},
+    )
+    out = tmp_path / "out"
+    result = run_cli(["pipeline", "--quiet", "--config", config, "--out", str(out)])
+    assert result.returncode == EXIT_OK
+    assert result.stderr.splitlines() == [
+        f"{config}:0: UserWarning: k=1e+308 exceeds min(gamma1, gamma2)=0.9407; "
+        "state amplitude is unphysical",
+        f"{out / 'pipeline.csv'}:0: UserWarning: 4 of 12 state spectra did not converge; "
+        "their rows read converged 0",
+    ]
+    rows = (out / "pipeline.csv").read_text().splitlines()[4:]
+    assert sum(row.endswith(",0") for row in rows) == 4
 
 
 def test_config_warning_is_shown_at_the_config_file(tmp_path):
     """The unphysical-k warning of a config-built system names the config
     file, not a package source line, and echoes no source line."""
     config = write_config(tmp_path, system={"k": 0.95})
-    command = ["simulate", "--quiet", "--config", config, "--out", str(tmp_path / "out")]
-    env = {**os.environ, "PYTHONPATH": str(Path(ppsrelax.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-m", "ppsrelax", *command], capture_output=True, text=True, env=env
-    )
+    result = run_cli(["simulate", "--quiet", "--config", config, "--out", str(tmp_path / "out")])
     assert result.returncode == EXIT_OK
     assert result.stderr.splitlines() == [
         f"{config}:0: UserWarning: k=0.95 exceeds min(gamma1, gamma2)=0.9407; "

@@ -8,15 +8,18 @@ import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import evolve_ode, recompose
+from ppsrelax import run, spectra
 from ppsrelax.analysis import CoefficientTriple, compare_pps, decompose
 from ppsrelax.cli import EXIT_OK, main
 from ppsrelax.relaxation import RelaxationRates, build_matrix, evolve_exact, propagate
+from ppsrelax.scenario import NoiseSpec, default_pipeline_scenario
 from ppsrelax.spins import ModeVector, PpsLabel, SpinSystem
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -166,3 +169,108 @@ def test_report_reads_every_csv_the_runners_write(doc):
             with contextlib.redirect_stdout(text):
                 assert main(["report", str(Path(out, f"{command}.csv"))]) == EXIT_OK
             assert len(text.getvalue().splitlines()) <= bound
+
+
+PIPELINE = default_pipeline_scenario()
+J_COUPLING, FWHM = PIPELINE.sys.j_coupling, PIPELINE.spectrum.fwhm
+FREQS = spectra.frequency_grid(J_COUPLING, FWHM, PIPELINE.spectrum.span, PIPELINE.spectrum.points)
+line_integrals = st.tuples(unit, unit)
+
+
+def noisy_doublets(pairs, snr, seeds):
+    """The spectra of the line-integral ``pairs`` on the pipeline grid,
+    with each row's noise drawn from its own seed."""
+    amps = spectra.doublet_amps(FREQS, pairs, J_COUPLING, FWHM)
+    return spectra.noisy_amps(amps, snr, seeds)
+
+
+def fit(amps, **options):
+    return spectra.fit_doublets(FREQS, amps, J_COUPLING, FWHM, **options)
+
+
+@PROPERTY
+@given(
+    st.integers(-1000, 1000),
+    line_integrals.filter(lambda pair: min(map(abs, pair)) > 0.05),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_of_a_scaled_spectrum_scales_its_integrals(exponent, pair, seed):
+    """A spectrum scaled by 2^e fits to 2^e times the integrals and
+    residual of the unscaled one: the squared residual of a tiny spectrum
+    does not underflow, nor the Gram products of a huge one overflow."""
+    amps = noisy_doublets([pair], 100.0, [seed])
+    unscaled, scaled = fit(amps), fit(np.ldexp(amps, exponent))
+    assert unscaled.converged[0] and scaled.converged[0]
+    np.testing.assert_allclose(
+        scaled.peaks[:, :, 1], np.ldexp(unscaled.peaks[:, :, 1], exponent), rtol=1e-9
+    )
+    np.testing.assert_allclose(
+        scaled.residual_norm, np.ldexp(unscaled.residual_norm, exponent), rtol=1e-9
+    )
+
+
+@st.composite
+def fit_placements(draw):
+    """Spectra of random line integrals and noise, one random batch of
+    them in random order, and the places a pipeline run can fit them in:
+    the rows of a normal-equation chunk, the spectra of a fit batch, the
+    live rows at which a batch hands its fits to the pool, the threads."""
+    pairs = draw(st.lists(line_integrals, min_size=1, max_size=12))
+    order = draw(st.permutations(range(len(pairs))))
+    return {
+        "pairs": pairs,
+        "snr": draw(st.floats(20.0, 1000.0)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "batch": order[: draw(st.integers(1, len(pairs)))],
+        "chunk": draw(st.integers(1, 8)),
+        "batch_spectra": draw(st.integers(1, 12)),
+        "pool_rows": draw(st.integers(0, 12)),
+        "threads": draw(st.integers(1, 3)),
+    }
+
+
+@PROPERTY
+@given(fit_placements())
+def test_a_fit_does_not_depend_on_where_it_runs(place):
+    """A spectrum's fit is bit-identical alone, inside any batch at any
+    normal-equation chunk offset, and in a pipeline run, whichever batch,
+    thread or straggler pool finishes it."""
+    keys = np.array([(0, index, 1) for index in range(len(place["pairs"]))])
+    seeds = [[place["seed"], *key] for key in keys.tolist()]
+    amps = noisy_doublets(place["pairs"], place["snr"], seeds)
+    alone = [fit(amps[row : row + 1]) for row in range(len(amps))]
+
+    def assert_alone(fits, rows):
+        for at, row in enumerate(rows):
+            for name, value in zip(fits._fields, fits):
+                np.testing.assert_array_equal(value[at], getattr(alone[row], name)[0], name)
+
+    with mock.patch.object(spectra, "NORMAL_EQUATION_ROWS", place["chunk"]):
+        assert_alone(fit(amps[place["batch"]]), place["batch"])
+    scenario = replace(PIPELINE, noise=NoiseSpec(place["snr"], place["seed"]))
+    with (
+        mock.patch.object(run, "BATCH_SAMPLES", place["batch_spectra"] * FREQS.size),
+        mock.patch.object(run, "_POOL_ROWS", place["pool_rows"]),
+        mock.patch.object(run, "_usable_cpus", lambda: place["threads"]),
+    ):
+        pairs = np.array(place["pairs"], dtype=float)
+        assert_alone(run._fit_spectra(scenario, FREQS, pairs, keys), range(len(amps)))
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.integers(0, 2**130) | st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_pcg64_states_are_numpy_seeding(seeds):
+    """The uint64 word pairs of ``_pcg64_states`` hold the state and
+    increment that numpy's PCG64 seeds itself to, for ints of up to five
+    32-bit words and for sequences of one to six words, mixed in a call."""
+    states = spectra._pcg64_states(seeds)
+    assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
+    for (state_hi, state_lo, inc_hi, inc_lo), seed in zip(states.tolist(), seeds):
+        want = np.random.PCG64(seed).state["state"]
+        assert (state_hi << 64 | state_lo, inc_hi << 64 | inc_lo) == (want["state"], want["inc"])
