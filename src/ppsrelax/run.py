@@ -43,11 +43,15 @@ __all__ = ["SchemaMismatch", "run_simulate", "run_sweep", "run_pipeline"]
 BATCH_SAMPLES = 128 * 801
 
 #: Live spectra at or below which a batch's fit stops and hands them to
-#: the run's one straggler pool. Most of a batch's iterations run on a few
-#: live rows, each paying 130-180 us of GIL-held bookkeeping that holds up
-#: the other fit thread; the pool pays it once for every batch. On the
+#: the straggler pool. Most of a batch's iterations run on a few live
+#: rows, each paying 130-180 us of GIL-held bookkeeping that holds up the
+#: other fit thread; the pool pays it once for many batches. On the
 #: default grid, in process: with no pool (0) a run took 3-8 % longer; 4
 #: ran within 2 % of 8 and held 0.2 MB less at peak; 16 held 1.2 MB more.
+#: A batch of fewer than 4 times this many spectra (a grid of over 3 204
+#: points) runs to its end. In process, over 1 010 spectra, the pool saved
+#: 13 % at 64 spectra a batch, 7 % at 42 and 3 % at 32; at 25, 17 and 9 it
+#: saved nothing and only copied spectra.
 _POOL_ROWS = 8
 
 #: Noise-key state code of the two equilibrium reference spectra; a
@@ -250,13 +254,16 @@ def _fit_spectra(
 
     The noise seeds of the whole run are hashed into PCG64 states at once,
     here. Spectra are made and fitted a batch of about BATCH_SAMPLES grid
-    samples at a time, so the whole run's spectra are never held at once,
-    and the batches run on one thread per usable CPU, each thread taking
-    the next batch when it is free (numpy releases the GIL in the array
-    work that dominates a batch). A batch's fit stops once at most
-    _POOL_ROWS of its spectra are still live and hands them over, each
-    with a copy of its spectrum; the stragglers of all batches then finish
-    in one iteration on the calling thread. A row's result depends
+    samples at a time, and the batches run on one thread per usable CPU,
+    each thread taking the next batch when it is free (numpy releases the
+    GIL in the array work that dominates a batch). A batch of at least
+    4 _POOL_ROWS spectra stops its fit once at most _POOL_ROWS are still
+    live and puts them in the straggler pool, each with a copy of its
+    spectrum. The thread that brings the pool to a batch's worth of
+    spectra finishes them all in one iteration, and the calling thread
+    finishes what is left after the fit threads. So a thread holds at
+    most about two batches of spectra, and less than one waits in the
+    pool, whatever the grid and the run's length. A row's result depends
     neither on the batch size, nor on the thread count, nor on where it
     finishes. Numpy's float warnings are off in every batch and in the
     pool: a spectrum that overflows fails its fit, and its row records
@@ -264,20 +271,33 @@ def _fit_spectra(
     """
     j_coupling, fwhm, noise = scenario.sys.j_coupling, scenario.spectrum.fwhm, scenario.noise
     batch = max(1, BATCH_SAMPLES // len(freqs))
+    handoff = _POOL_ROWS if batch >= 4 * _POOL_ROWS else 0
     setup = spectra._fit_setup(freqs, j_coupling, fwhm)
     noisy = not math.isinf(noise.snr)
     states = spectra._keyed_pcg64_states(noise.seed, keys) if noisy else None
+    fitted = spectra._unfitted(len(pairs))
+    pool, pooling = [], threading.Lock()
 
-    def fit(start: int) -> spectra._Batch:
+    def fit(start: int) -> None:
         with np.errstate(all="ignore"):  # numpy keeps this state per thread
             amps = spectra.doublet_amps(freqs, pairs[start : start + batch], j_coupling, fwhm)
             if noisy:
                 spectra._add_noise(amps, noise.snr, states[start : start + batch])
-            return spectra._fit_batch(setup, amps, _POOL_ROWS)
+            stragglers = spectra._fit_batch(setup, amps, fitted, start, handoff)
+            if not len(stragglers.amps):
+                return
+            with pooling:
+                pool.append(stragglers)
+                if sum(len(pooled.amps) for pooled in pool) < batch:
+                    return
+                full = pool[:]
+                pool.clear()
+            spectra._fit_pool(setup, full, fitted)
 
-    batches = _map_threads(fit, range(0, len(pairs), batch))
+    _map_threads(fit, range(0, len(pairs), batch))
     with np.errstate(all="ignore"):
-        return spectra._fit_pool(setup, batches)
+        spectra._fit_pool(setup, pool, fitted)
+    return spectra._doublet_fits(setup, fitted)
 
 
 def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) -> str:

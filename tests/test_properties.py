@@ -224,7 +224,7 @@ def fit_placements(draw):
         "batch": order[: draw(st.integers(1, len(pairs)))],
         "chunk": draw(st.integers(1, 8)),
         "batch_spectra": draw(st.integers(1, 12)),
-        "pool_rows": draw(st.integers(0, 12)),
+        "pool_rows": draw(st.integers(0, 3)),
         "threads": draw(st.integers(1, 3)),
     }
 

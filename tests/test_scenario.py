@@ -590,6 +590,35 @@ def test_pipeline_bytes_do_not_depend_on_threads_or_batch_size(tmp_path, monkeyp
         assert Path(path).read_bytes() == reference
 
 
+@pytest.mark.parametrize("points", [801, 1201])
+def test_straggler_pool_holds_less_than_a_batch_and_a_handoff(monkeypatch, points):
+    """The straggler pool is finished whenever it reaches a batch's worth
+    of spectra, so no pooled fit holds BATCH_SAMPLES samples plus a
+    hand-off, however long the run; a batch of fewer than 4 _POOL_ROWS
+    spectra (here on the 1201-point grid) pools nothing."""
+    fit_pool, pooled = spectra._fit_pool, []
+
+    def counted(setup, pool, fitted):
+        pooled.append(sum(len(stragglers.amps) for stragglers in pool))
+        return fit_pool(setup, pool, fitted)
+
+    monkeypatch.setattr(run_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(run_module, "BATCH_SAMPLES", 32 * 801)
+    monkeypatch.setattr(spectra, "_fit_pool", counted)
+    scenario = parse_scenario(
+        pipeline_doc(noise={"snr": 100.0, "seed": 11}, spectrum={"points": points})
+    )
+    spectrum = scenario.spectrum
+    freqs = spectra.frequency_grid(scenario.sys.j_coupling, spectrum.fwhm, spectrum.span, points)
+    keys = np.array([(0, index, 1) for index in range(400)])
+    run_module._fit_spectra(scenario, freqs, np.tile([1.0, 0.5], (len(keys), 1)), keys)
+    if run_module.BATCH_SAMPLES // points >= 4 * run_module._POOL_ROWS:
+        assert len(pooled) > 1  # a fit thread finished a full pool
+        assert max(pooled) * points < run_module.BATCH_SAMPLES + run_module._POOL_ROWS * points
+    else:
+        assert pooled == [0]
+
+
 def test_map_threads_keeps_item_order_and_runs_the_caller(monkeypatch):
     """More threads than CPUs and a short switch interval: every item runs
     exactly once and its result lands in its own slot, whichever thread
