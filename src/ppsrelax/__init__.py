@@ -10,12 +10,10 @@ summaries (:mod:`ppsrelax.report`).
 """
 
 from .analysis import (
-    CoefficientTriple,
     Deviation,
     closed_form_auto,
     closed_form_cross,
     compare_pps,
-    decompose,
 )
 from .relaxation import (
     InitialRateWindowWarning,
@@ -23,7 +21,6 @@ from .relaxation import (
     RelaxationMatrix,
     RelaxationRates,
     build_matrix,
-    evolve_exact,
     propagate,
 )
 from .report import run_report
@@ -39,6 +36,6 @@ from .scenario import (
     load_sweep,
 )
 from .spectra import GridTooCoarse, InconsistentEquilibrium, NotConverged
-from .spins import ModeVector, PpsLabel, SpinSystem, equilibrium_modes, pps_modes
+from .spins import PpsLabel, SpinSystem, equilibrium_modes, pps_modes
 
 __version__ = "0.1.0"

@@ -18,28 +18,16 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .relaxation import RelaxationMatrix, RelaxationRates, linear_step, propagate
-from .spins import ModeVector, PpsLabel, SpinSystem, equilibrium_modes, pps_modes
+from .spins import PpsLabel, SpinSystem, equilibrium_modes, pps_modes
 
 __all__ = [
-    "CoefficientTriple",
     "Deviation",
     "PpsComparison",
     "decompose_rows",
-    "decompose",
     "closed_form_auto",
     "closed_form_cross",
     "compare_pps",
 ]
-
-
-@dataclass(frozen=True)
-class CoefficientTriple:
-    """Pseudo-pure coefficient ``a`` and single-spin excesses ``b``, ``c``,
-    in mode units."""
-
-    a: float
-    b: float
-    c: float
 
 
 class Deviation(NamedTuple):
@@ -63,12 +51,6 @@ def decompose_rows(modes, label: PpsLabel) -> np.ndarray:
     return np.stack((a, modes[..., 0] - s.s1 * a, modes[..., 1] - s.s2 * a), axis=-1)
 
 
-def decompose(m: ModeVector, label: PpsLabel) -> CoefficientTriple:
-    """Scalar form of :func:`decompose_rows`."""
-    a, b, c = decompose_rows(m.to_tuple(), label).tolist()
-    return CoefficientTriple(a=a, b=b, c=c)
-
-
 #: Rate-matrix entries holding auto-correlation rates (rho, sigma12); the
 #: others hold the interference rates delta1, delta2.
 AUTO_BLOCK = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
@@ -79,8 +61,8 @@ def _block_deviation(
 ) -> Deviation:
     """Deviation of (a, b, c) from (k, 0, 0) after a linearized step
     under the rate block ``entries``."""
-    m0 = pps_modes(label, sys).to_tuple()
-    m_inf = equilibrium_modes(sys).to_tuple()
+    m0 = pps_modes(label, sys)
+    m_inf = equilibrium_modes(sys)
     a, b, c = decompose_rows(linear_step(entries, m0, m_inf, tau), label).tolist()
     return Deviation(a - sys.k, b, c)
 
@@ -137,7 +119,7 @@ def compare_pps(
     if times_arr.size > 1 and not np.all(np.diff(times_arr) > 0):
         raise ValueError("times must be strictly increasing")
     labels = tuple(labels)
-    m0 = [pps_modes(label, sys).to_tuple() for label in labels]
-    states = propagate(gamma, m0, equilibrium_modes(sys).to_tuple(), times_arr)
+    m0 = [pps_modes(label, sys) for label in labels]
+    states = propagate(gamma, m0, equilibrium_modes(sys), times_arr)
     coefficients = {label: decompose_rows(s, label) for label, s in zip(labels, states)}
     return PpsComparison(times=times_arr, states=states, coefficients=coefficients, k=sys.k)

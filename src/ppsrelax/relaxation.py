@@ -17,7 +17,7 @@ the two-spin order. With delta1 = delta2 = 0 the matrix is block
 diagonal and the two-spin order decays as a bare exponential.
 
 States are propagated on one route, the spectral decomposition of G
-(``propagate`` and its scalar form ``evolve_exact``). The fixed-step RK4
+(``propagate``, on mode rows [..., 3]). The fixed-step RK4
 cross-check that the tests hold it against lives in ``tests/oracle.py``,
 outside the package.
 """
@@ -30,8 +30,6 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .spins import ModeVector
-
 __all__ = [
     "RelaxationRates",
     "RelaxationMatrix",
@@ -42,7 +40,6 @@ __all__ = [
     "diagonalize",
     "build_matrix",
     "propagate",
-    "evolve_exact",
     "linear_step",
     "check_initial_rate_window",
 ]
@@ -187,16 +184,6 @@ def propagate(gamma: RelaxationMatrix, m0, m_inf, times) -> np.ndarray:
             f"{float(np.min(gamma.eigenvalues)):.6g} 1/s)"
         )
     return out
-
-
-def evolve_exact(
-    gamma: RelaxationMatrix, m0: ModeVector, m_inf: ModeVector, t: float
-) -> ModeVector:
-    """Closed-form state at time t: scalar form of :func:`propagate`."""
-    if t == 0:
-        return m0
-    states = propagate(gamma, m0.to_tuple(), m_inf.to_tuple(), (t,))
-    return ModeVector.from_sequence(states[0])
 
 
 def linear_step(entries: np.ndarray, m0, m_inf, tau: float) -> np.ndarray:

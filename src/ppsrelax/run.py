@@ -171,8 +171,8 @@ def _sweep_table(sweep: SweepSpec) -> np.ndarray:
     gamma = relaxation.diagonalize(relaxation.rate_matrix(rates)[:, None])
     relaxation.check_initial_rate_window(gamma, base.tau)
     labels = (PpsLabel.P00, PpsLabel.P11)
-    m0 = [pps_modes(label, base.sys).to_tuple() for label in labels]
-    m_inf = equilibrium_modes(base.sys).to_tuple()
+    m0 = [pps_modes(label, base.sys) for label in labels]
+    m_inf = equilibrium_modes(base.sys)
     initial = relaxation.linear_step(gamma.entries, m0, m_inf, base.tau)
     probe = relaxation.propagate(gamma, m0, m_inf, (sweep.probe_time,))[:, :, 0]
     (initial00, initial11), (probe00, probe11) = [
@@ -336,7 +336,7 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
     # time by time, nucleus 1 before 2; each spectrum's noise is keyed by
     # (state code, time index, nucleus), never by its place in this list
     modes = np.concatenate(
-        ([equilibrium_modes(sys_obj).to_tuple()], trajectories.states.reshape(-1, 3))
+        ([equilibrium_modes(sys_obj)], trajectories.states.reshape(-1, 3))
     )
     keys = np.array(
         [(EQUILIBRIUM_STATE_CODE, 0, nucleus) for nucleus in (1, 2)]

@@ -707,17 +707,19 @@ def coefficient_rows(lines1, lines2, eq1, eq2, label: PpsLabel) -> np.ndarray:
     """
     for name, eq in (("nucleus 1", eq1), ("nucleus 2", eq2)):
         line0, line1 = (float(v) for v in eq)
-        mean = (line0 + line1) / 2.0
+        mean = line0 / 2 + line1 / 2  # no overflow near the float maximum
         if mean == 0 or not abs(line0 - line1) / abs(mean) <= EQ_ASYMMETRY_LIMIT:
             raise InconsistentEquilibrium(
                 f"{name} equilibrium doublet asymmetry exceeds "
                 f"{EQ_ASYMMETRY_LIMIT:.0%}: {line0:.6g} vs {line1:.6g}"
             )
-    lines1, lines2 = np.asarray(lines1, dtype=float), np.asarray(lines2, dtype=float)
+    # halved first, exactly for normal floats, so that no sum of two
+    # integrals near the float maximum overflows; every quotient is unchanged
+    lines1, lines2 = np.asarray(lines1, dtype=float) / 2, np.asarray(lines2, dtype=float) / 2
     f0, f1 = lines1[..., 0], lines1[..., 1]
     h0, h1 = lines2[..., 0], lines2[..., 1]
-    denom_f = float(eq1[0]) + float(eq1[1])
-    denom_h = float(eq2[0]) + float(eq2[1])
+    denom_f = float(eq1[0]) / 2 + float(eq1[1]) / 2
+    denom_h = float(eq2[0]) / 2 + float(eq2[1]) / 2
     s = label.sign_pattern
     return np.stack(
         (

@@ -9,11 +9,11 @@ makes 2*I1z*I2z = diag(+1/2, -1/2, -1/2, +1/2) and puts the equilibrium
 deviation populations proportional to
 (g1+g2, g1-g2, -g1+g2, -g1-g2)/2.
 
-``doublet_pairs`` turns mode rows into the line integrals of both
-nuclei's doublets, the input of the measurement chain in
-:mod:`ppsrelax.spectra`. Everything in this module is a pure function
-over small immutable value types (or mode rows in arrays); there is no
-hidden state.
+A mode state is a float row [3] (c1, c2, c12); a stack of states is an
+array [..., 3]. ``doublet_pairs`` turns mode rows into the line
+integrals of both nuclei's doublets, the input of the measurement chain
+in :mod:`ppsrelax.spectra`. Everything in this module is a pure
+function; there is no hidden state.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "SpinSystem",
-    "ModeVector",
     "PpsLabel",
     "SignPattern",
     "equilibrium_modes",
@@ -101,37 +100,15 @@ class SpinSystem:
             )
 
 
-@dataclass(frozen=True)
-class ModeVector:
-    """Coefficients of (I1z, I2z, 2*I1z*I2z), in gyromagnetic units."""
-
-    c1: float
-    c2: float
-    c12: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.c1, self.c2, self.c12)):
-            raise ValueError(f"mode coefficients must be finite: {self}")
-
-    def to_tuple(self) -> tuple[float, float, float]:
-        return (self.c1, self.c2, self.c12)
-
-    @classmethod
-    def from_sequence(cls, values) -> "ModeVector":
-        c1, c2, c12 = (float(v) for v in values)
-        return cls(c1, c2, c12)
+def equilibrium_modes(sys: SpinSystem) -> np.ndarray:
+    """Thermal-equilibrium mode row (g1, g2, 0); no two-spin order."""
+    return np.array((sys.gamma1, sys.gamma2, 0.0))
 
 
-def equilibrium_modes(sys: SpinSystem) -> ModeVector:
-    """Thermal-equilibrium mode vector (g1, g2, 0); no two-spin order."""
-    return ModeVector(sys.gamma1, sys.gamma2, 0.0)
-
-
-def pps_modes(label: PpsLabel, sys: SpinSystem) -> ModeVector:
-    """Freshly prepared pseudo-pure state: amplitude k on every mode,
-    with the sign pattern belonging to ``label``."""
-    s = label.sign_pattern
-    return ModeVector(sys.k * s.s1, sys.k * s.s2, sys.k * s.s12)
+def pps_modes(label: PpsLabel, sys: SpinSystem) -> np.ndarray:
+    """Freshly prepared pseudo-pure state: a mode row of amplitude k on
+    every mode, with the sign pattern belonging to ``label``."""
+    return sys.k * np.array(label.sign_pattern, float)
 
 
 def doublet_pairs(modes) -> np.ndarray:

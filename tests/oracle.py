@@ -2,7 +2,8 @@
 
 None of it ships in ``ppsrelax``: the fixed-step RK4 integrator that
 cross-checks the spectral propagator, the mode <-> population maps, the
-inverse of ``decompose`` and a scalar form of the linearized step.
+inverse of ``decompose_rows`` and the linearized step with its window
+check. Mode states are float rows [3] (c1, c2, c12), as in the package.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ppsrelax.analysis import CoefficientTriple
 from ppsrelax.relaxation import RelaxationMatrix, check_initial_rate_window, linear_step
-from ppsrelax.spins import ModeVector, PpsLabel
+from ppsrelax.spins import PpsLabel
 
 #: dt * lambda_max above which fixed-step RK4 accuracy is not guaranteed.
 RK4_STEP_LIMIT = 0.1
@@ -35,8 +35,8 @@ def rk4_update_matrix(gamma: RelaxationMatrix, dt: float) -> np.ndarray:
 
 def evolve_ode(
     gamma: RelaxationMatrix,
-    m0: ModeVector,
-    m_inf: ModeVector,
+    m0,
+    m_inf,
     t_end: float,
     dt: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -56,10 +56,10 @@ def evolve_ode(
             f"{RK4_STEP_LIMIT}"
         )
     n_steps = int(math.floor(t_end / dt + 1e-12))
-    base = np.array(m_inf.to_tuple())
+    base = np.asarray(m_inf, dtype=float)
     # deviations U^i d0 for i = 0..n_steps under the one-step update U, by
     # doubling: the first k deviations times (U^k)^T are the next k
-    devs = (np.array(m0.to_tuple()) - base)[None, :]
+    devs = (np.asarray(m0, dtype=float) - base)[None, :]
     power = rk4_update_matrix(gamma, dt)
     while len(devs) <= n_steps:
         devs = np.concatenate((devs, devs @ power.T))
@@ -76,37 +76,39 @@ class Populations(NamedTuple):
     p11: float
 
 
-def modes_to_populations(m: ModeVector) -> Populations:
-    """Diagonal (deviation-population) form of a mode vector; traceless
-    by construction."""
+def modes_to_populations(m) -> Populations:
+    """Diagonal (deviation-population) form of a mode row; traceless by
+    construction."""
+    c1, c2, c12 = (float(v) for v in m)
     return Populations(
-        p00=(m.c1 + m.c2 + m.c12) / 2.0,
-        p01=(m.c1 - m.c2 - m.c12) / 2.0,
-        p10=(-m.c1 + m.c2 - m.c12) / 2.0,
-        p11=(-m.c1 - m.c2 + m.c12) / 2.0,
+        p00=(c1 + c2 + c12) / 2.0,
+        p01=(c1 - c2 - c12) / 2.0,
+        p10=(-c1 + c2 - c12) / 2.0,
+        p11=(-c1 - c2 + c12) / 2.0,
     )
 
 
-def populations_to_modes(p: Populations) -> ModeVector:
+def populations_to_modes(p: Populations) -> np.ndarray:
     """Inverse of :func:`modes_to_populations` on the traceless subspace."""
-    return ModeVector(
-        c1=(p.p00 + p.p01 - p.p10 - p.p11) / 2.0,
-        c2=(p.p00 - p.p01 + p.p10 - p.p11) / 2.0,
-        c12=(p.p00 - p.p01 - p.p10 + p.p11) / 2.0,
+    return np.array(
+        (
+            (p.p00 + p.p01 - p.p10 - p.p11) / 2.0,
+            (p.p00 - p.p01 + p.p10 - p.p11) / 2.0,
+            (p.p00 - p.p01 - p.p10 + p.p11) / 2.0,
+        )
     )
 
 
-def recompose(t: CoefficientTriple, label: PpsLabel) -> ModeVector:
-    """Exact inverse of ``decompose`` for the same label."""
+def recompose(abc, label: PpsLabel) -> np.ndarray:
+    """Mode row of the coefficient row (a, b, c): exact inverse of
+    ``decompose_rows`` for the same label."""
+    a, b, c = (float(v) for v in abc)
     s = label.sign_pattern
-    return ModeVector(c1=s.s1 * t.a + t.b, c2=s.s2 * t.a + t.c, c12=s.s12 * t.a)
+    return np.array((s.s1 * a + b, s.s2 * a + c, s.s12 * a))
 
 
-def initial_rate(
-    gamma: RelaxationMatrix, m0: ModeVector, m_inf: ModeVector, tau: float
-) -> ModeVector:
-    """Linearized (initial-rate) state M0 - G tau (M0 - M_inf): scalar
-    form of ``linear_step`` with the initial-rate window warning."""
+def initial_rate(gamma: RelaxationMatrix, m0, m_inf, tau: float) -> np.ndarray:
+    """Linearized (initial-rate) state M0 - G tau (M0 - M_inf) of one mode
+    row: ``linear_step`` with the initial-rate window warning."""
     check_initial_rate_window(gamma, tau)
-    state = linear_step(gamma.entries, m0.to_tuple(), m_inf.to_tuple(), tau)
-    return ModeVector.from_sequence(state)
+    return linear_step(gamma.entries, m0, m_inf, tau)

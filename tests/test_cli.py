@@ -414,11 +414,6 @@ def test_pipeline_whose_fits_fail_warns_and_exits_0(tmp_path):
     assert sum(row.endswith(",0") for row in rows) == 4
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="coefficient_rows overflows in its sums for line integrals near 1e308: "
-    "numpy RuntimeWarnings on stderr and C = inf on converged rows",
-)
 def test_pipeline_near_float_max_extracts_without_overflow(tmp_path):
     """The k = 1e308 run above on the 0.25 s grid: rows that converge
     should read no infinite coefficient (NaN marks a row whose partner

@@ -23,7 +23,7 @@ from ppsrelax.spins import PpsLabel, SpinSystem, doublet_pairs, equilibrium_mode
 SYS = SpinSystem(gamma1=0.9407, gamma2=1.0, k=0.5, j_coupling=5.8)
 
 #: equilibrium line-integral pairs: (f0, f1) of nucleus 1, (h0, h1) of nucleus 2
-EQ = doublet_pairs(equilibrium_modes(SYS).to_tuple())
+EQ = doublet_pairs(equilibrium_modes(SYS))
 
 FREQS = frequency_grid(SYS.j_coupling, 1.0, 40.0, 801)
 
@@ -70,7 +70,7 @@ def test_synthesize_equilibrium_doublet_symmetric():
 
 
 def test_synthesize_degenerate_pps_has_one_line():
-    amps = spectrum(doublet_pairs(pps_modes(PpsLabel.P00, SYS).to_tuple())[1])
+    amps = spectrum(doublet_pairs(pps_modes(PpsLabel.P00, SYS))[1])
     idx1 = np.argmin(np.abs(FREQS - SYS.j_coupling / 2))
     # only the tails of the 0-line remain at +J/2
     assert amps[idx1] < 0.02 * amps.max()
@@ -218,7 +218,7 @@ def test_fit_skips_the_evaluation_of_a_step_that_cannot_pass_the_stop_test(monke
 def test_fit_degenerate_one_line_spectrum():
     # second line identically zero: its fitted integral must stay below
     # a noise-consistent bound and the fit is flagged
-    amps = spectrum(doublet_pairs(pps_modes(PpsLabel.P00, SYS).to_tuple())[1])
+    amps = spectrum(doublet_pairs(pps_modes(PpsLabel.P00, SYS))[1])
     fits = fit_batch(amps[None])
     assert fits.converged[0]
     assert fits.low_confidence[0]
@@ -296,7 +296,7 @@ def noisy_batch():
     for seed in range(12):
         pair = (rng.uniform(-1, 1), rng.uniform(-1, 1))
         rows.append(spectrum(pair, rng.uniform(20, 200), seed))
-    rows.append(spectrum(doublet_pairs(pps_modes(PpsLabel.P00, SYS).to_tuple())[1]))
+    rows.append(spectrum(doublet_pairs(pps_modes(PpsLabel.P00, SYS))[1]))
     rows.append(np.zeros(FREQS.size))
     return np.array(rows)
 
@@ -519,7 +519,7 @@ def extract(modes, label, eq=EQ):
 
 
 def test_extraction_fresh_00():
-    a2, a1, b, c = extract(pps_modes(PpsLabel.P00, SYS).to_tuple(), PpsLabel.P00)
+    a2, a1, b, c = extract(pps_modes(PpsLabel.P00, SYS), PpsLabel.P00)
     assert a2 == pytest.approx(SYS.k / SYS.gamma2, rel=1e-6)
     assert a1 == pytest.approx(SYS.k / SYS.gamma1, rel=1e-6)
     assert b == pytest.approx(0.0, abs=1e-6)
@@ -527,13 +527,13 @@ def test_extraction_fresh_00():
 
 
 def test_extraction_equilibrium_state_gives_zero_a():
-    a2, a1, _, _ = extract(equilibrium_modes(SYS).to_tuple(), PpsLabel.P00)
+    a2, a1, _, _ = extract(equilibrium_modes(SYS), PpsLabel.P00)
     assert a2 == pytest.approx(0.0, abs=1e-9)
     assert a1 == pytest.approx(0.0, abs=1e-9)
 
 
 def test_extraction_11_uses_swapped_lines():
-    a2, _, b, c = extract(pps_modes(PpsLabel.P11, SYS).to_tuple(), PpsLabel.P11)
+    a2, _, b, c = extract(pps_modes(PpsLabel.P11, SYS), PpsLabel.P11)
     assert a2 == pytest.approx(SYS.k / SYS.gamma2, rel=1e-6)
     assert b == pytest.approx(0.0, abs=1e-6)
     assert c == pytest.approx(0.0, abs=1e-6)
@@ -541,29 +541,34 @@ def test_extraction_11_uses_swapped_lines():
 
 def test_extraction_matches_mode_decomposition():
     """Full noiseless chain agrees with the direct coefficient split."""
-    from ppsrelax.analysis import decompose
-    from ppsrelax.relaxation import RelaxationRates, build_matrix, evolve_exact
+    from ppsrelax.analysis import compare_pps
+    from ppsrelax.relaxation import RelaxationRates, build_matrix
 
     rates = RelaxationRates(
         rho1=0.3125, rho2=0.33, rho12=0.33, sigma12=0.02, delta1=0.15, delta2=0.05
     )
-    gamma = build_matrix(rates)
-    m_inf = equilibrium_modes(SYS)
-    for label in (PpsLabel.P00, PpsLabel.P11):
-        for t in (0.0, 1.25, 2.5):
-            m = evolve_exact(gamma, pps_modes(label, SYS), m_inf, t)
-            truth = decompose(m, label)
-            a2, a1, b, c = extract(m.to_tuple(), label)
-            assert a2 == pytest.approx(truth.a / SYS.gamma2, abs=1e-6)
-            assert a1 == pytest.approx(truth.a / SYS.gamma1, abs=1e-6)
-            assert b == pytest.approx(truth.b / SYS.gamma1, abs=1e-6)
-            assert c == pytest.approx(truth.c / SYS.gamma2, abs=1e-6)
+    labels = (PpsLabel.P00, PpsLabel.P11)
+    table = compare_pps(build_matrix(rates), SYS, (0.0, 1.25, 2.5), labels)
+    for label, states in zip(labels, table.states):
+        for m, (a, b, c) in zip(states, table.coefficients[label]):
+            a2_fit, a1_fit, b_fit, c_fit = extract(m, label)
+            assert a2_fit == pytest.approx(a / SYS.gamma2, abs=1e-6)
+            assert a1_fit == pytest.approx(a / SYS.gamma1, abs=1e-6)
+            assert b_fit == pytest.approx(b / SYS.gamma1, abs=1e-6)
+            assert c_fit == pytest.approx(c / SYS.gamma2, abs=1e-6)
 
 
 def test_extraction_rejects_asymmetric_equilibrium():
     skewed = (EQ[0], (1.1, 1.0))
     with pytest.raises(InconsistentEquilibrium):
-        extract(equilibrium_modes(SYS).to_tuple(), PpsLabel.P00, eq=skewed)
+        extract(equilibrium_modes(SYS), PpsLabel.P00, eq=skewed)
+
+
+def test_equilibrium_asymmetry_is_judged_near_float_max():
+    """The mean of an equilibrium doublet near the float maximum does not
+    overflow to inf, so a 41 % asymmetry there is still rejected."""
+    with pytest.raises(InconsistentEquilibrium):
+        coefficient_rows([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.7e308, 1e308], PpsLabel.P00)
 
 
 @pytest.mark.parametrize("eq2", [(np.nan, np.nan), (1.0, np.nan), (0.0, 0.0)])
