@@ -62,6 +62,13 @@ EQUILIBRIUM_STATE_CODE = 4
 #: within a few percent of each other.
 CSV_BLOCK_ROWS = 64
 
+#: Grid times simulate propagates, decomposes and formats at once, per
+#: state: a [4 096, 8] table of 256 KB. On simulate-long (4 states x
+#: 50 001 times), in process, 256 to 65 536 times a block ran in the same
+#: CPU time and 64 took 30 % more; the traced peak was 0.9 MB up to 4 096,
+#: 2.3 MB at 16 384 and 6.2 MB at 65 536.
+SIMULATE_BLOCK_TIMES = 64 * CSV_BLOCK_ROWS
+
 SIMULATE_COLUMNS = ("pps", "t", "c1", "c2", "c12", "A", "B", "C", "A_minus_A0")
 SWEEP_COLUMNS = (
     "value",
@@ -90,16 +97,20 @@ class SchemaMismatch(ValueError):
 
 
 def _write_csv(path, kind: str, scenario_doc: dict, columns: Sequence[str], lines) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# ppsrelax {kind} v{SCHEMA_VERSION}\n")
-        fh.write("# units: time s, rates 1/s, amplitudes relative\n")
-        fh.write(
-            "# scenario: "
-            + json.dumps(scenario_doc, sort_keys=True, separators=(",", ":"))
-            + "\n"
-        )
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(lines)
+    """Write the ``#`` lines, the header and the text of ``lines``; when
+    ``lines`` or a write raises, the partial file is deleted first."""
+    scenario_line = json.dumps(scenario_doc, sort_keys=True, separators=(",", ":"))
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            fh.write(f"# ppsrelax {kind} v{SCHEMA_VERSION}\n")
+            fh.write("# units: time s, rates 1/s, amplitudes relative\n")
+            fh.write(f"# scenario: {scenario_line}\n")
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(lines)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _csv_text(template: str, table: np.ndarray):
@@ -117,30 +128,42 @@ def run_simulate(scenario: Scenario, out_dir, plot: bool = False) -> list[str]:
     """Exact coefficient trajectories for every requested state.
 
     Writes ``simulate.csv`` (and SVG companions with ``plot=True``);
-    returns the written paths.
+    returns the written paths. States are propagated, decomposed and
+    formatted SIMULATE_BLOCK_TIMES times at a time, label by label, so
+    only the plot holds a whole trajectory.
     """
     sys_obj = scenario.sys
     labels = scenario.pps_labels
-    trajectories = analysis.compare_pps(
-        relaxation.build_matrix(scenario.rates), sys_obj, scenario.time_grid.times(), labels
-    )
+    gamma = relaxation.build_matrix(scenario.rates)
+    times = scenario.time_grid.times()
+    # the last block takes a lone last time: numpy rounds a one-row matrix
+    # product (BLAS gemv) differently from a longer one (gemm)
+    starts = range(0, max(len(times) - 1, 1), SIMULATE_BLOCK_TIMES)
+    blocks = [slice(start, stop) for start, stop in zip(starts, [*starts[1:], len(times)])]
+    kept = {label: [] for label in labels}  # coefficient rows, for the plot only
+
+    def lines():
+        for label in labels:
+            template = label.value + ",%.12g" * 8 + "\n"
+            for block in blocks:
+                part = analysis.compare_pps(gamma, sys_obj, times[block], (label,))
+                rows = part.coefficients[label]
+                if plot:
+                    kept[label].append(rows)
+                a_minus_a0 = rows[:, 0] - sys_obj.k
+                table = np.column_stack((part.times, part.states[0], rows, a_minus_a0))
+                yield from _csv_text(template, table)
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    times, coeffs = trajectories.times, trajectories.coefficients
-    lines = (
-        text
-        for label, modes in zip(labels, trajectories.states)
-        for text in _csv_text(
-            label.value + ",%.12g" * 8 + "\n",
-            np.column_stack((times, modes, coeffs[label], coeffs[label][:, 0] - sys_obj.k)),
-        )
-    )
     csv_path = out / "simulate.csv"
-    _write_csv(csv_path, "simulate", scenario_to_dict(scenario), SIMULATE_COLUMNS, lines)
+    _write_csv(csv_path, "simulate", scenario_to_dict(scenario), SIMULATE_COLUMNS, lines())
     written = [str(csv_path)]
     if plot:
         # A(t) - A(0), B(t), C(t)
-        deviations = {label: rows - (sys_obj.k, 0.0, 0.0) for label, rows in coeffs.items()}
+        deviations = {
+            label: np.concatenate(rows) - (sys_obj.k, 0.0, 0.0) for label, rows in kept.items()
+        }
         for name, column, ylab in (
             ("simulate_A.svg", 0, "A(t) - A(0)"),
             ("simulate_B.svg", 1, "B(t)"),
@@ -338,15 +361,10 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
     modes = np.concatenate(
         ([equilibrium_modes(sys_obj)], trajectories.states.reshape(-1, 3))
     )
-    keys = np.array(
-        [(EQUILIBRIUM_STATE_CODE, 0, nucleus) for nucleus in (1, 2)]
-        + [
-            (int(label.value, 2), index, nucleus)
-            for label in labels
-            for index in range(len(times))
-            for nucleus in (1, 2)
-        ]
-    )
+    codes = [int(label.value, 2) for label in labels]
+    grid = np.meshgrid(codes, np.arange(len(times)), (1, 2), indexing="ij")
+    references = [(EQUILIBRIUM_STATE_CODE, 0, nucleus) for nucleus in (1, 2)]
+    keys = np.concatenate((references, np.stack(grid, -1).reshape(-1, 3)))
     with np.errstate(over="ignore"):  # a line of inf integral fails its fit, as below
         pairs = doublet_pairs(modes).reshape(-1, 2)
     fits = _fit_spectra(scenario, freqs, pairs, keys)

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -320,10 +321,10 @@ def test_failure_in_the_straggler_pool_is_numerical_failure(tmp_path, capsys, mo
     assert not (tmp_path / "out" / "pipeline.csv").exists()
 
 
-def test_overflow_is_numerical_failure(tmp_path, capsys):
+def write_overflowing_config(tmp_path):
     # sigma12 far above the self rates: one eigenvalue is negative and its
-    # mode overflows long before 2000 s
-    config = write_config(
+    # mode overflows long before 2000 s (near 1 400 s)
+    return write_config(
         tmp_path,
         rates={
             "rho1": 0.003125,
@@ -335,10 +336,59 @@ def test_overflow_is_numerical_failure(tmp_path, capsys):
         },
         time_grid={"start": 0.0, "end": 2000.0, "step": 1.0},
     )
+
+
+def test_overflow_is_numerical_failure(tmp_path, capsys):
+    config = write_overflowing_config(tmp_path)
     with pytest.warns(NotPositiveDefiniteWarning):
         code = main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "simulate.csv").exists()
+
+
+def watch_csv_text(monkeypatch, fail_after=None):
+    """Simulate in blocks of 64 times; the returned list counts the rows of
+    each block simulate formats, and the block after ``fail_after`` of
+    them raises a full disk's OSError."""
+    from ppsrelax import run
+
+    monkeypatch.setattr(run, "SIMULATE_BLOCK_TIMES", 64)
+    csv_text, rows = run._csv_text, []
+
+    def watched(template, table):
+        if len(rows) == fail_after:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        rows.append(len(table))
+        return csv_text(template, table)
+
+    monkeypatch.setattr(run, "_csv_text", watched)
+    return rows
+
+
+def test_overflow_after_written_rows_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    """With small blocks the overflow comes after rows were written: the
+    partial CSV is deleted and the run still exits 2."""
+    rows = watch_csv_text(monkeypatch)
+    config = write_overflowing_config(tmp_path)
+    with pytest.warns(NotPositiveDefiniteWarning):
+        code = main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+    assert sum(rows) > 1000
+    assert not (tmp_path / "out" / "simulate.csv").exists()
+
+
+def test_failed_write_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    """A row source that fails after a few blocks, as on a full disk,
+    exits 3 and leaves no partial CSV."""
+    rows = watch_csv_text(monkeypatch, fail_after=3)
+    config = write_config(tmp_path, time_grid={"start": 0.0, "end": 1.0, "step": 0.001})
+    code = main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_IO
+    assert "No space left on device" in capsys.readouterr().err
+    assert rows == [64] * 3
+    assert not (tmp_path / "out" / "simulate.csv").exists()
 
 
 def test_inconsistent_equilibrium_is_numerical_failure(tmp_path, capsys):

@@ -372,16 +372,35 @@ def test_simulate_emits_svg(tmp_path):
             assert title.text.startswith(f"{scenario_id}: ")
 
 
+#: The config of tests/data/golden_simulate.csv.
+GOLDEN = config_doc(id="golden", pps_labels=["00"], time_grid={"start": 0.0, "end": 1.0, "step": 0.5})
+
+
 def test_simulate_golden_file(tmp_path):
     """Schema and numeric formatting are frozen; regenerate
     tests/data/golden_simulate.csv deliberately when the format changes."""
-    doc = config_doc(
-        id="golden",
-        pps_labels=["00"],
-        time_grid={"start": 0.0, "end": 1.0, "step": 0.5},
-    )
-    path = run_simulate(parse_scenario(doc), tmp_path)[0]
+    path = run_simulate(parse_scenario(GOLDEN), tmp_path)[0]
     assert Path(path).read_bytes() == (DATA / "golden_simulate.csv").read_bytes()
+
+
+def test_simulate_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    """The CSV and the three plots are the same bytes whatever number of
+    times simulate propagates and formats at once: two (the fewest that
+    take numpy's many-row matrix product), sizes that would leave a last
+    block of one time (2 and 272 of 273 times), a partial last block, the
+    CSV block, and more than the grid. The 01 row of the last time, 2.72,
+    is one whose text a one-row product changes."""
+    scenario = parse_scenario(
+        config_doc(pps_labels=["00", "01", "10", "11"], time_grid={"end": 2.72, "step": 0.01})
+    )
+    default = run_simulate(scenario, tmp_path / "default", plot=True)
+    assert len(default) == 4
+    for block in (2, 7, 64, 272, 1000):
+        monkeypatch.setattr(run_module, "SIMULATE_BLOCK_TIMES", block)
+        paths = run_simulate(scenario, tmp_path / str(block), plot=True)
+        assert [Path(p).read_bytes() for p in paths] == [Path(p).read_bytes() for p in default]
+        golden = run_simulate(parse_scenario(GOLDEN), tmp_path / f"golden{block}")[0]
+        assert Path(golden).read_bytes() == (DATA / "golden_simulate.csv").read_bytes()
 
 
 # -------------------------------------------------------------------- sweep
@@ -543,6 +562,23 @@ def test_pipeline_noise_seed_order(tmp_path):
         ]
         expected = (*lines, *coeffs, residual_norm)
         assert list(row.values())[3:] == ["%.12g" % v for v in expected] + ["1"]
+
+
+def test_pipeline_noise_keys_of_every_spectrum(tmp_path, monkeypatch):
+    """The noise keys of a run: the two equilibrium references, then
+    (state code, time index, nucleus) label by label, time by time,
+    nucleus 1 before 2, as the loop below builds them."""
+    from ppsrelax.run import EQUILIBRIUM_STATE_CODE
+
+    seen, fit_spectra = [], run_module._fit_spectra
+    monkeypatch.setattr(
+        run_module, "_fit_spectra", lambda *args: seen.append(args[-1]) or fit_spectra(*args)
+    )
+    run_pipeline(parse_scenario(pipeline_doc(pps_labels=["11", "00", "10"])), tmp_path)
+    expected = [(EQUILIBRIUM_STATE_CODE, 0, nucleus) for nucleus in (1, 2)] + [
+        (code, index, nucleus) for code in (3, 0, 2) for index in range(3) for nucleus in (1, 2)
+    ]
+    assert [tuple(key) for key in seen[0].tolist()] == expected
 
 
 def state_lines(path):
@@ -727,6 +763,23 @@ def test_simulate_never_holds_its_text(tmp_path):
     it writes: rows are formatted and written a block at a time."""
     path, peak = traced_peak(lambda: run_simulate(parse_scenario(LONG_SIMULATE), tmp_path)[0])
     assert peak < Path(path).stat().st_size
+
+
+def test_simulate_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
+    """The traced peak of a two-state simulate run on 50 001 times stays
+    within 1 MB of the peak on 5 001 times: states are propagated and
+    decomposed one block of times at a time. The row text is left out, to
+    keep the test short (the test above bounds it)."""
+    monkeypatch.setattr(run_module, "_csv_text", lambda template, table: ())
+    short, long = (
+        traced_peak(
+            lambda: run_simulate(
+                parse_scenario(config_doc(time_grid={"end": end, "step": 0.001})), tmp_path
+            )
+        )[1]
+        for end in (5.0, 50.0)
+    )
+    assert long < short + 2**20
 
 
 def test_report_never_holds_the_text_of_a_csv(tmp_path):
