@@ -164,9 +164,13 @@ def propagate(gamma: RelaxationMatrix, m0, m_inf, times) -> np.ndarray:
     row [3] and ``times`` the sample times [T] (all >= 0); the result has
     shape [..., T, 3]. A stacked ``gamma`` broadcasts its batch dimensions
     against the leading dimensions of ``m0``. The exponential is taken in
-    the eigenbasis of G; rows at t = 0 are exactly ``m0``. Raises
-    FloatingPointError when a state overflows, which happens for a
-    matrix that is not positive definite over long times.
+    the eigenbasis of G; rows at t = 0 are exactly ``m0``. A lone time's
+    row enters the final matrix product twice, and one result is kept:
+    numpy takes a one-row product through BLAS gemv, which rounds
+    differently from gemm, so a state does not depend on how many times
+    the call holds. Raises FloatingPointError when a state overflows,
+    which happens for a matrix that is not positive definite over long
+    times.
     """
     m0 = np.asarray(m0, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -175,8 +179,10 @@ def propagate(gamma: RelaxationMatrix, m0, m_inf, times) -> np.ndarray:
     vecs = gamma.eigenvectors
     weights = (m0 - m_inf)[..., None, :] @ vecs
     with np.errstate(over="ignore", invalid="ignore"):
-        decay = np.exp(-times[:, None] * gamma.eigenvalues[..., None, :])
-        out = m_inf + (weights * decay) @ vecs.swapaxes(-1, -2)
+        scaled = weights * np.exp(-times[:, None] * gamma.eigenvalues[..., None, :])
+        if len(times) == 1:
+            scaled = scaled.repeat(2, axis=-2)
+        out = m_inf + (scaled @ vecs.swapaxes(-1, -2))[..., : len(times), :]
     out[..., times == 0, :] = m0[..., None, :]
     if not np.isfinite(out).all():
         raise FloatingPointError(

@@ -136,17 +136,14 @@ def run_simulate(scenario: Scenario, out_dir, plot: bool = False) -> list[str]:
     labels = scenario.pps_labels
     gamma = relaxation.build_matrix(scenario.rates)
     times = scenario.time_grid.times()
-    # the last block takes a lone last time: numpy rounds a one-row matrix
-    # product (BLAS gemv) differently from a longer one (gemm)
-    starts = range(0, max(len(times) - 1, 1), SIMULATE_BLOCK_TIMES)
-    blocks = [slice(start, stop) for start, stop in zip(starts, [*starts[1:], len(times)])]
     kept = {label: [] for label in labels}  # coefficient rows, for the plot only
 
     def lines():
         for label in labels:
             template = label.value + ",%.12g" * 8 + "\n"
-            for block in blocks:
-                part = analysis.compare_pps(gamma, sys_obj, times[block], (label,))
+            for start in range(0, len(times), SIMULATE_BLOCK_TIMES):
+                block = times[start : start + SIMULATE_BLOCK_TIMES]
+                part = analysis.compare_pps(gamma, sys_obj, block, (label,))
                 rows = part.coefficients[label]
                 if plot:
                     kept[label].append(rows)
@@ -231,7 +228,10 @@ def _map_threads(task, items: Sequence) -> list:
     """``[task(item) for item in items]`` on one thread per usable CPU,
     the calling thread among them; each thread takes the next item not
     yet taken whenever it finishes one, so a slow item holds up only the
-    thread running it.
+    thread running it. The calling thread takes items rather than wait:
+    ``ThreadPoolExecutor.map``, under which it runs none, ran perfbench's
+    pipeline-dense as fast on a 2-vCPU VM but raised its peak RSS from
+    45.3 to 48.4 MB (6 of 6 pairs).
 
     Once a call raises, no thread starts another item, and the first
     exception raised (an interrupt of the calling thread before any) is
@@ -275,29 +275,29 @@ def _fit_spectra(
     ``pairs`` [K, 2]; spectrum k draws its noise from
     ``default_rng([seed, *keys[k]])``.
 
-    The noise seeds of the whole run are hashed into PCG64 states at once,
-    here. Spectra are made and fitted a batch of about BATCH_SAMPLES grid
-    samples at a time, and the batches run on one thread per usable CPU,
-    each thread taking the next batch when it is free (numpy releases the
-    GIL in the array work that dominates a batch). A batch of at least
-    4 _POOL_ROWS spectra stops its fit once at most _POOL_ROWS are still
-    live and puts them in the straggler pool, each with a copy of its
-    spectrum. The thread that brings the pool to a batch's worth of
-    spectra finishes them all in one iteration, and the calling thread
-    finishes what is left after the fit threads. So a thread holds at
-    most about two batches of spectra, and less than one waits in the
-    pool, whatever the grid and the run's length. A row's result depends
-    neither on the batch size, nor on the thread count, nor on where it
-    finishes. Numpy's float warnings are off in every batch and in the
-    pool: a spectrum that overflows fails its fit, and its row records
-    that.
+    The noise seeds of the whole run are hashed into SeedSequence words
+    at once, here. Spectra are made and fitted a batch of about
+    BATCH_SAMPLES grid samples at a time, and the batches run on one
+    thread per usable CPU, each thread taking the next batch when it is
+    free (numpy releases the GIL in the array work that dominates a
+    batch). A batch of at least 4 _POOL_ROWS spectra stops its fit once
+    at most _POOL_ROWS are still live and puts them in the straggler
+    pool, each with a copy of its spectrum. The thread that brings the
+    pool to a batch's worth of spectra finishes them all in one
+    iteration, and the calling thread finishes what is left after the
+    fit threads. So a thread holds at most about two batches of spectra,
+    and less than one waits in the pool, whatever the grid and the run's
+    length. A row's result depends neither on the batch size, nor on the
+    thread count, nor on where it finishes. Numpy's float warnings are
+    off in every batch and in the pool: a spectrum that overflows fails
+    its fit, and its row records that.
     """
     j_coupling, fwhm, noise = scenario.sys.j_coupling, scenario.spectrum.fwhm, scenario.noise
     batch = max(1, BATCH_SAMPLES // len(freqs))
     handoff = _POOL_ROWS if batch >= 4 * _POOL_ROWS else 0
     setup = spectra._fit_setup(freqs, j_coupling, fwhm)
     noisy = not math.isinf(noise.snr)
-    states = spectra._keyed_pcg64_states(noise.seed, keys) if noisy else None
+    words = spectra._keyed_seed_words(noise.seed, keys) if noisy else None
     fitted = spectra._unfitted(len(pairs))
     pool, pooling = [], threading.Lock()
 
@@ -305,7 +305,7 @@ def _fit_spectra(
         with np.errstate(all="ignore"):  # numpy keeps this state per thread
             amps = spectra.doublet_amps(freqs, pairs[start : start + batch], j_coupling, fwhm)
             if noisy:
-                spectra._add_noise(amps, noise.snr, states[start : start + batch])
+                spectra._add_noise(amps, noise.snr, words[start : start + batch])
             stragglers = spectra._fit_batch(setup, amps, fitted, start, handoff)
             if not len(stragglers.amps):
                 return

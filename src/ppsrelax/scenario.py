@@ -362,13 +362,13 @@ def _digest(scenario: Scenario) -> str:
     return hashlib.sha1(blob.encode()).hexdigest()[:8]
 
 
-def default_scenario(delta1: float = 0.15, delta2: float = 0.05) -> Scenario:
+def default_scenario() -> Scenario:
     """The shipped two-state comparison scenario (interference rates are
     illustrative defaults, delta2 = delta1 / 3)."""
     return Scenario(
         sys=SpinSystem(),
         rates=RelaxationRates(
-            rho1=0.3125, rho2=0.33, rho12=0.33, sigma12=0.02, delta1=delta1, delta2=delta2
+            rho1=0.3125, rho2=0.33, rho12=0.33, sigma12=0.02, delta1=0.15, delta2=0.05
         ),
         pps_labels=(PpsLabel.P00, PpsLabel.P11),
         time_grid=TimeGrid(end=5.0, step=0.05),

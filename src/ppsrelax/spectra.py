@@ -52,6 +52,8 @@ EQ_ASYMMETRY_LIMIT = 0.05
 #: Fewest grid samples a spectrum must have to be fitted.
 FIT_MIN_POINTS = 50
 
+#: Steps a fit may evaluate, and the relative change of its squared
+#: residual within which it converges; read when a fit runs.
 FIT_MAX_ITER = 200
 FIT_RTOL = 1e-10
 
@@ -125,21 +127,22 @@ def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
     ``default_rng(seeds[s]).standard_normal(N)`` bit for bit, where a seed
     is a non-negative int or a sequence of them (ValueError otherwise, or
     when ``seeds`` is not S long). ``snr=math.inf`` leaves ``amps``. The
-    seeds are hashed by ``_pcg64_states`` and drawn by ``_add_noise``, as
+    seeds are hashed by ``_seed_words`` and drawn by ``_add_noise``, as
     the pipeline does for a whole run."""
     if not snr > 0:
         raise ValueError(f"snr must be > 0, got {snr}")
     if math.isinf(snr):
         return amps
-    states = _pcg64_states(seeds)
-    if len(states) != len(amps):
-        raise ValueError(f"need one noise seed per spectrum: {len(states)} for {len(amps)}")
-    return _add_noise(amps, snr, states)
+    words = _seed_words(seeds)
+    if len(words) != len(amps):
+        raise ValueError(f"need one noise seed per spectrum: {len(words)} for {len(amps)}")
+    return _add_noise(amps, snr, words)
 
 
-def _add_noise(amps: np.ndarray, snr: float, states: np.ndarray) -> np.ndarray:
+def _add_noise(amps: np.ndarray, snr: float, words: np.ndarray) -> np.ndarray:
     """``noisy_amps`` of the spectra ``amps`` [S, N] at a finite ``snr``,
-    row s drawn from the PCG64 state ``states[s]`` of ``_pcg64_states``."""
+    row s drawn from the PCG64 seeded with the SeedSequence words
+    ``words[s]`` of ``_seed_words``."""
     # max|row| without an |amps| temporary the size of the batch
     sd = np.maximum(amps.max(axis=-1), -amps.min(axis=-1)) / snr
     # each row's stream is drawn into a block of rows, which is scaled
@@ -150,9 +153,13 @@ def _add_noise(amps: np.ndarray, snr: float, states: np.ndarray) -> np.ndarray:
     for start in range(0, len(amps), len(block)):
         rows = amps[start : start + len(block)]
         noise = block[: len(rows)]
-        words = states[start : start + len(rows)].tolist()
-        for row, (state_hi, state_lo, inc_hi, inc_lo) in zip(noise, words):
-            setting["state"] = {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
+        seeded = words[start : start + len(rows)].tolist()
+        for row, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(noise, seeded):
+            # numpy's pcg64_set_seed: inc = 2 inc + 1; from state 0, one
+            # step, add the seed, one more step; all mod 2^128
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+            state = ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128
+            setting["state"] = {"state": state, "inc": inc}
             draw.bit_generator.state = setting
             draw.standard_normal(out=row)
         noise *= sd[start : start + len(rows), None]
@@ -163,20 +170,8 @@ def _add_noise(amps: np.ndarray, snr: float, states: np.ndarray) -> np.ndarray:
 # SeedSequence's constants (numpy bit_generator.pyx), Python ints: numpy scalars warn on overflow
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier as uint64 words, and the uint64 shifts
-# and mask of 128-bit arithmetic on word pairs; uint64 operands only, as
-# a signed int mixed with uint64 gives float64 under numpy 1.x casting
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_U1, _U32, _U63, _LOW32 = np.uint64(1), np.uint64(32), np.uint64(63), np.uint64(_MASK32)
-
-
-def _high_product(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """The high 64 bits of the 128-bit products of the uint64 arrays ``a``
-    and ``b``, from their 32-bit limbs."""
-    a_lo, a_hi, b_lo, b_hi = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
-    cross_a, cross_b = a_hi * b_lo, a_lo * b_hi  # each below 2^64
-    middle = (a_lo * b_lo >> _U32) + (cross_a & _LOW32) + (cross_b & _LOW32)
-    return a_hi * b_hi + (cross_a >> _U32) + (cross_b >> _U32) + (middle >> _U32)
+# PCG64's 128-bit LCG multiplier (numpy pcg64.h)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 def _words(part) -> list[int]:
@@ -190,43 +185,43 @@ def _words(part) -> list[int]:
     return words
 
 
-def _pcg64_states(seeds) -> np.ndarray:
-    """The PCG64 state of ``default_rng(seed)`` for each of ``seeds``, as
-    uint64 rows (state high, state low, inc high, inc low) [S, 4], hashed
-    by ``_seeded_states`` over all seeds of one entropy length at once."""
+def _seed_words(seeds) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for each of
+    ``seeds``, as uint64 rows [S, 4], hashed by ``_hashed_words`` over
+    all seeds of one entropy length at once."""
     words = [
         [word for part in ([seed] if isinstance(seed, (int, np.integer)) else seed)
          for word in _words(part)]
         for seed in seeds
     ]
-    states = np.empty((len(words), 4), np.uint64)
+    hashed = np.empty((len(words), 4), np.uint64)
     for length in set(map(len, words)):
         rows = [row for row, entropy in enumerate(words) if len(entropy) == length]
-        states[rows] = _seeded_states(np.array([words[row] for row in rows], np.uint32).T)
-    return states
+        hashed[rows] = _hashed_words(np.array([words[row] for row in rows], np.uint32).T)
+    return hashed
 
 
-def _keyed_pcg64_states(seed: int, keys: np.ndarray) -> np.ndarray:
-    """``_pcg64_states`` of the seeds ``[seed, *key]`` of the non-negative
+def _keyed_seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
+    """``_seed_words`` of the seeds ``[seed, *key]`` of the non-negative
     int ``keys`` [K, W], each of whose entries fits one 32-bit word. Such a
     seed's words are those of ``seed`` followed by the key, so all K are
     hashed from one array, never a Python list per seed: through
-    ``_pcg64_states`` the 4 010 seeds of pipeline-dense took 8-10 ms, not
+    ``_seed_words`` the 4 010 seeds of pipeline-dense took 8-10 ms, not
     0.7-0.8, and raised its peak RSS by 0.5 MB."""
     seed_words = _words(seed)
     entropy = np.empty((len(seed_words) + keys.shape[1], len(keys)), np.uint32)
     entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
     entropy[len(seed_words) :] = keys.T
-    return _seeded_states(entropy)
+    return _hashed_words(entropy)
 
 
-def _seeded_states(entropy: np.ndarray) -> np.ndarray:
-    """The ``_pcg64_states`` [S, 4] of the seeds whose 32-bit words, least
+def _hashed_words(entropy: np.ndarray) -> np.ndarray:
+    """The ``_seed_words`` [S, 4] of the seeds whose 32-bit words, least
     significant first, are the columns of ``entropy`` [W, S]:
-    SeedSequence's hash in uint32 array operations, then PCG64's two
-    128-bit seeding steps on uint64 word pairs. The hash constants do not
-    depend on the data, so the words that one step hashes, each under its
-    own constant, form one [W, S] array."""
+    SeedSequence's hash in uint32 array operations, its output words
+    joined into uint64 pairs. The hash constants do not depend on the
+    data, so the words that one step hashes, each under its own constant,
+    form one [W, S] array."""
     # SeedSequence's pool of 4 words, zero-padded
     entropy = np.pad(entropy, ((0, max(0, 4 - len(entropy))), (0, 0)))
     hash_const = _INIT_A
@@ -252,19 +247,8 @@ def _seeded_states(entropy: np.ndarray) -> np.ndarray:
         pool[dst] = mixed ^ mixed >> 16
     hash_const = _INIT_B  # generate_state(4, np.uint64)
     out = hashmix(np.tile(pool, (2, 1)), _MULT_B, 8).astype(np.uint64)
-    # little-endian word pairs: seed high, seed low, inc high, inc low
-    seed_hi, seed_lo, inc_hi, inc_lo = out[0::2] | out[1::2] << _U32
-    # inc = 2 inc + 1; from state 0: one step, add the seed, one more
-    # step: state = (seed + inc) MULT + inc, all mod 2^128, where a sum's
-    # low word below an addend's is its carry
-    inc_hi, inc_lo = inc_hi << _U1 | inc_lo >> _U63, inc_lo << _U1 | _U1
-    low = seed_lo + inc_lo
-    high = seed_hi + inc_hi + (low < seed_lo)
-    high = _high_product(low, _PCG_MULT_LO) + low * _PCG_MULT_HI + high * _PCG_MULT_LO
-    low = low * _PCG_MULT_LO
-    state_lo = low + inc_lo
-    state_hi = high + inc_hi + (state_lo < low)
-    return np.stack((state_hi, state_lo, inc_hi, inc_lo), axis=1)
+    # little-endian uint32 pairs
+    return (out[0::2] | out[1::2] << np.uint64(32)).T
 
 
 class DoubletFits(NamedTuple):
@@ -415,16 +399,13 @@ def _start_equations(
 class _FitSetup(NamedTuple):
     """What every fit of one doublet on one grid shares: the grid
     ``freqs`` [N], the start centers [2] and width, the box (lower and
-    upper bounds [2]) that holds each line center, the least width, and
-    the iteration limit and tolerance."""
+    upper bounds [2]) that holds each line center, and the least width."""
 
     freqs: np.ndarray
     centers: np.ndarray
     fwhm: float
     box: tuple[np.ndarray, np.ndarray]
     min_width: float
-    max_iter: int
-    rtol: float
 
 
 class _Live(NamedTuple):
@@ -472,9 +453,7 @@ class _Stragglers(NamedTuple):
 _UNSCALED_BAND = (2.0**-300, 2.0**300)
 
 
-def _fit_setup(
-    freqs, j_coupling: float, fwhm: float, max_iter: int = FIT_MAX_ITER, rtol: float = FIT_RTOL
-) -> _FitSetup:
+def _fit_setup(freqs, j_coupling: float, fwhm: float) -> _FitSetup:
     """The ``_FitSetup`` of ``fit_doublets``' arguments."""
     freqs = np.asarray(freqs, dtype=float)
     if freqs.size < FIT_MIN_POINTS:
@@ -488,7 +467,7 @@ def _fit_setup(
     spacing = float(freqs[1] - freqs[0])
     half_sep = max(j_coupling / 2.0, 2.0 * spacing)
     box = (centers - half_sep, centers + half_sep)
-    return _FitSetup(freqs, centers, fwhm, box, 2.0 * spacing, max_iter, rtol)
+    return _FitSetup(freqs, centers, fwhm, box, 2.0 * spacing)
 
 
 def _work_buffer(rows: int, points: int) -> np.ndarray:
@@ -562,14 +541,14 @@ def _levenberg_marquardt(
     Each row keeps its own damping, gain-ratio schedule, convergence state
     and step count, so its steps do not depend on the rows iterated with
     it. A row that converges or stalls leaves the working set, as does one
-    whose next step predicts a reduction within ``rtol``, before that step
+    whose next step predicts a reduction within FIT_RTOL, before that step
     is evaluated (Moré 1978, MINPACK's ``ftol``), and one that has
-    evaluated ``max_iter`` steps, converged only if its last step did.
+    evaluated FIT_MAX_ITER steps, converged only if its last step did.
     Only the normal equations of the current parameters are kept, never
     their Jacobian; each trial step is one ``_normal_equations`` row
     evaluation in ``work``.
     """
-    rtol = setup.rtol
+    max_iter, rtol = FIT_MAX_ITER, FIT_RTOL
     diagonal = np.arange(live.params.shape[1])
     done = np.zeros(len(live.index), dtype=bool)
     while True:
@@ -581,7 +560,7 @@ def _levenberg_marquardt(
         step, solved = _solve_rows(damped, -gradient)
         predicted = damping[:, None] * diag * step - gradient
         predicted = (step[:, None, :] @ predicted[:, :, None])[:, 0, 0]  # row dot products
-        spent = steps >= setup.max_iter
+        spent = steps >= max_iter
         small = (predicted > 0) & (predicted <= rtol * np.maximum(ssr, 1e-300))
         # steps > 0: a row whose every step is rejected stalls
         done |= ~spent & (steps > 0) & solved & small
@@ -650,13 +629,7 @@ def _doublet_fits(setup: _FitSetup, fitted: _Fitted) -> DoubletFits:
 
 
 def fit_doublets(
-    freqs: np.ndarray,
-    amps: np.ndarray,
-    j_coupling: float,
-    fwhm: float,
-    *,
-    max_iter: int = FIT_MAX_ITER,
-    rtol: float = FIT_RTOL,
+    freqs: np.ndarray, amps: np.ndarray, j_coupling: float, fwhm: float
 ) -> DoubletFits:
     """Bi-Lorentzian fits of the doublets split by ``j_coupling`` Hz in the
     spectra ``amps`` [S, N] sampled on the uniform grid ``freqs`` [N], all
@@ -675,19 +648,19 @@ def fit_doublets(
     assignment. The damping follows the gain-ratio schedule (rejected
     steps and singular systems escalate it geometrically). A spectrum
     converges when an accepted step changes its squared residual by less
-    than ``rtol`` relatively, when escalation shows it stalled at a
+    than FIT_RTOL relatively, when escalation shows it stalled at a
     minimum, or, unevaluated, when its next step predicts a change that
-    small. Spectra that exhaust
-    ``max_iter``, or whose residual is not finite (a NaN or inf sample),
-    return ``converged`` False with their best parameters. A spectrum
-    whose largest |amplitude| lies outside 2^-300..2^300 is fitted scaled
-    into [0.5, 1) by a power of two, and its integrals and residual are
-    scaled back, so a fit does not depend on the scale of its spectrum. A
-    fit is ``low_confidence`` when a line's peak is below 3 RMS residuals,
-    the fit's own noise estimate, or when that residual is not finite. A
-    row's result does not depend on the other rows of the batch.
+    small. Spectra that exhaust FIT_MAX_ITER steps, or whose residual is
+    not finite (a NaN or inf sample), return ``converged`` False with
+    their best parameters. A spectrum whose largest |amplitude| lies
+    outside 2^-300..2^300 is fitted scaled into [0.5, 1) by a power of
+    two, and its integrals and residual are scaled back, so a fit does not
+    depend on the scale of its spectrum. A fit is ``low_confidence`` when
+    a line's peak is below 3 RMS residuals, the fit's own noise estimate,
+    or when that residual is not finite. A row's result does not depend
+    on the other rows of the batch.
     """
-    setup = _fit_setup(freqs, j_coupling, fwhm, max_iter, rtol)
+    setup = _fit_setup(freqs, j_coupling, fwhm)
     amps = np.asarray(amps, dtype=float)
     if amps.ndim != 2 or amps.shape[1] != setup.freqs.size:
         raise ValueError(f"need amps [S, {setup.freqs.size}], got {amps.shape}")

@@ -55,9 +55,6 @@ class PpsLabel(enum.Enum):
     def sign_pattern(self) -> SignPattern:
         return _SIGNS[self]
 
-    def __str__(self) -> str:  # wire form used in CSV and config files
-        return self.value
-
 
 _SIGNS = {
     PpsLabel.P00: SignPattern(+1, +1, +1),

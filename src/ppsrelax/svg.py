@@ -47,13 +47,14 @@ def _fmt(value: float) -> str:
 def line_plot(
     path,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
 ) -> None:
     """Write a multi-series line plot to ``path``.
 
-    ``series`` is a list of (label, xs, ys) with equal-length xs/ys.
+    ``series`` is a list of (label, xs, ys) with equal-length xs/ys,
+    drawn under ``title`` with the axis labels ``xlabel`` and ``ylabel``.
     """
     from xml.sax.saxutils import escape  # imported here: it pulls in urllib.request
 
@@ -86,12 +87,9 @@ def line_plot(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#444" stroke-width="1"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-size="14" font-family="sans-serif">{escape(title)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14" font-family="sans-serif">{escape(title)}</text>'
-        )
     for tick in _nice_ticks(x_lo, x_hi):
         x = px(tick)
         parts.append(
@@ -113,19 +111,15 @@ def line_plot(
             f'<text x="{_MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-size="11" font-family="sans-serif">{_fmt(tick)}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
-            f'text-anchor="middle" font-size="12" font-family="sans-serif">'
-            f"{escape(xlabel)}</text>"
-        )
-    if ylabel:
-        y_mid = _MARGIN_TOP + plot_h / 2
-        parts.append(
-            f'<text x="16" y="{y_mid:.1f}" text-anchor="middle" font-size="12" '
-            f'font-family="sans-serif" transform="rotate(-90 16 {y_mid:.1f})">'
-            f"{escape(ylabel)}</text>"
-        )
+    y_mid = _MARGIN_TOP + plot_h / 2
+    parts += [
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
+        f'text-anchor="middle" font-size="12" font-family="sans-serif">'
+        f"{escape(xlabel)}</text>",
+        f'<text x="16" y="{y_mid:.1f}" text-anchor="middle" font-size="12" '
+        f'font-family="sans-serif" transform="rotate(-90 16 {y_mid:.1f})">'
+        f"{escape(ylabel)}</text>",
+    ]
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))

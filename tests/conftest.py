@@ -1,5 +1,8 @@
 """Terminal summary for the acceptance suite: one PASS/FAIL line per
-criterion, printed after the normal pytest output."""
+criterion, printed after the normal pytest output; state labels name
+parametrized tests by their wire form ("00", not "PpsLabel.P00")."""
+
+from ppsrelax.spins import PpsLabel
 
 CRITERIA = {
     "test_criterion_1_oracle_equivalence": "1 exact propagator vs RK4 oracle",
@@ -31,3 +34,7 @@ def pytest_terminal_summary(terminalreporter):
         if name in _results:
             outcome = "PASS" if _results[name] == "passed" else "FAIL"
             terminalreporter.write_line(f"criterion {label}: {outcome}")
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    return val.value if isinstance(val, PpsLabel) else None

@@ -257,12 +257,12 @@ def test_failure_in_a_threaded_fit_batch_is_numerical_failure(tmp_path, capsys, 
 
     add_noise = spectra._add_noise
     # spectrum 3 opens the second batch of three: state 00, time 0, nucleus 2
-    (opening,) = spectra._pcg64_states([[11, 0, 0, 2]]).tolist()
+    (opening,) = spectra._seed_words([[11, 0, 0, 2]]).tolist()
 
-    def second_batch_fails(amps, snr, states):
-        if states[0].tolist() == opening:
+    def second_batch_fails(amps, snr, words):
+        if words[0].tolist() == opening:
             raise np.linalg.LinAlgError("Singular matrix in batch 2")
-        return add_noise(amps, snr, states)
+        return add_noise(amps, snr, words)
 
     monkeypatch.setattr(run, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(run, "BATCH_SAMPLES", 3 * 801)

@@ -297,14 +297,27 @@ def test_a_fit_does_not_depend_on_where_it_runs(place):
         st.integers(0, 2**130) | st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
         min_size=1,
         max_size=6,
-    )
+    ),
+    st.integers(2**32, 2**130),
+    st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * 3), min_size=1, max_size=4),
 )
-def test_pcg64_states_are_numpy_seeding(seeds):
-    """The uint64 word pairs of ``_pcg64_states`` hold the state and
-    increment that numpy's PCG64 seeds itself to, for ints of up to five
-    32-bit words and for sequences of one to six words, mixed in a call."""
-    states = spectra._pcg64_states(seeds)
-    assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
-    for (state_hi, state_lo, inc_hi, inc_lo), seed in zip(states.tolist(), seeds):
-        want = np.random.PCG64(seed).state["state"]
-        assert (state_hi << 64 | state_lo, inc_hi << 64 | inc_lo) == (want["state"], want["inc"])
+def test_seed_words_are_numpy_seed_sequence(seeds, seed, keys):
+    """The rows of ``_seed_words`` are ``SeedSequence(seed).generate_state(4,
+    np.uint64)`` for ints of up to five 32-bit words and for sequences of
+    one to six words, mixed in a call, and those of ``_keyed_seed_words``
+    are the words of ``[seed, *key]`` for seeds above 2^32 and keys of
+    three 32-bit words. ``noisy_amps`` draws ``default_rng(seed)``'s
+    normals bit for bit from all of them, so each row's 128-bit PCG64
+    seeding steps are numpy's too."""
+    keyed = [[seed, *key] for key in keys]
+    for words, want in (
+        (spectra._seed_words(seeds), seeds),
+        (spectra._keyed_seed_words(seed, np.array(keys, dtype=np.int64)), keyed),
+    ):
+        assert words.dtype == np.uint64 and words.shape == (len(want), 4)
+        for row, entropy in zip(words, want):
+            expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, expected)
+    noisy = spectra.noisy_amps(np.ones((len(seeds + keyed), 16)), 1.0, seeds + keyed)
+    for row, entropy in zip(noisy, seeds + keyed):
+        np.testing.assert_array_equal(row, 1.0 + np.random.default_rng(entropy).standard_normal(16))

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppsrelax import spectra
+from ppsrelax.analysis import compare_pps
 from ppsrelax.relaxation import (
     InitialRateWindowWarning,
     NotPositiveDefiniteWarning,
     RelaxationRates,
+    build_matrix,
 )
 from ppsrelax import run as run_module
 from ppsrelax.report import run_report
@@ -25,6 +27,7 @@ from ppsrelax.scenario import (
     NoiseSpec,
     Scenario,
     SpectrumSpec,
+    SweepSpec,
     TimeGrid,
     default_scenario,
     default_sweep,
@@ -385,17 +388,17 @@ def test_simulate_golden_file(tmp_path):
 
 def test_simulate_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
     """The CSV and the three plots are the same bytes whatever number of
-    times simulate propagates and formats at once: two (the fewest that
-    take numpy's many-row matrix product), sizes that would leave a last
-    block of one time (2 and 272 of 273 times), a partial last block, the
-    CSV block, and more than the grid. The 01 row of the last time, 2.72,
-    is one whose text a one-row product changes."""
+    times simulate propagates and formats at once: one, sizes that leave
+    a last block of one time (2 and 272 of 273 times), a partial last
+    block, the CSV block, and more than the grid. The 01 row of the last
+    time, 2.72, is one whose text numpy's one-row matrix product (BLAS
+    gemv) would change."""
     scenario = parse_scenario(
         config_doc(pps_labels=["00", "01", "10", "11"], time_grid={"end": 2.72, "step": 0.01})
     )
     default = run_simulate(scenario, tmp_path / "default", plot=True)
     assert len(default) == 4
-    for block in (2, 7, 64, 272, 1000):
+    for block in (1, 2, 7, 64, 272, 1000):
         monkeypatch.setattr(run_module, "SIMULATE_BLOCK_TIMES", block)
         paths = run_simulate(scenario, tmp_path / str(block), plot=True)
         assert [Path(p).read_bytes() for p in paths] == [Path(p).read_bytes() for p in default]
@@ -436,6 +439,23 @@ def test_sweep_warns_like_the_scalar_path(tmp_path):
     doc["sweep"] = {"parameter": "rates.delta1", "values": [0.0, 0.5]}
     with pytest.warns(NotPositiveDefiniteWarning), pytest.warns(InitialRateWindowWarning):
         run_sweep(parse_sweep(doc), tmp_path)
+
+
+@pytest.mark.parametrize("probe_time", [0.5, 2.0])
+def test_sweep_probe_columns_are_the_simulated_differences(probe_time):
+    """The three probe columns are, bit for bit, the 00 - 11 differences
+    of ``compare_pps`` at the probe time of a grid from 0, one matrix per
+    swept value: the sweep's lone probe time rounds as a time of
+    simulate's grid does."""
+    values = tuple(np.linspace(0.0, 1.5, 200).tolist())
+    sweep = SweepSpec("delta_scale", values, default_scenario(), probe_time)
+    table = run_module._sweep_table(sweep)
+    labels = (PpsLabel.P00, PpsLabel.P11)
+    for row, rates in zip(table, sweep_rates(sweep.base, sweep.parameter, values)):
+        gamma = build_matrix(RelaxationRates(*rates.tolist()))
+        pair = compare_pps(gamma, sweep.base.sys, [0.0, probe_time], labels).coefficients
+        a, b, c = (pair[labels[0]][1] - pair[labels[1]][1]).tolist()
+        assert row[2:].tolist() == [a, abs(b), abs(c)]
 
 
 def test_sweep_full_solution_difference_increases(tmp_path):

@@ -35,8 +35,8 @@ def spectrum(pair, snr=math.inf, seed=0):
     return noisy_amps(doublet_amps(FREQS, [pair], SYS.j_coupling, 1.0), snr, [seed])[0]
 
 
-def fit_batch(amps, **options):
-    return fit_doublets(FREQS, amps, SYS.j_coupling, 1.0, **options)
+def fit_batch(amps):
+    return fit_doublets(FREQS, amps, SYS.j_coupling, 1.0)
 
 
 def uniform_integral(amps, freqs):
@@ -239,8 +239,9 @@ def test_fit_featureless_spectrum_is_low_confidence():
     assert fits.low_confidence[0]
 
 
-def test_fit_not_converged_carries_best_fit():
-    fits = fit_batch(spectrum((0.9, 0.3), 50.0, 1)[None], max_iter=1)
+def test_fit_not_converged_carries_best_fit(monkeypatch):
+    monkeypatch.setattr(spectra, "FIT_MAX_ITER", 1)
+    fits = fit_batch(spectrum((0.9, 0.3), 50.0, 1)[None])
     assert not fits.converged[0]
     assert fits.iterations[0] == 1
     assert np.isfinite(fits.peaks[0]).all() and np.isfinite(fits.residual_norm[0])
@@ -314,10 +315,11 @@ def test_batch_fit_matches_fitting_each_spectrum_alone(max_iter, monkeypatch):
     chunks, the last one of 2 rows, and the working set shrinks across
     their borders."""
     amps = noisy_batch()
-    alone = [fit_batch(amps[row : row + 1], max_iter=max_iter) for row in range(len(amps))]
+    monkeypatch.setattr(spectra, "FIT_MAX_ITER", max_iter)
+    alone = [fit_batch(amps[row : row + 1]) for row in range(len(amps))]
     for chunk in (spectra.NORMAL_EQUATION_ROWS, 3):
         monkeypatch.setattr(spectra, "NORMAL_EQUATION_ROWS", chunk)
-        batch = fit_batch(amps, max_iter=max_iter)
+        batch = fit_batch(amps)
         # rows leave the working set at different iterations
         assert len(set(batch.iterations.tolist())) > 1
         for row, fit in enumerate(alone):
