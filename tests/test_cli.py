@@ -50,6 +50,20 @@ def run_cli(command):
     )
 
 
+def test_import_leaves_hashlib_and_numpy_random_unloaded():
+    """Importing the CLI loads neither hashlib nor numpy.random beyond what
+    ``import numpy`` loads (numpy 1.x imports numpy.random, and with it
+    hashlib, itself): only a config without an id takes a digest, and
+    only noise draws random numbers."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ppsrelax.__file__).parents[1])}
+    probe = (
+        "import sys, numpy; before = set(sys.modules); import ppsrelax.cli; "
+        "print(sorted({'hashlib', 'numpy.random'} & (sys.modules.keys() - before)))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.stdout == "[]\n", result.stderr
+
+
 def test_simulate_subcommand(tmp_path, capsys):
     config = write_config(tmp_path)
     code = main(["simulate", "--config", config, "--out", str(tmp_path / "out")])

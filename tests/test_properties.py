@@ -321,3 +321,42 @@ def test_seed_words_are_numpy_seed_sequence(seeds, seed, keys):
     noisy = spectra.noisy_amps(np.ones((len(seeds + keyed), 16)), 1.0, seeds + keyed)
     for row, entropy in zip(noisy, seeds + keyed):
         np.testing.assert_array_equal(row, 1.0 + np.random.default_rng(entropy).standard_normal(16))
+
+
+@PROPERTY
+@given(
+    st.integers(2**32, 2**130),
+    st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * 3), min_size=2, max_size=40),
+)
+def test_keyed_noise_is_default_rng_of_its_keys(seed, keys):
+    """``_add_noise`` draws the spectra of ``_keyed_seed_words``, as the
+    pipeline hands it them, from ``default_rng([seed, *key])`` bit for
+    bit: PCG64 reads each row of the words raw, so they are C-contiguous
+    rows, not the transpose of the hash's [4, S] output."""
+    words = spectra._keyed_seed_words(seed, np.array(keys, dtype=np.int64))
+    noisy = spectra._add_noise(np.ones((len(keys), 16)), 1.0, words)
+    for row, key in zip(noisy, keys):
+        drawn = np.random.default_rng([seed, *key]).standard_normal(16)
+        np.testing.assert_array_equal(row, 1.0 + drawn)
+
+
+@PROPERTY
+@given(st.lists(line_integrals, min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_chi2_stop_ends_near_the_tight_fit(pairs, seed):
+    """On noisy spectra (snr 100) a fit that stops at a chi^2 change of
+    FIT_DCHI2 ends within 5 FIT_DCHI2 in chi^2 of the fit that runs on
+    to a relative change of 1e-10 in its squared residual, chi^2 being
+    the squared residual over the tight fit's noise variance
+    ssr / (N - 5), and converges as that fit does; rows with a line at the
+    noise level (``low_confidence`` in either fit) may end in another
+    local minimum."""
+    amps = noisy_doublets(pairs, 100.0, [[seed, row] for row in range(len(pairs))])
+    stopped = fit(amps)
+    with mock.patch.object(spectra, "FIT_DCHI2", (FREQS.size - 5) * 1e-10):
+        tight = fit(amps)
+    np.testing.assert_array_equal(stopped.converged, tight.converged)
+    confident = ~(stopped.low_confidence | tight.low_confidence)
+    # (ssr - tight ssr) / (tight ssr / (N - 5)), free of the spectrum's scale
+    ratio = stopped.residual_norm[confident] / tight.residual_norm[confident]
+    dchi2 = (FREQS.size - 5) * (ratio**2 - 1)
+    assert np.all(dchi2 <= 5 * spectra.FIT_DCHI2), dchi2

@@ -507,6 +507,19 @@ def test_noiseless_doublet_recovered(magnitudes, signs, offsets, fwhm):
     np.testing.assert_allclose(fits.peaks[0, :, 0], centers, rtol=1e-9)
 
 
+@pytest.mark.parametrize("pair", [(1.0, 1e-3), (1e-3, -1.0)])
+def test_noiseless_doublet_fits_past_the_chi2_stop(pair):
+    """A noiseless doublet with a line near 0, as a pseudo-pure spectrum
+    has, still fits to 1e-9 with FIT_DCHI2 at its default: each of
+    its steps removes nearly all of its residual, far more than FIT_DCHI2
+    of it, so it runs on to the rounding floor."""
+    assert spectra.FIT_DCHI2 == 1e-3
+    fits = fit_batch(spectrum(pair)[None])
+    assert fits.converged[0]
+    np.testing.assert_allclose(fits.peaks[0, :, 1], pair, rtol=1e-9)
+    np.testing.assert_allclose(fits.peaks[0, :, 0], (-2.9, 2.9), rtol=1e-9)
+
+
 # --------------------------------------------------------------- extraction
 
 def extract(modes, label, eq=EQ):
