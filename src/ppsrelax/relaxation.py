@@ -41,6 +41,7 @@ __all__ = [
     "build_matrix",
     "propagate",
     "linear_step",
+    "check_positive_definite",
     "check_initial_rate_window",
 ]
 
@@ -114,8 +115,8 @@ class RelaxationMatrix:
     ascending order and ``eigenvectors`` the matching orthonormal columns.
     ``positive_definite`` is False when any eigenvalue is <= 0. All three
     arrays may carry the same leading batch dimensions (a stack of
-    matrices); ``positive_definite`` and ``max_eigenvalue`` then cover
-    the whole stack.
+    matrices); ``positive_definite``, ``min_eigenvalue`` and
+    ``max_eigenvalue`` then cover the whole stack.
     """
 
     entries: np.ndarray
@@ -128,6 +129,10 @@ class RelaxationMatrix:
             arr.setflags(write=False)
 
     @property
+    def min_eigenvalue(self) -> float:
+        return float(np.min(self.eigenvalues[..., 0]))
+
+    @property
     def max_eigenvalue(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
 
@@ -135,26 +140,34 @@ class RelaxationMatrix:
 def diagonalize(entries: np.ndarray) -> RelaxationMatrix:
     """Spectral decomposition of symmetric rate matrices [..., 3, 3].
 
-    Emits NotPositiveDefiniteWarning (and marks the result) when a matrix
-    has a non-positive eigenvalue; such matrices still propagate, they
-    just do not decay monotonically to equilibrium.
+    A matrix with a non-positive eigenvalue marks the result; it does not
+    warn here, so that a caller diagonalizing a stack in parts can warn
+    once for all of them (``check_positive_definite``).
     """
     eigenvalues, eigenvectors = np.linalg.eigh(entries)
-    lowest = float(np.min(eigenvalues[..., 0]))
-    positive = lowest > 0.0
-    if not positive:
+    positive = float(np.min(eigenvalues[..., 0])) > 0.0
+    return RelaxationMatrix(entries, eigenvalues, eigenvectors, positive)
+
+
+def build_matrix(rates: RelaxationRates) -> RelaxationMatrix:
+    """Assemble and diagonalize the symmetric rate matrix; warns as
+    ``check_positive_definite`` does."""
+    gamma = diagonalize(rates.matrix())
+    check_positive_definite(gamma.min_eigenvalue)
+    return gamma
+
+
+def check_positive_definite(lowest: float) -> None:
+    """Emit NotPositiveDefiniteWarning when ``lowest``, the lowest
+    eigenvalue of one or more rate matrices, is <= 0; such matrices still
+    propagate, they just do not decay monotonically to equilibrium."""
+    if not lowest > 0.0:
         warnings.warn(
             f"rate matrix is not positive definite (min eigenvalue "
             f"{lowest:.6g} 1/s)",
             NotPositiveDefiniteWarning,
             stacklevel=3,
         )
-    return RelaxationMatrix(entries, eigenvalues, eigenvectors, positive)
-
-
-def build_matrix(rates: RelaxationRates) -> RelaxationMatrix:
-    """Assemble and diagonalize the symmetric rate matrix."""
-    return diagonalize(rates.matrix())
 
 
 def propagate(gamma: RelaxationMatrix, m0, m_inf, times) -> np.ndarray:
@@ -205,12 +218,13 @@ def linear_step(entries: np.ndarray, m0, m_inf, tau: float) -> np.ndarray:
     return m0 - tau * (entries @ (m0 - m_inf)[..., None])[..., 0]
 
 
-def check_initial_rate_window(gamma: RelaxationMatrix, tau: float) -> None:
+def check_initial_rate_window(lambda_max: float, tau: float) -> None:
     """Warn when tau * lambda_max > 0.2, i.e. outside the regime where the
-    decay or growth of every mode is linear in time."""
-    if tau * gamma.max_eigenvalue > INITIAL_RATE_WINDOW:
+    decay or growth of every mode is linear in time; ``lambda_max`` is the
+    largest |eigenvalue| of one or more rate matrices."""
+    if tau * lambda_max > INITIAL_RATE_WINDOW:
         warnings.warn(
-            f"tau * lambda_max = {tau * gamma.max_eigenvalue:.4g} is outside "
+            f"tau * lambda_max = {tau * lambda_max:.4g} is outside "
             f"the initial-rate window ({INITIAL_RATE_WINDOW})",
             InitialRateWindowWarning,
             stacklevel=3,

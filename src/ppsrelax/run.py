@@ -69,6 +69,16 @@ CSV_BLOCK_ROWS = 64
 #: 2.3 MB at 16 384 and 6.2 MB at 65 536.
 SIMULATE_BLOCK_TIMES = 64 * CSV_BLOCK_ROWS
 
+#: Swept values sweep builds, diagonalizes, propagates and formats at
+#: once. In process, on sweep-wide (10 000 values), blocks of 1 024 and
+#: 2 048 values made the rows as fast as one block of all of them, and 256
+#: took about 15 % longer; the traced peak (1.08 MB) and peak RSS (36.5 MB)
+#: were at their floor up to 1 024 values, while 2 048 traced 1.5 MB, 4 096
+#: traced 2.6 MB (38.3 MB RSS) and one block 5.4 MB (41.2 MB RSS).
+#: simulate keeps its own size: a block costs it about 0.1 ms, so blocks of
+#: 1 024 times would add about 15 ms (3 %) to simulate-long.
+SWEEP_BLOCK_VALUES = 16 * CSV_BLOCK_ROWS
+
 SIMULATE_COLUMNS = ("pps", "t", "c1", "c2", "c12", "A", "B", "C", "A_minus_A0")
 SWEEP_COLUMNS = (
     "value",
@@ -182,14 +192,21 @@ def run_simulate(scenario: Scenario, out_dir, plot: bool = False) -> list[str]:
     return written
 
 
-def _sweep_table(sweep: SweepSpec) -> np.ndarray:
+def _sweep_table(sweep: SweepSpec, values: Sequence[float], seen: list) -> np.ndarray:
     """Rows (value, a_diff_initial, a_diff_probe, b_absdiff_probe,
-    c_absdiff_probe) [N, 5] of the 00 / 11 pair, one per swept value."""
+    c_absdiff_probe) [B, 5] of the 00 / 11 pair, one per value of
+    ``values``, a block of the swept values.
+
+    It does not warn: ``seen`` holds the lowest eigenvalue and the largest
+    |eigenvalue| of the matrices diagonalized so far, and takes this
+    block's before any state is propagated, so a block that overflows
+    counts too.
+    """
     base = sweep.base
-    rates = sweep_rates(base, sweep.parameter, sweep.values)
+    rates = sweep_rates(base, sweep.parameter, values)
     # one matrix per swept value, broadcast over the two states
     gamma = relaxation.diagonalize(relaxation.rate_matrix(rates)[:, None])
-    relaxation.check_initial_rate_window(gamma, base.tau)
+    seen[:] = min(seen[0], gamma.min_eigenvalue), max(seen[1], gamma.max_eigenvalue)
     labels = (PpsLabel.P00, PpsLabel.P11)
     m0 = [pps_modes(label, base.sys) for label in labels]
     m_inf = equilibrium_modes(base.sys)
@@ -201,19 +218,46 @@ def _sweep_table(sweep: SweepSpec) -> np.ndarray:
     ]
     split = probe00 - probe11
     return np.column_stack(
-        (sweep.values, initial00[:, 0] - initial11[:, 0], split[:, 0], np.abs(split[:, 1:]))
+        (values, initial00[:, 0] - initial11[:, 0], split[:, 0], np.abs(split[:, 1:]))
     )
 
 
+def _warn_sweep(lowest: float, largest: float, tau: float) -> None:
+    """The sweep's warnings, once for all its blocks, attributed to the
+    line of run_sweep that calls this."""
+    relaxation.check_positive_definite(lowest)
+    relaxation.check_initial_rate_window(largest, tau)
+
+
 def run_sweep(sweep: SweepSpec, out_dir) -> str:
-    """Differential-decay metrics of the 00 / 11 pair per swept value."""
+    """Differential-decay metrics of the 00 / 11 pair per swept value.
+
+    Writes ``sweep.csv`` and returns its path. Values are turned into
+    matrices, states, rows and text SWEEP_BLOCK_VALUES at a time, so only
+    one block of them is held; what still grows with the values is the
+    config's values themselves and the ``# scenario:`` line that repeats
+    them. The run warns at most once per category, after its last block
+    or its failure: of the lowest eigenvalue and of the largest
+    |eigenvalue| over every value.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = _csv_text(",".join(["%.12g"] * 5) + "\n", _sweep_table(sweep))
+    template = ",".join(["%.12g"] * 5) + "\n"
+    values, seen = sweep.values, [math.inf, 0.0]
+    lines = (
+        text
+        for start in range(0, len(values), SWEEP_BLOCK_VALUES)
+        for text in _csv_text(
+            template, _sweep_table(sweep, values[start : start + SWEEP_BLOCK_VALUES], seen)
+        )
+    )
     doc = scenario_to_dict(sweep.base)
     doc["sweep"] = {k: v for k, v in _to_doc(sweep).items() if k != "base"}
     csv_path = out / "sweep.csv"
-    _write_csv(csv_path, "sweep", doc, SWEEP_COLUMNS, lines)
+    try:
+        _write_csv(csv_path, "sweep", doc, SWEEP_COLUMNS, lines)
+    finally:
+        _warn_sweep(*seen, sweep.base.tau)
     return str(csv_path)
 
 

@@ -110,5 +110,5 @@ def recompose(abc, label: PpsLabel) -> np.ndarray:
 def initial_rate(gamma: RelaxationMatrix, m0, m_inf, tau: float) -> np.ndarray:
     """Linearized (initial-rate) state M0 - G tau (M0 - M_inf) of one mode
     row: ``linear_step`` with the initial-rate window warning."""
-    check_initial_rate_window(gamma, tau)
+    check_initial_rate_window(gamma.max_eigenvalue, tau)
     return linear_step(gamma.entries, m0, m_inf, tau)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,43 @@ def test_overflow_after_written_rows_leaves_no_csv(tmp_path, capsys, monkeypatch
     assert "numerical failure" in capsys.readouterr().err
     assert sum(rows) > 1000
     assert not (tmp_path / "out" / "simulate.csv").exists()
+
+
+def test_sweep_overflow_after_written_rows_warns_first(tmp_path, capsys, monkeypatch):
+    """A sweep of 3 000 values in blocks of 1 000 whose last block holds
+    the overflowing delta1 = 900: after two blocks of rows, both warnings
+    reach stderr before the failure line, once each, the run exits 2 and
+    it leaves no CSV."""
+    from ppsrelax import run
+
+    monkeypatch.setattr(run, "SWEEP_BLOCK_VALUES", 1000)
+    csv_text, rows = run._csv_text, []
+
+    def watched(template, table):
+        rows.append(len(table))
+        return csv_text(template, table)
+
+    monkeypatch.setattr(run, "_csv_text", watched)
+    values = [0.0] * 2000 + [0.1] * 500 + [900.0] * 500
+    sweep = {"parameter": "rates.delta1", "values": values, "probe_time": 1}
+    config = write_config(tmp_path, sweep=sweep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, category, *_: print(
+            f"{category.__name__}: {message}", file=sys.stderr
+        )
+        code = main(["sweep", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert rows == [1000, 1000]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == [
+        "NotPositiveDefiniteWarning",
+        "InitialRateWindowWarning",
+        "ppsrelax",
+    ]
+    assert err[0].endswith("(min eigenvalue -899.679 1/s)")
+    assert "numerical failure" in err[2]
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_failed_write_leaves_no_csv(tmp_path, capsys, monkeypatch):

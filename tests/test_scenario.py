@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -441,6 +442,32 @@ def test_sweep_warns_like_the_scalar_path(tmp_path):
         run_sweep(parse_sweep(doc), tmp_path)
 
 
+def test_sweep_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    """100 values in blocks of 7 (14 blocks and a tail of 2) write the bytes
+    of one block. A sweep whose non-positive-definite value (rho1 = 0.001,
+    block 0) and largest-eigenvalue value (rho1 = 5, block 1, outside the
+    initial-rate window at tau 0.1) fall in different blocks warns once
+    per category, with the text of the one-block run."""
+    plain = config_doc()
+    plain["sweep"] = {"parameter": "delta_scale", "values": np.linspace(0, 1.5, 100).tolist()}
+    warned = config_doc()
+    warned["sweep"] = {"parameter": "rates.rho1", "values": [0.001] + [0.3] * 10 + [5.0]}
+    runs = []
+    for block in (7, 100):
+        monkeypatch.setattr(run_module, "SWEEP_BLOCK_VALUES", block)
+        out = tmp_path / str(block)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            paths = [run_sweep(parse_sweep(plain), out / "plain"), run_sweep(parse_sweep(warned), out)]
+        texts = [(w.category, str(w.message)) for w in caught]
+        runs.append(([Path(p).read_bytes() for p in paths], texts))
+    assert runs[0] == runs[1]
+    assert [category for category, _ in runs[0][1]] == [
+        NotPositiveDefiniteWarning,
+        InitialRateWindowWarning,
+    ]
+
+
 @pytest.mark.parametrize("probe_time", [0.5, 2.0])
 def test_sweep_probe_columns_are_the_simulated_differences(probe_time):
     """The three probe columns are, bit for bit, the 00 - 11 differences
@@ -449,7 +476,7 @@ def test_sweep_probe_columns_are_the_simulated_differences(probe_time):
     simulate's grid does."""
     values = tuple(np.linspace(0.0, 1.5, 200).tolist())
     sweep = SweepSpec("delta_scale", values, default_scenario(), probe_time)
-    table = run_module._sweep_table(sweep)
+    table = run_module._sweep_table(sweep, values, [math.inf, 0.0])
     labels = (PpsLabel.P00, PpsLabel.P11)
     for row, rates in zip(table, sweep_rates(sweep.base, sweep.parameter, values)):
         gamma = build_matrix(RelaxationRates(*rates.tolist()))
@@ -803,6 +830,17 @@ def test_simulate_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
         for end in (5.0, 50.0)
     )
     assert long < short + 2**20
+
+
+def test_sweep_holds_one_block_at_a_time(tmp_path):
+    """The traced peak of a 40 000-value sweep stays below twice the size
+    of the CSV it writes: matrices, states and rows are made one block of
+    values at a time. What is left grows with the values because the
+    output repeats them: the ``# scenario:`` line lists every one."""
+    values = tuple(np.linspace(0.0, 1.5, 40_000).tolist())
+    sweep = SweepSpec("delta_scale", values, default_scenario())
+    path, peak = traced_peak(lambda: run_sweep(sweep, tmp_path))
+    assert peak < 2 * Path(path).stat().st_size
 
 
 def test_report_never_holds_the_text_of_a_csv(tmp_path):
