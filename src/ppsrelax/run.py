@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -34,25 +33,6 @@ from .scenario import (
 from .spins import PpsLabel, doublet_pairs, equilibrium_modes, pps_modes
 
 __all__ = ["SchemaMismatch", "run_simulate", "run_sweep", "run_pipeline"]
-
-#: Grid samples of the spectra the pipeline synthesizes and fits in one
-#: batch: 128 spectra of the default 801 points, whose noise is drawn and
-#: whose normal equations are built spectra.NORMAL_EQUATION_ROWS at a time
-#: (the first ones from basis functions the batch shares). A fit thread
-#: takes the next batch whenever it is free.
-BATCH_SAMPLES = 128 * 801
-
-#: Live spectra at or below which a batch's fit stops and hands them to
-#: the straggler pool. Most of a batch's iterations run on a few live
-#: rows, each paying 130-180 us of GIL-held bookkeeping that holds up the
-#: other fit thread; the pool pays it once for many batches. On the
-#: default grid, in process: with no pool (0) a run took 3-8 % longer; 4
-#: ran within 2 % of 8 and held 0.2 MB less at peak; 16 held 1.2 MB more.
-#: A batch of fewer than 4 times this many spectra (a grid of over 3 204
-#: points) runs to its end. In process, over 1 010 spectra, the pool saved
-#: 13 % at 64 spectra a batch, 7 % at 42 and 3 % at 32; at 25, 17 and 9 it
-#: saved nothing and only copied spectra.
-_POOL_ROWS = 8
 
 #: Noise-key state code of the two equilibrium reference spectra; a
 #: pseudo-pure state uses its basis index, 0 (00) to 3 (11).
@@ -115,7 +95,7 @@ def _write_csv(path, kind: str, scenario_doc: dict, columns: Sequence[str], line
         with fh:
             fh.write(f"# ppsrelax {kind} v{SCHEMA_VERSION}\n")
             fh.write("# units: time s, rates 1/s, amplitudes relative\n")
-            fh.write(f"# scenario: {scenario_line}\n")
+            fh.writelines(("# scenario: ", scenario_line, "\n"))  # a long line is not copied
             fh.write(",".join(columns) + "\n")
             fh.writelines(lines)
     except BaseException:
@@ -261,112 +241,6 @@ def run_sweep(sweep: SweepSpec, out_dir) -> str:
     return str(csv_path)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_threads(task, items: Sequence) -> list:
-    """``[task(item) for item in items]`` on one thread per usable CPU,
-    the calling thread among them; each thread takes the next item not
-    yet taken whenever it finishes one, so a slow item holds up only the
-    thread running it. The calling thread takes items rather than wait:
-    ``ThreadPoolExecutor.map``, under which it runs none, ran perfbench's
-    pipeline-dense as fast on a 2-vCPU VM but raised its peak RSS from
-    45.3 to 48.4 MB (6 of 6 pairs).
-
-    Once a call raises, no thread starts another item, and the first
-    exception raised (an interrupt of the calling thread before any) is
-    re-raised here after every thread has stopped.
-    """
-    results = [None] * len(items)
-    errors = []
-    count = min(_usable_cpus(), len(items))
-    indices = iter(range(len(items)))
-    taking = threading.Lock()
-
-    def work() -> None:
-        try:
-            while not errors:
-                with taking:
-                    index = next(indices, None)
-                if index is None:
-                    return
-                results[index] = task(items[index])
-        except Exception as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work) for _ in range(1, count)]
-    for thread in threads:
-        thread.start()
-    try:
-        work()
-    except BaseException as exc:  # an interrupt reaches the calling thread only
-        errors.insert(0, exc)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
-def _fit_spectra(
-    scenario: Scenario, freqs: np.ndarray, pairs: np.ndarray, keys: np.ndarray
-) -> spectra.DoubletFits:
-    """Synthesize, degrade and fit one doublet per line-integral pair of
-    ``pairs`` [K, 2]; spectrum k draws its noise from
-    ``default_rng([seed, *keys[k]])``.
-
-    The noise seeds of the whole run are hashed into SeedSequence words
-    at once, here. Spectra are made and fitted a batch of about
-    BATCH_SAMPLES grid samples at a time, and the batches run on one
-    thread per usable CPU, each thread taking the next batch when it is
-    free (numpy releases the GIL in the array work that dominates a
-    batch). A batch of at least 4 _POOL_ROWS spectra stops its fit once
-    at most _POOL_ROWS are still live and puts them in the straggler
-    pool, each with a copy of its spectrum. The thread that brings the
-    pool to a batch's worth of spectra finishes them all in one
-    iteration, and the calling thread finishes what is left after the
-    fit threads. So a thread holds at most about two batches of spectra,
-    and less than one waits in the pool, whatever the grid and the run's
-    length. A row's result depends neither on the batch size, nor on the
-    thread count, nor on where it finishes. Numpy's float warnings are
-    off in every batch and in the pool: a spectrum that overflows fails
-    its fit, and its row records that.
-    """
-    j_coupling, fwhm, noise = scenario.sys.j_coupling, scenario.spectrum.fwhm, scenario.noise
-    batch = max(1, BATCH_SAMPLES // len(freqs))
-    handoff = _POOL_ROWS if batch >= 4 * _POOL_ROWS else 0
-    setup = spectra._fit_setup(freqs, j_coupling, fwhm)
-    noisy = not math.isinf(noise.snr)
-    words = spectra._keyed_seed_words(noise.seed, keys) if noisy else None
-    fitted = spectra._unfitted(len(pairs))
-    pool, pooling = [], threading.Lock()
-
-    def fit(start: int) -> None:
-        with np.errstate(all="ignore"):  # numpy keeps this state per thread
-            amps = spectra.doublet_amps(freqs, pairs[start : start + batch], j_coupling, fwhm)
-            if noisy:
-                spectra._add_noise(amps, noise.snr, words[start : start + batch])
-            stragglers = spectra._fit_batch(setup, amps, fitted, start, handoff)
-            if not len(stragglers.amps):
-                return
-            with pooling:
-                pool.append(stragglers)
-                if sum(len(pooled.amps) for pooled in pool) < batch:
-                    return
-                full = pool[:]
-                pool.clear()
-            spectra._fit_pool(setup, full, fitted)
-
-    _map_threads(fit, range(0, len(pairs), batch))
-    with np.errstate(all="ignore"):
-        spectra._fit_pool(setup, pool, fitted)
-    return spectra._doublet_fits(setup, fitted)
-
-
 def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) -> str:
     """Full measurement chain over the scenario time grid.
 
@@ -411,7 +285,8 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
     keys = np.concatenate((references, np.stack(grid, -1).reshape(-1, 3)))
     with np.errstate(over="ignore"):  # a line of inf integral fails its fit, as below
         pairs = doublet_pairs(modes).reshape(-1, 2)
-    fits = _fit_spectra(scenario, freqs, pairs, keys)
+    snr, seed = scenario.noise.snr, scenario.noise.seed
+    fits = spectra.fit_noisy_doublets(freqs, pairs, sys_obj.j_coupling, spec.fwhm, snr, seed, keys)
     for row in (0, 1):
         if not fits.converged[row]:
             raise spectra.NotConverged(

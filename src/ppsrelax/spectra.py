@@ -12,9 +12,10 @@ The measurement chain mirrors an actual relaxation experiment and works
 on batches of spectra that share one frequency grid: ``doublet_amps``
 synthesizes the doublets of line-integral pairs (``spins.doublet_pairs``
 gives the pairs of mode rows), ``noisy_amps`` adds white Gaussian noise,
-``fit_doublets`` fits a bi-Lorentzian model to every spectrum, and
-``coefficient_rows`` converts fitted line integrals back into the
-pseudo-pure-state coefficients normalized by equilibrium intensities.
+``fit_doublets`` fits a bi-Lorentzian model to every spectrum (or
+``fit_noisy_doublets`` all three), and ``coefficient_rows`` converts
+fitted line integrals back into the pseudo-pure-state coefficients
+normalized by equilibrium intensities.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
+import threading
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,6 +41,7 @@ __all__ = [
     "doublet_amps",
     "noisy_amps",
     "fit_doublets",
+    "fit_noisy_doublets",
     "coefficient_rows",
 ]
 
@@ -73,6 +77,25 @@ FIT_DCHI2 = 1e-3
 #: drawn into one block: the P + 1 planes of 32 spectra of 801 points
 #: (1.2 MB) stay inside a 2 MB L2 cache.
 NORMAL_EQUATION_ROWS = 32
+
+#: Grid samples of the spectra fitted in one batch: 128 spectra of the
+#: default 801 points, whose noise is drawn and whose normal equations are
+#: built NORMAL_EQUATION_ROWS at a time (the first ones from basis
+#: functions the batch shares). A fit thread takes the next batch whenever
+#: it is free.
+BATCH_SAMPLES = 128 * 801
+
+#: Live spectra at or below which a batch's fit stops and hands them to
+#: the straggler pool. Most of a batch's iterations run on a few live
+#: rows, each paying 130-180 us of GIL-held bookkeeping that holds up the
+#: other fit thread; the pool pays it once for many batches. On the
+#: default grid, in process: with no pool (0) a run took 3-8 % longer; 4
+#: ran within 2 % of 8 and held 0.2 MB less at peak; 16 held 1.2 MB more.
+#: A batch of fewer than 4 times this many spectra (a grid of over 3 204
+#: points) runs to its end. In process, over 1 010 spectra, the pool saved
+#: 13 % at 64 spectra a batch, 7 % at 42 and 3 % at 32; at 25, 17 and 9 it
+#: saved nothing and only copied spectra.
+_POOL_ROWS = 8
 
 
 class GridTooCoarse(ValueError):
@@ -140,7 +163,7 @@ def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
     is a non-negative int or a sequence of them (ValueError otherwise, or
     when ``seeds`` is not S long). ``snr=math.inf`` leaves ``amps``. The
     seeds are hashed by ``_seed_words`` and drawn by ``_add_noise``, as
-    the pipeline does for a whole run."""
+    ``fit_noisy_doublets`` does for all of its spectra."""
     if not snr > 0:
         raise ValueError(f"snr must be > 0, got {snr}")
     if math.isinf(snr):
@@ -228,8 +251,8 @@ def _keyed_seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
     int ``keys`` [K, W], each of whose entries fits one 32-bit word. Such a
     seed's words are those of ``seed`` followed by the key, so all K are
     hashed from one array, never a Python list per seed: through
-    ``_seed_words`` the 4 010 seeds of pipeline-dense took 8-10 ms, not
-    0.7-0.8, and raised its peak RSS by 0.5 MB."""
+    ``_seed_words`` the 4 010 seeds of ``fit_noisy_doublets`` on
+    pipeline-dense took 8-10 ms, not 0.7-0.8, and raised peak RSS 0.5 MB."""
     seed_words = _words(seed)
     entropy = np.empty((len(seed_words) + keys.shape[1], len(keys)), np.uint32)
     entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
@@ -448,26 +471,6 @@ class _Live(NamedTuple):
     steps: np.ndarray
 
 
-class _Fitted(NamedTuple):
-    """The outcome of each fit, [S] per field: the final parameters
-    [S, 5], squared residual, steps evaluated and convergence, and the
-    power of two by which the spectrum was scaled down for its fit."""
-
-    params: np.ndarray
-    ssr: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    exponent: np.ndarray
-
-
-class _Stragglers(NamedTuple):
-    """Fits handed over unfinished: the live rows, and a copy of each
-    one's spectrum, ``amps`` [L, N], that ``live.rows`` indexes."""
-
-    live: _Live
-    amps: np.ndarray
-
-
 #: Spectra whose largest |amplitude| lies outside this band are fitted
 #: scaled into [0.5, 1) by a power of two: the squared residual of a
 #: spectrum of 1e-200 underflows and stalls its fit at the start, and one
@@ -500,18 +503,13 @@ def _work_buffer(rows: int, points: int) -> np.ndarray:
     return np.empty((6, min(max(rows, 1), NORMAL_EQUATION_ROWS), points))
 
 
-def _unfitted(size: int) -> _Fitted:
-    """The ``_Fitted`` of ``size`` spectra, for their fits to fill in."""
-    unset = np.zeros(size, dtype=int)
-    return _Fitted(np.empty((size, 5)), np.empty(size), unset, unset.astype(bool), unset.copy())
-
-
 def _fit_batch(
-    setup: _FitSetup, amps: np.ndarray, fitted: _Fitted, start: int, handoff: int
-) -> _Stragglers:
+    setup: _FitSetup, amps: np.ndarray, fitted: tuple, start: int, handoff: int
+) -> tuple[_Live, np.ndarray]:
     """Starts the fits of the spectra ``amps`` [S, N], whose outcomes are
-    the rows from ``start`` on of ``fitted``, and iterates them until at
-    most ``handoff`` rows are live (0: until every row is done).
+    the rows from ``start`` on of ``fitted``, iterates them until at most
+    ``handoff`` rows are live (0: until every row is done) and returns
+    those and a copy of their spectra [L, N], which ``live.rows`` indexes.
 
     Every row starts at the doublet geometry, so the first normal
     equations of the batch come from ``_start_equations``.
@@ -522,7 +520,7 @@ def _fit_batch(
     exponent = np.where(scaled, np.frexp(peak)[1], 0)
     if exponent.any():  # never for a spectrum of 0, NaN or inf: their exponent is 0
         amps = np.ldexp(amps, -exponent[:, None])
-    fitted.exponent[start : start + size] = exponent
+    fitted[-1][start : start + size] = exponent
     nearest = np.abs(setup.freqs - setup.centers[:, None]).argmin(axis=1)
     integrals = amps[:, nearest] * math.pi * setup.fwhm / 2.0
     params = np.empty((size, 5))
@@ -533,15 +531,15 @@ def _fit_batch(
     damping, escalation = np.full(size, 1e-3), np.full(size, 2.0)
     live = _Live(start + rows, rows, params, *equations, damping, escalation, np.zeros_like(rows))
     live = _levenberg_marquardt(setup, amps, live, fitted, work, handoff)
-    return _Stragglers(live._replace(rows=np.arange(len(live.rows))), amps[live.rows])
+    return live._replace(rows=np.arange(len(live.rows))), amps[live.rows]
 
 
-def _fit_pool(setup: _FitSetup, pool: Sequence[_Stragglers], fitted: _Fitted) -> None:
-    """Finishes the fits of ``pool`` together, in one iteration."""
-    size = sum(len(stragglers.amps) for stragglers in pool)
+def _fit_pool(setup: _FitSetup, pool: Sequence[tuple[_Live, np.ndarray]], fitted: tuple) -> None:
+    """Finishes the stragglers ``pool`` of ``_fit_batch`` in one iteration."""
+    size = sum(len(amps) for _, amps in pool)
     if size:
-        live = _Live(*map(np.concatenate, zip(*(stragglers.live for stragglers in pool))))
-        amps = np.concatenate([stragglers.amps for stragglers in pool])
+        live = _Live(*map(np.concatenate, zip(*(live for live, _ in pool))))
+        amps = np.concatenate([amps for _, amps in pool])
         live = live._replace(rows=np.arange(size))
         _levenberg_marquardt(setup, amps, live, fitted, _work_buffer(size, setup.freqs.size), 0)
 
@@ -550,7 +548,7 @@ def _levenberg_marquardt(
     setup: _FitSetup,
     amps: np.ndarray,
     live: _Live,
-    fitted: _Fitted,
+    fitted: tuple,
     work: np.ndarray,
     handoff: int,
 ) -> _Live:
@@ -594,8 +592,8 @@ def _levenberg_marquardt(
         leaving = done | spent
         if leaving.any():  # rows done last step, retired on this one, or out of steps
             out = live.index[leaving]
-            fitted.params[out], fitted.ssr[out] = params[leaving], ssr[leaving]
-            fitted.iterations[out], fitted.converged[out] = steps[leaving], done[leaving]
+            for outcome, value in zip(fitted, (params, ssr, steps, done)):
+                outcome[out] = value[leaving]
             keep = ~leaving
             live = _Live(*(a[keep] for a in live))
             _, _, params, ssr, gradient, hessian, damping, escalation, steps = live
@@ -630,7 +628,7 @@ def _levenberg_marquardt(
         steps += 1
 
 
-def _doublet_fits(setup: _FitSetup, fitted: _Fitted) -> DoubletFits:
+def _doublet_fits(setup: _FitSetup, fitted: tuple) -> DoubletFits:
     """The ``DoubletFits`` of the outcome ``fitted``, at each spectrum's
     own scale."""
     params, ssr, iterations, converged, exponent = fitted
@@ -655,14 +653,113 @@ def _doublet_fits(setup: _FitSetup, fitted: _Fitted) -> DoubletFits:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_threads(task, items: Sequence) -> list:
+    """``[task(item) for item in items]`` on one thread per usable CPU,
+    the calling thread among them; each thread takes the next item not
+    yet taken whenever it finishes one, so a slow item holds up only the
+    thread running it. The calling thread takes items rather than wait:
+    ``ThreadPoolExecutor.map``, under which it runs none, ran perfbench's
+    pipeline-dense as fast on a 2-vCPU VM but raised its peak RSS from
+    45.3 to 48.4 MB (6 of 6 pairs).
+
+    Once a call raises, no thread starts another item, and the first
+    exception raised (an interrupt of the calling thread before any) is
+    re-raised here after every thread has stopped.
+    """
+    results = [None] * len(items)
+    errors = []
+    count = min(_usable_cpus(), len(items))
+    indices = iter(range(len(items)))
+    taking = threading.Lock()
+
+    def work() -> None:
+        try:
+            while not errors:
+                with taking:
+                    index = next(indices, None)
+                if index is None:
+                    return
+                results[index] = task(items[index])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(1, count)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    except BaseException as exc:  # an interrupt reaches the calling thread only
+        errors.insert(0, exc)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _fit_in_batches(setup: _FitSetup, size: int, spectra_of) -> DoubletFits:
+    """The fits of ``size`` spectra, made and fitted a batch of about
+    BATCH_SAMPLES grid samples at a time: ``spectra_of(start, stop)``
+    returns the spectra [stop - start, N] from ``start`` to ``stop``.
+
+    The batches run on one thread per usable CPU, each thread taking the
+    next batch when it is free (numpy releases the GIL in the array work
+    that dominates a batch). A batch of at least 4 _POOL_ROWS spectra
+    stops its fit once at most _POOL_ROWS are still live and puts them in
+    the straggler pool, each with a copy of its spectrum. The thread that
+    brings the pool to a batch's worth of spectra finishes them all in one
+    iteration, and the calling thread finishes what is left after the fit
+    threads. So a thread holds at most about two batches of spectra, and
+    less than one waits in the pool, whatever the grid and the count. A
+    row's result depends neither on the batch size, nor on the thread
+    count, nor on where it finishes. Numpy's float warnings are off in
+    every batch and in the pool: a spectrum that overflows fails its fit,
+    and its row records that. Each fit writes its outcome into the arrays
+    ``fitted``, [S] each: the final parameters [S, 5], squared residual,
+    steps evaluated, convergence, and the power of two by which the
+    spectrum was scaled down for its fit.
+    """
+    batch = max(1, BATCH_SAMPLES // setup.freqs.size)
+    handoff = _POOL_ROWS if batch >= 4 * _POOL_ROWS else 0
+    unset = np.zeros(size, dtype=int)
+    fitted = (np.empty((size, 5)), np.empty(size), unset, unset.astype(bool), unset.copy())
+    pool, pooling = [], threading.Lock()
+
+    def fit(start: int) -> None:
+        with np.errstate(all="ignore"):  # numpy keeps this state per thread
+            amps = spectra_of(start, min(start + batch, size))
+            live, amps = _fit_batch(setup, amps, fitted, start, handoff)
+            if not len(amps):
+                return
+            with pooling:
+                pool.append((live, amps))
+                if sum(len(pooled) for _, pooled in pool) < batch:
+                    return
+                full = pool[:]
+                pool.clear()
+            _fit_pool(setup, full, fitted)
+
+    _map_threads(fit, range(0, size, batch))
+    with np.errstate(all="ignore"):
+        _fit_pool(setup, pool, fitted)
+    return _doublet_fits(setup, fitted)
+
+
 def fit_doublets(
     freqs: np.ndarray, amps: np.ndarray, j_coupling: float, fwhm: float
 ) -> DoubletFits:
     """Bi-Lorentzian fits of the doublets split by ``j_coupling`` Hz in the
-    spectra ``amps`` [S, N] sampled on the uniform grid ``freqs`` [N], all
-    in one Levenberg-Marquardt iteration whose working memory beyond
-    ``amps`` does not grow with S. A grid that is not strictly increasing
-    and uniform raises ValueError.
+    spectra ``amps`` [S, N] sampled on the uniform grid ``freqs`` [N], by
+    ``_fit_in_batches``, whose working memory beyond ``amps`` does not grow
+    with S. A grid that is not strictly increasing and uniform raises
+    ValueError.
 
     Each fit starts at the known doublet geometry: lines at -J/2 and +J/2
     with integrals read off the sampled amplitude at each center, and one
@@ -679,23 +776,49 @@ def fit_doublets(
     variance ssr / (N - 5), when escalation shows it stalled at a minimum,
     or, unevaluated, when its next step predicts a change that small. A
     noiseless spectrum reaches the rounding floor all the same, as each
-    of its steps removes nearly all of its residual. Spectra that exhaust FIT_MAX_ITER steps, or whose residual is
-    not finite (a NaN or inf sample), return ``converged`` False with
-    their best parameters. A spectrum whose largest |amplitude| lies
-    outside 2^-300..2^300 is fitted scaled into [0.5, 1) by a power of
-    two, and its integrals and residual are scaled back, so a fit does not
-    depend on the scale of its spectrum. A fit is ``low_confidence`` when
+    of its steps removes nearly all of its residual. Spectra that exhaust
+    FIT_MAX_ITER steps, or whose residual is not finite (a NaN or inf
+    sample), return ``converged`` False with their best parameters. A
+    spectrum whose largest |amplitude| lies outside 2^-300..2^300 is
+    fitted scaled into [0.5, 1) by a power of two, and its integrals and
+    residual are scaled back, so a fit does not depend on the scale of its
+    spectrum. A fit is ``low_confidence`` when
     a line's peak is below 3 RMS residuals, the fit's own noise estimate,
     or when that residual is not finite. A row's result does not depend
-    on the other rows of the batch.
+    on the other rows, nor on the batch, thread or pool that fits it.
     """
     setup = _fit_setup(freqs, j_coupling, fwhm)
     amps = np.asarray(amps, dtype=float)
     if amps.ndim != 2 or amps.shape[1] != setup.freqs.size:
         raise ValueError(f"need amps [S, {setup.freqs.size}], got {amps.shape}")
-    fitted = _unfitted(len(amps))
-    _fit_batch(setup, amps, fitted, 0, 0)
-    return _doublet_fits(setup, fitted)
+    return _fit_in_batches(setup, len(amps), lambda start, stop: amps[start:stop])
+
+
+def fit_noisy_doublets(
+    freqs: np.ndarray, pairs, j_coupling: float, fwhm: float, snr: float, seed: int, keys
+) -> DoubletFits:
+    """``fit_doublets`` of the spectra ``doublet_amps(freqs, pairs,
+    j_coupling, fwhm)`` of the line-integral pairs [K, 2] with the noise
+    of ``noisy_amps`` at ``snr``, spectrum k's drawn from
+    ``default_rng([seed, *keys[k]])``, where ``keys`` [K, W] holds ints
+    from 0 to 2^32 - 1 (ValueError otherwise, or unless snr > 0). All the
+    seeds are hashed at once, before the first batch, and a batch is made
+    only when a fit thread takes it."""
+    setup = _fit_setup(freqs, j_coupling, fwhm)
+    pairs, keys = np.asarray(pairs, dtype=float), np.asarray(keys)
+    if not snr > 0:
+        raise ValueError(f"snr must be > 0, got {snr}")
+    if pairs.shape[1:] != (2,) or keys.ndim != 2 or len(keys) != len(pairs) or not (
+        keys.dtype.kind in "iu" and (not keys.size or 0 <= keys.min() <= keys.max() <= _MASK32)
+    ):
+        raise ValueError("need pairs [K, 2] and keys [K, W] of ints from 0 to 2**32 - 1")
+    words = None if math.isinf(snr) else _keyed_seed_words(seed, keys)
+
+    def spectra_of(start: int, stop: int) -> np.ndarray:
+        amps = doublet_amps(setup.freqs, pairs[start:stop], j_coupling, fwhm)
+        return amps if words is None else _add_noise(amps, snr, words[start:stop])
+
+    return _fit_in_batches(setup, len(pairs), spectra_of)
 
 
 def coefficient_rows(lines1, lines2, eq1, eq2, label: PpsLabel) -> np.ndarray:

@@ -19,7 +19,7 @@ from ppsrelax import run, spectra
 from ppsrelax.analysis import compare_pps, decompose_rows
 from ppsrelax.cli import EXIT_OK, main
 from ppsrelax.relaxation import RelaxationRates, build_matrix, propagate
-from ppsrelax.scenario import NoiseSpec, default_pipeline_scenario
+from ppsrelax.scenario import default_pipeline_scenario
 from ppsrelax.spins import PpsLabel, SpinSystem
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -267,8 +267,9 @@ def fit_placements(draw):
 @given(fit_placements())
 def test_a_fit_does_not_depend_on_where_it_runs(place):
     """A spectrum's fit is bit-identical alone, inside any batch at any
-    normal-equation chunk offset, and in a pipeline run, whichever batch,
-    thread or straggler pool finishes it."""
+    normal-equation chunk offset, and synthesized, degraded and fitted as
+    the pipeline does, whichever batch, thread or straggler pool finishes
+    it in either."""
     keys = np.array([(0, index, 1) for index in range(len(place["pairs"]))])
     seeds = [[place["seed"], *key] for key in keys.tolist()]
     amps = noisy_doublets(place["pairs"], place["snr"], seeds)
@@ -279,16 +280,18 @@ def test_a_fit_does_not_depend_on_where_it_runs(place):
             for name, value in zip(fits._fields, fits):
                 np.testing.assert_array_equal(value[at], getattr(alone[row], name)[0], name)
 
-    with mock.patch.object(spectra, "NORMAL_EQUATION_ROWS", place["chunk"]):
-        assert_alone(fit(amps[place["batch"]]), place["batch"])
-    scenario = replace(PIPELINE, noise=NoiseSpec(place["snr"], place["seed"]))
     with (
-        mock.patch.object(run, "BATCH_SAMPLES", place["batch_spectra"] * FREQS.size),
-        mock.patch.object(run, "_POOL_ROWS", place["pool_rows"]),
-        mock.patch.object(run, "_usable_cpus", lambda: place["threads"]),
+        mock.patch.object(spectra, "NORMAL_EQUATION_ROWS", place["chunk"]),
+        mock.patch.object(spectra, "BATCH_SAMPLES", place["batch_spectra"] * FREQS.size),
+        mock.patch.object(spectra, "_POOL_ROWS", place["pool_rows"]),
+        mock.patch.object(spectra, "_usable_cpus", lambda: place["threads"]),
     ):
+        assert_alone(fit(amps[place["batch"]]), place["batch"])
         pairs = np.array(place["pairs"], dtype=float)
-        assert_alone(run._fit_spectra(scenario, FREQS, pairs, keys), range(len(amps)))
+        fits = spectra.fit_noisy_doublets(
+            FREQS, pairs, J_COUPLING, FWHM, place["snr"], place["seed"], keys
+        )
+        assert_alone(fits, range(len(amps)))
 
 
 @PROPERTY

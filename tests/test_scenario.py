@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -617,9 +618,11 @@ def test_pipeline_noise_keys_of_every_spectrum(tmp_path, monkeypatch):
     nucleus 1 before 2, as the loop below builds them."""
     from ppsrelax.run import EQUILIBRIUM_STATE_CODE
 
-    seen, fit_spectra = [], run_module._fit_spectra
+    seen, fit_noisy_doublets = [], spectra.fit_noisy_doublets
     monkeypatch.setattr(
-        run_module, "_fit_spectra", lambda *args: seen.append(args[-1]) or fit_spectra(*args)
+        spectra,
+        "fit_noisy_doublets",
+        lambda *args: seen.append(args[-1]) or fit_noisy_doublets(*args),
     )
     run_pipeline(parse_scenario(pipeline_doc(pps_labels=["11", "00", "10"])), tmp_path)
     expected = [(EQUILIBRIUM_STATE_CODE, 0, nucleus) for nucleus in (1, 2)] + [
@@ -655,12 +658,12 @@ def test_pipeline_bytes_do_not_depend_on_threads_or_batch_size(tmp_path, monkeyp
     """Nor on the rows whose normal equations the solver builds at once."""
     doc = pipeline_doc(noise={"snr": 100.0, "seed": 11}, pps_labels=["00", "01", "10", "11"])
     reference = Path(run_pipeline(parse_scenario(doc), tmp_path / "reference")).read_bytes()
-    monkeypatch.setattr(run_module, "_usable_cpus", lambda: threads)
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: threads)
     for batch in (1, 3, 7):
-        monkeypatch.setattr(run_module, "BATCH_SAMPLES", batch * 801)
+        monkeypatch.setattr(spectra, "BATCH_SAMPLES", batch * 801)
         path = run_pipeline(parse_scenario(doc), tmp_path / f"batch{batch}")
         assert Path(path).read_bytes() == reference
-    monkeypatch.setattr(run_module, "BATCH_SAMPLES", 42 * 801)  # the whole run
+    monkeypatch.setattr(spectra, "BATCH_SAMPLES", 42 * 801)  # the whole run
     for chunk in (2, 5):
         monkeypatch.setattr(spectra, "NORMAL_EQUATION_ROWS", chunk)
         path = run_pipeline(parse_scenario(doc), tmp_path / f"chunk{chunk}")
@@ -679,11 +682,11 @@ def test_straggler_pool_holds_less_than_a_batch_and_a_handoff(monkeypatch, point
     fit_pool, pooled = spectra._fit_pool, []
 
     def counted(setup, pool, fitted):
-        pooled.append(sum(len(stragglers.amps) for stragglers in pool))
+        pooled.append(sum(len(amps) for _, amps in pool))
         return fit_pool(setup, pool, fitted)
 
-    monkeypatch.setattr(run_module, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(run_module, "BATCH_SAMPLES", 32 * 801)
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(spectra, "BATCH_SAMPLES", 32 * 801)
     monkeypatch.setattr(spectra, "_fit_pool", counted)
     scenario = parse_scenario(
         pipeline_doc(noise={"snr": 100.0, "seed": 11}, spectrum={"points": points})
@@ -691,10 +694,13 @@ def test_straggler_pool_holds_less_than_a_batch_and_a_handoff(monkeypatch, point
     spectrum = scenario.spectrum
     freqs = spectra.frequency_grid(scenario.sys.j_coupling, spectrum.fwhm, spectrum.span, points)
     keys = np.array([(0, index, 1) for index in range(400)])
-    run_module._fit_spectra(scenario, freqs, np.tile([1.0, 0.0], (len(keys), 1)), keys)
-    if run_module.BATCH_SAMPLES // points >= 4 * run_module._POOL_ROWS:
+    pairs, noise = np.tile([1.0, 0.0], (len(keys), 1)), scenario.noise
+    spectra.fit_noisy_doublets(
+        freqs, pairs, scenario.sys.j_coupling, spectrum.fwhm, noise.snr, noise.seed, keys
+    )
+    if spectra.BATCH_SAMPLES // points >= 4 * spectra._POOL_ROWS:
         assert len(pooled) > 1  # a fit thread finished a full pool
-        assert max(pooled) * points < run_module.BATCH_SAMPLES + run_module._POOL_ROWS * points
+        assert max(pooled) * points < spectra.BATCH_SAMPLES + spectra._POOL_ROWS * points
     else:
         assert pooled == [0]
 
@@ -707,7 +713,7 @@ def test_map_threads_keeps_item_order_and_runs_the_caller(monkeypatch):
     import threading
     import time
 
-    monkeypatch.setattr(run_module, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 8)
     seen = []  # holds the thread objects, so no two of them share an identity
 
     def task(item):
@@ -718,13 +724,29 @@ def test_map_threads_keeps_item_order_and_runs_the_caller(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = run_module._map_threads(task, range(500))
+        results = spectra._map_threads(task, range(500))
     finally:
         sys.setswitchinterval(interval)
     assert results == [item * item for item in range(500)]
     assert sorted(item for item, _ in seen) == list(range(500))
     assert len({thread for _, thread in seen}) == 8
     assert any(thread is threading.current_thread() for _, thread in seen)
+
+
+def test_run_uses_no_private_name_of_spectra():
+    """The fit's batches, threads and straggler hand-off live behind the
+    public functions of ``spectra``: ``run.py`` reads no ``_`` name of it,
+    neither as ``spectra._name`` nor by ``from .spectra import _name``."""
+    tree = ast.parse(Path(run_module.__file__).read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "spectra":
+                used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("spectra"):
+            used.update(alias.name for alias in node.names)
+    assert "fit_noisy_doublets" in used
+    assert sorted(name for name in used if name.startswith("_")) == []
 
 
 def test_pipeline_deterministic_with_noise(tmp_path):

@@ -248,14 +248,36 @@ def test_fit_not_converged_carries_best_fit(monkeypatch):
 
 
 def test_fit_non_finite_sample_is_not_converged():
-    amps = spectrum(EQ[1])
-    amps[400] = np.nan
-    with np.errstate(invalid="ignore"):
+    """Without a float warning, which the suite turns into an error: the
+    fit runs with numpy's float warnings off, as in the pipeline."""
+    for sample, residual_is in ((np.nan, math.isnan), (np.inf, math.isinf)):
+        amps = spectrum(EQ[1])
+        amps[400] = sample
         fits = fit_batch(amps[None])
-    assert not fits.converged[0]
-    assert math.isnan(fits.residual_norm[0])
-    # no peak is above a residual that is not a number
-    assert fits.low_confidence[0]
+        assert not fits.converged[0]
+        assert residual_is(fits.residual_norm[0])
+        # no peak is above a residual that is not finite
+        assert fits.low_confidence[0]
+
+
+@pytest.mark.parametrize(
+    "pairs, snr, keys",
+    [
+        ([EQ[1]], 0.0, [[0]]),
+        ([EQ[1]], 100.0, [0]),
+        ([EQ[1]], 100.0, [[0], [1]]),
+        ([EQ[1]], 100.0, [[-1]]),
+        ([EQ[1]], 100.0, [[2**32]]),
+        ([EQ[1]], 100.0, [[0.5]]),
+        ([(1.0, 1.0, 1.0)], 100.0, [[0]]),
+    ],
+    ids=["snr", "keys-1d", "keys-count", "key-negative", "key-wide", "key-float", "pairs"],
+)
+def test_fit_noisy_doublets_rejects_its_arguments(pairs, snr, keys):
+    """A key that does not fit one 32-bit word would wrap into another
+    spectrum's seed, not fail."""
+    with pytest.raises(ValueError):
+        spectra.fit_noisy_doublets(FREQS, pairs, SYS.j_coupling, 1.0, snr, 3, keys)
 
 
 def test_fit_rejects_short_spectrum():
