@@ -21,6 +21,7 @@ import numpy as np
 from . import analysis, relaxation, spectra, svg
 from .scenario import (
     SCHEMA_VERSION,
+    SWEEP_BLOCK_VALUES,
     ConfigError,
     NoiseSpec,
     Scenario,
@@ -48,16 +49,6 @@ CSV_BLOCK_ROWS = 64
 #: CPU time and 64 took 30 % more; the traced peak was 0.9 MB up to 4 096,
 #: 2.3 MB at 16 384 and 6.2 MB at 65 536.
 SIMULATE_BLOCK_TIMES = 64 * CSV_BLOCK_ROWS
-
-#: Swept values sweep builds, diagonalizes, propagates and formats at
-#: once. In process, on sweep-wide (10 000 values), blocks of 1 024 and
-#: 2 048 values made the rows as fast as one block of all of them, and 256
-#: took about 15 % longer; the traced peak (1.08 MB) and peak RSS (36.5 MB)
-#: were at their floor up to 1 024 values, while 2 048 traced 1.5 MB, 4 096
-#: traced 2.6 MB (38.3 MB RSS) and one block 5.4 MB (41.2 MB RSS).
-#: simulate keeps its own size: a block costs it about 0.1 ms, so blocks of
-#: 1 024 times would add about 15 ms (3 %) to simulate-long.
-SWEEP_BLOCK_VALUES = 16 * CSV_BLOCK_ROWS
 
 SIMULATE_COLUMNS = ("pps", "t", "c1", "c2", "c12", "A", "B", "C", "A_minus_A0")
 SWEEP_COLUMNS = (

@@ -11,11 +11,11 @@ linewidth changes.
 The measurement chain mirrors an actual relaxation experiment and works
 on batches of spectra that share one frequency grid: ``doublet_amps``
 synthesizes the doublets of line-integral pairs (``spins.doublet_pairs``
-gives the pairs of mode rows), ``noisy_amps`` adds white Gaussian noise,
-``fit_doublets`` fits a bi-Lorentzian model to every spectrum (or
-``fit_noisy_doublets`` all three), and ``coefficient_rows`` converts
-fitted line integrals back into the pseudo-pure-state coefficients
-normalized by equilibrium intensities.
+gives the pairs of mode rows), ``fit_doublets`` fits a bi-Lorentzian
+model to every spectrum, ``fit_noisy_doublets`` synthesizes, adds white
+Gaussian noise keyed by each spectrum's identity and fits in one call,
+and ``coefficient_rows`` converts fitted line integrals back into the
+pseudo-pure-state coefficients normalized by equilibrium intensities.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "lorentzian",
     "frequency_grid",
     "doublet_amps",
-    "noisy_amps",
     "fit_doublets",
     "fit_noisy_doublets",
     "coefficient_rows",
@@ -156,29 +155,12 @@ def doublet_amps(freqs: np.ndarray, pairs, j_coupling: float, fwhm: float) -> np
     return amps
 
 
-def noisy_amps(amps: np.ndarray, snr: float, seeds) -> np.ndarray:
-    """Adds white Gaussian noise with sd = max|row| / snr to the spectra
-    ``amps`` [S, N] in place and returns ``amps``: row s gets sd times
-    ``default_rng(seeds[s]).standard_normal(N)`` bit for bit, where a seed
-    is a non-negative int or a sequence of them (ValueError otherwise, or
-    when ``seeds`` is not S long). ``snr=math.inf`` leaves ``amps``. The
-    seeds are hashed by ``_seed_words`` and drawn by ``_add_noise``, as
-    ``fit_noisy_doublets`` does for all of its spectra."""
-    if not snr > 0:
-        raise ValueError(f"snr must be > 0, got {snr}")
-    if math.isinf(snr):
-        return amps
-    words = _seed_words(seeds)
-    if len(words) != len(amps):
-        raise ValueError(f"need one noise seed per spectrum: {len(words)} for {len(amps)}")
-    return _add_noise(amps, snr, words)
-
-
 def _add_noise(amps: np.ndarray, snr: float, words: np.ndarray) -> np.ndarray:
-    """``noisy_amps`` of the spectra ``amps`` [S, N] at a finite ``snr``,
-    row s drawn from the PCG64 seeded with the SeedSequence words
-    ``words[s]`` of ``_seed_words``, which PCG64 reads raw: ``words``
-    must be C-contiguous."""
+    """Adds white Gaussian noise of sd max|row| / ``snr`` (finite) to the
+    spectra ``amps`` [S, N] in place and returns ``amps``: row s gets sd
+    times the normals of the PCG64 seeded with the SeedSequence words
+    ``words[s]`` of ``_keyed_seed_words``, which PCG64 reads raw, so
+    ``words`` must be C-contiguous."""
     # max|row| without an |amps| temporary the size of the batch
     sd = np.maximum(amps.max(axis=-1), -amps.min(axis=-1)) / snr
     # each row's stream is drawn into a block of rows, which is scaled
@@ -198,9 +180,9 @@ def _add_noise(amps: np.ndarray, snr: float, words: np.ndarray) -> np.ndarray:
 @functools.cache
 def _seed_words_type() -> type:
     """The SeedSequence class whose state is the words [4] that it holds,
-    so that PCG64 seeds itself from a row of ``_seed_words`` as from the
-    SeedSequence it was hashed from. Made on first use, as only noise
-    needs numpy.random: made at import, it put numpy.random and the
+    so that PCG64 seeds itself from a row of ``_keyed_seed_words`` as
+    from the SeedSequence it was hashed from. Made on first use, as only
+    noise needs numpy.random: made at import, it put numpy.random and the
     hashlib it imports into every process, and perfbench sweep-wide,
     which draws no noise, read peak_rss_mb +5 % and setup_s +5 %."""
 
@@ -230,29 +212,14 @@ def _words(part) -> list[int]:
     return words
 
 
-def _seed_words(seeds) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` for each of
-    ``seeds``, as uint64 rows [S, 4], hashed by ``_hashed_words`` over
-    all seeds of one entropy length at once."""
-    words = [
-        [word for part in ([seed] if isinstance(seed, (int, np.integer)) else seed)
-         for word in _words(part)]
-        for seed in seeds
-    ]
-    hashed = np.empty((len(words), 4), np.uint64)
-    for length in set(map(len, words)):
-        rows = [row for row, entropy in enumerate(words) if len(entropy) == length]
-        hashed[rows] = _hashed_words(np.array([words[row] for row in rows], np.uint32).T)
-    return hashed
-
-
 def _keyed_seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
-    """``_seed_words`` of the seeds ``[seed, *key]`` of the non-negative
-    int ``keys`` [K, W], each of whose entries fits one 32-bit word. Such a
-    seed's words are those of ``seed`` followed by the key, so all K are
-    hashed from one array, never a Python list per seed: through
-    ``_seed_words`` the 4 010 seeds of ``fit_noisy_doublets`` on
-    pipeline-dense took 8-10 ms, not 0.7-0.8, and raised peak RSS 0.5 MB."""
+    """``SeedSequence([seed, *key]).generate_state(4, np.uint64)`` for each
+    row of the non-negative int ``keys`` [K, W], each of whose entries fits
+    one 32-bit word, as uint64 rows [K, 4]. Such a seed's words are those
+    of ``seed`` followed by the key, so all K are hashed from one array,
+    never a Python list per seed: hashed one list at a time, the 4 010
+    seeds of ``fit_noisy_doublets`` on pipeline-dense took 8-10 ms, not
+    0.7-0.8, and raised peak RSS 0.5 MB."""
     seed_words = _words(seed)
     entropy = np.empty((len(seed_words) + keys.shape[1], len(keys)), np.uint32)
     entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
@@ -261,8 +228,8 @@ def _keyed_seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
 
 
 def _hashed_words(entropy: np.ndarray) -> np.ndarray:
-    """The ``_seed_words`` [S, 4] of the seeds whose 32-bit words, least
-    significant first, are the columns of ``entropy`` [W, S]:
+    """The ``_keyed_seed_words`` [S, 4] of the seeds whose 32-bit words,
+    least significant first, are the columns of ``entropy`` [W, S]:
     SeedSequence's hash in uint32 array operations, its output words
     joined into uint64 pairs. The hash constants do not depend on the
     data, so the words that one step hashes, each under its own constant,
@@ -798,16 +765,19 @@ def fit_noisy_doublets(
     freqs: np.ndarray, pairs, j_coupling: float, fwhm: float, snr: float, seed: int, keys
 ) -> DoubletFits:
     """``fit_doublets`` of the spectra ``doublet_amps(freqs, pairs,
-    j_coupling, fwhm)`` of the line-integral pairs [K, 2] with the noise
-    of ``noisy_amps`` at ``snr``, spectrum k's drawn from
-    ``default_rng([seed, *keys[k]])``, where ``keys`` [K, W] holds ints
-    from 0 to 2^32 - 1 (ValueError otherwise, or unless snr > 0). All the
-    seeds are hashed at once, before the first batch, and a batch is made
-    only when a fit thread takes it."""
+    j_coupling, fwhm)`` of the line-integral pairs [K, 2] with white
+    Gaussian noise of sd max|spectrum| / ``snr`` (none at ``math.inf``),
+    spectrum k's drawn from ``default_rng([seed, *keys[k]])`` bit for bit,
+    where ``seed`` is a non-negative int and ``keys`` [K, W] holds ints
+    from 0 to 2^32 - 1 (ValueError otherwise, at any snr, or unless
+    snr > 0). All the seeds are hashed at once, before the first batch,
+    and a batch is made only when a fit thread takes it."""
     setup = _fit_setup(freqs, j_coupling, fwhm)
     pairs, keys = np.asarray(pairs, dtype=float), np.asarray(keys)
     if not snr > 0:
         raise ValueError(f"snr must be > 0, got {snr}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"noise seed must be a non-negative int, got {seed!r}")
     if pairs.shape[1:] != (2,) or keys.ndim != 2 or len(keys) != len(pairs) or not (
         keys.dtype.kind in "iu" and (not keys.size or 0 <= keys.min() <= keys.max() <= _MASK32)
     ):

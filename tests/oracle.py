@@ -2,8 +2,10 @@
 
 None of it ships in ``ppsrelax``: the fixed-step RK4 integrator that
 cross-checks the spectral propagator, the mode <-> population maps, the
-inverse of ``decompose_rows`` and the linearized step with its window
-check. Mode states are float rows [3] (c1, c2, c12), as in the package.
+inverse of ``decompose_rows``, the linearized step with its window
+check, and noisy spectra drawn through numpy's own ``default_rng``, the
+streams that ``spectra.fit_noisy_doublets`` documents. Mode states are
+float rows [3] (c1, c2, c12), as in the package.
 """
 
 from __future__ import annotations
@@ -112,3 +114,16 @@ def initial_rate(gamma: RelaxationMatrix, m0, m_inf, tau: float) -> np.ndarray:
     row: ``linear_step`` with the initial-rate window warning."""
     check_initial_rate_window(gamma.max_eigenvalue, tau)
     return linear_step(gamma.entries, m0, m_inf, tau)
+
+
+def noisy_amps(amps, snr: float, seeds) -> np.ndarray:
+    """A copy of the spectra ``amps`` [S, N] with white Gaussian noise of
+    sd max|row| / ``snr`` added, row s's drawn from
+    ``default_rng(seeds[s])``; ``snr=math.inf`` adds none."""
+    amps = np.array(amps, dtype=float)
+    if math.isinf(snr):
+        return amps
+    sd = np.abs(amps).max(axis=1) / snr
+    for row, scale, seed in zip(amps, sd, seeds, strict=True):
+        row += scale * np.random.default_rng(seed).standard_normal(row.size)
+    return amps

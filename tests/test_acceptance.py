@@ -8,16 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracle import evolve_ode, initial_rate
+from oracle import evolve_ode, initial_rate, noisy_amps
 from ppsrelax.analysis import closed_form_auto, closed_form_cross, compare_pps, decompose_rows
 from ppsrelax.relaxation import RelaxationRates, build_matrix, propagate
-from ppsrelax.spectra import (
-    coefficient_rows,
-    doublet_amps,
-    fit_doublets,
-    frequency_grid,
-    noisy_amps,
-)
+from ppsrelax.spectra import coefficient_rows, doublet_amps, fit_doublets, frequency_grid
 from ppsrelax.spins import PpsLabel, SpinSystem, doublet_pairs, equilibrium_modes, pps_modes
 
 SYS = SpinSystem(gamma1=0.9407, gamma2=1.0, k=0.5, j_coupling=5.8)

@@ -272,7 +272,7 @@ def test_failure_in_a_threaded_fit_batch_is_numerical_failure(tmp_path, capsys, 
 
     add_noise = spectra._add_noise
     # spectrum 3 opens the second batch of three: state 00, time 0, nucleus 2
-    (opening,) = spectra._seed_words([[11, 0, 0, 2]]).tolist()
+    (opening,) = spectra._keyed_seed_words(11, np.array([[0, 0, 2]])).tolist()
 
     def second_batch_fails(amps, snr, words):
         if words[0].tolist() == opening:

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import evolve_ode, recompose
+from oracle import evolve_ode, noisy_amps, recompose
 from ppsrelax import run, spectra
 from ppsrelax.analysis import compare_pps, decompose_rows
 from ppsrelax.cli import EXIT_OK, main
@@ -214,8 +214,7 @@ line_integrals = st.tuples(unit, unit)
 def noisy_doublets(pairs, snr, seeds):
     """The spectra of the line-integral ``pairs`` on the pipeline grid,
     with each row's noise drawn from its own seed."""
-    amps = spectra.doublet_amps(FREQS, pairs, J_COUPLING, FWHM)
-    return spectra.noisy_amps(amps, snr, seeds)
+    return noisy_amps(spectra.doublet_amps(FREQS, pairs, J_COUPLING, FWHM), snr, seeds)
 
 
 def fit(amps, **options):
@@ -296,34 +295,28 @@ def test_a_fit_does_not_depend_on_where_it_runs(place):
 
 @PROPERTY
 @given(
-    st.lists(
-        st.integers(0, 2**130) | st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-        min_size=1,
-        max_size=6,
+    st.integers(0, 2**160 - 1),
+    st.integers(0, 5).flatmap(
+        lambda width: st.lists(
+            st.tuples(*[st.integers(0, 2**32 - 1)] * width), min_size=1, max_size=4
+        )
     ),
-    st.integers(2**32, 2**130),
-    st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * 3), min_size=1, max_size=4),
 )
-def test_seed_words_are_numpy_seed_sequence(seeds, seed, keys):
-    """The rows of ``_seed_words`` are ``SeedSequence(seed).generate_state(4,
-    np.uint64)`` for ints of up to five 32-bit words and for sequences of
-    one to six words, mixed in a call, and those of ``_keyed_seed_words``
-    are the words of ``[seed, *key]`` for seeds above 2^32 and keys of
-    three 32-bit words. ``noisy_amps`` draws ``default_rng(seed)``'s
-    normals bit for bit from all of them, so each row's 128-bit PCG64
-    seeding steps are numpy's too."""
-    keyed = [[seed, *key] for key in keys]
-    for words, want in (
-        (spectra._seed_words(seeds), seeds),
-        (spectra._keyed_seed_words(seed, np.array(keys, dtype=np.int64)), keyed),
-    ):
-        assert words.dtype == np.uint64 and words.shape == (len(want), 4)
-        for row, entropy in zip(words, want):
-            expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
-            np.testing.assert_array_equal(row, expected)
-    noisy = spectra.noisy_amps(np.ones((len(seeds + keyed), 16)), 1.0, seeds + keyed)
-    for row, entropy in zip(noisy, seeds + keyed):
-        np.testing.assert_array_equal(row, 1.0 + np.random.default_rng(entropy).standard_normal(16))
+def test_seed_words_are_numpy_seed_sequence(seed, keys):
+    """The rows of ``_keyed_seed_words`` are ``SeedSequence([seed,
+    *key]).generate_state(4, np.uint64)`` for seeds of one to five 32-bit
+    words and keys of zero to five, so that the entropy runs both under
+    and past SeedSequence's 4-word pool. ``_add_noise`` draws
+    ``default_rng([seed, *key])``'s normals bit for bit from all of them,
+    so each row's 128-bit PCG64 seeding steps are numpy's too."""
+    words = spectra._keyed_seed_words(seed, np.array(keys, dtype=np.int64))
+    assert words.dtype == np.uint64 and words.shape == (len(keys), 4)
+    noisy = spectra._add_noise(np.ones((len(keys), 16)), 1.0, words)
+    for row, drawn, key in zip(words, noisy, keys):
+        entropy = [seed, *key]
+        expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(row, expected)
+        np.testing.assert_array_equal(drawn, 1.0 + np.random.default_rng(entropy).standard_normal(16))
 
 
 @PROPERTY

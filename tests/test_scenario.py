@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import noisy_amps
 from ppsrelax import spectra
 from ppsrelax.analysis import compare_pps
 from ppsrelax.relaxation import (
@@ -578,8 +580,8 @@ def test_pipeline_noise_seed_order(tmp_path):
     """Each spectrum of a run draws its noise from default_rng([seed,
     state code, time index, nucleus]), the two equilibrium references
     under the reserved state code; a row rebuilt by hand from one-row
-    calls of the public functions matches the CSV to every printed
-    digit."""
+    calls of the public functions, its noise drawn through numpy's own
+    ``default_rng``, matches the CSV to every printed digit."""
     from ppsrelax.relaxation import build_matrix, propagate
     from ppsrelax.run import EQUILIBRIUM_STATE_CODE
     from ppsrelax.spins import doublet_pairs, equilibrium_modes, pps_modes
@@ -592,7 +594,7 @@ def test_pipeline_noise_seed_order(tmp_path):
     def fit(modes, nucleus, state, index):
         pair = doublet_pairs(modes)[nucleus - 1]
         amps = spectra.doublet_amps(freqs, [pair], sys_obj.j_coupling, spec.fwhm)
-        amps = spectra.noisy_amps(amps, 100.0, [[11, state, index, nucleus]])
+        amps = noisy_amps(amps, 100.0, [[11, state, index, nucleus]])
         fits = spectra.fit_doublets(freqs, amps, sys_obj.j_coupling, spec.fwhm)
         assert fits.converged[0]
         return fits.peaks[0, :, 1], fits.residual_norm[0]
@@ -709,7 +711,6 @@ def test_map_threads_keeps_item_order_and_runs_the_caller(monkeypatch):
     """More threads than CPUs and a short switch interval: every item runs
     exactly once and its result lands in its own slot, whichever thread
     takes it, and the calling thread takes items too."""
-    import sys
     import threading
     import time
 
@@ -863,6 +864,24 @@ def test_sweep_holds_one_block_at_a_time(tmp_path):
     sweep = SweepSpec("delta_scale", values, default_scenario())
     path, peak = traced_peak(lambda: run_sweep(sweep, tmp_path))
     assert peak < 2 * Path(path).stat().st_size
+
+
+def test_sweep_check_holds_one_block_at_a_time():
+    """The traced peak of reading a decoded 40 000-value sweep stays below
+    twice the size of the values tuple it keeps: the config check tests
+    the rates of one block of values at a time."""
+    doc = config_doc()
+    doc["sweep"] = {"parameter": "delta_scale", "values": np.linspace(0, 1.5, 40_000).tolist()}
+    sweep, peak = traced_peak(lambda: parse_sweep(doc))
+    assert peak < 2 * sys.getsizeof(sweep.values)
+
+
+def test_sweep_check_names_the_value_of_a_later_block(monkeypatch):
+    monkeypatch.setattr("ppsrelax.scenario.SWEEP_BLOCK_VALUES", 2)
+    doc = config_doc()
+    doc["sweep"] = {"parameter": "rates.rho1", "values": [0.3, 0.2, 0.1, -0.1, 0.4]}
+    with pytest.raises(ConfigError, match=r"sweep value -0\.1: self-relaxation rate rho1"):
+        parse_sweep(doc)
 
 
 def test_report_never_holds_the_text_of_a_csv(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import noisy_amps
 from ppsrelax import spectra
 from ppsrelax.spectra import (
     FIT_MAX_ITER,
@@ -16,7 +17,6 @@ from ppsrelax.spectra import (
     fit_doublets,
     frequency_grid,
     lorentzian,
-    noisy_amps,
 )
 from ppsrelax.spins import PpsLabel, SpinSystem, doublet_pairs, equilibrium_modes, pps_modes
 
@@ -108,59 +108,53 @@ def test_synthesize_grid_must_cover_lines():
 
 # -------------------------------------------------------------------- noise
 
-def test_add_noise_infinite_snr_is_identity():
-    amps = doublet_amps(FREQS, EQ, SYS.j_coupling, 1.0)
-    clean = amps.copy()
-    assert noisy_amps(amps, math.inf, [1, 2]) is amps
-    np.testing.assert_array_equal(amps, clean)
-
-
-def test_add_noise_deterministic():
-    n1 = spectrum(EQ[1], 100.0, 42)
-    n2 = spectrum(EQ[1], 100.0, 42)
-    assert np.array_equal(n1, n2)
-    n3 = spectrum(EQ[1], 100.0, 43)
-    assert not np.array_equal(n1, n3)
-
-
 def test_add_noise_standard_deviation():
-    noisy = noisy_amps(np.ones((1, 100000)), 50.0, [7])
+    words = spectra._keyed_seed_words(7, np.zeros((1, 3), dtype=np.int64))
+    noisy = spectra._add_noise(np.ones((1, 100000)), 50.0, words)
     assert np.std(noisy - 1.0) == pytest.approx(1.0 / 50.0, rel=0.02)
 
 
-PINNED_SEEDS = [
-    # plain ints of one, two and three 32-bit words
-    *(0, 7, 2**31 - 1, 2**32, 2**40 + 17, 2**64 + 5),
-    # sequences of 1-6 parts with zeros, past the 4-word pool, mixed in one call
-    *([0], [0, 0], [3, 0, 1], [0, 0, 0, 0], [11, 1, 0, 2], [5, 0, 2**32, 1]),
-    *([1, 2, 3, 4, 5], [0, 9, 0, 9, 0, 9], [2**40 + 17, 0, 0, 0, 0, 1], range(3)),
-]
+#: seeds of one to five 32-bit words
+PINNED_SEEDS = (0, 7, 2**31 - 1, 2**32, 2**40 + 17, 2**64 + 5, 2**96 + 3, 2**128 + 2**32)
+
+
+def pinned_keys(width):
+    """Three keys [3, width]: all zeros, small words, and words at 2^32 - 1.
+    With the words of a seed, widths 0 to 5 run the entropy both under
+    and past SeedSequence's 4-word pool."""
+    return np.array(
+        [[0] * width, [3 * i + 1 for i in range(width)], [2**32 - 1 - i for i in range(width)]],
+        dtype=np.int64,
+    )
 
 
 def test_noise_streams_are_default_rng_bit_for_bit():
-    amps = doublet_amps(FREQS, [(0.9, 0.3)] * len(PINNED_SEEDS), SYS.j_coupling, 1.0)
+    """The hashed words of every pipeline noise stream are those of
+    numpy's SeedSequence([seed, *key]), and ``_add_noise`` draws
+    ``default_rng([seed, *key])``'s normals from them bit for bit."""
+    amps = doublet_amps(FREQS, [(0.9, 0.3)] * 3, SYS.j_coupling, 1.0)
     sd = np.abs(amps).max(axis=1) / 50.0
-    # the seeds of a batch given as a range, too
-    for seeds in (PINNED_SEEDS, range(len(PINNED_SEEDS))):
-        noisy = noisy_amps(amps.copy(), 50.0, seeds)
-        for row, seed in enumerate(seeds):
-            noise = np.random.default_rng(seed).standard_normal(FREQS.size)
-            np.testing.assert_array_equal(
-                noisy[row], amps[row] + sd[row] * noise, err_msg=f"seed {seed!r}"
-            )
+    for seed in PINNED_SEEDS:
+        for width in range(6):
+            keys = pinned_keys(width)
+            words = spectra._keyed_seed_words(seed, keys)
+            assert words.dtype == np.uint64 and words.shape == (len(keys), 4)
+            noisy = spectra._add_noise(amps.copy(), 50.0, words)
+            for row, key in enumerate(keys.tolist()):
+                entropy = [seed, *key]
+                want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+                np.testing.assert_array_equal(words[row], want, err_msg=f"{entropy}")
+                noise = np.random.default_rng(entropy).standard_normal(FREQS.size)
+                np.testing.assert_array_equal(
+                    noisy[row], amps[row] + sd[row] * noise, err_msg=f"{entropy}"
+                )
 
 
-@pytest.mark.parametrize("seed", [-1, [3, -1]])
-def test_negative_noise_seed_raises(seed):
-    with pytest.raises(ValueError):
-        noisy_amps(np.ones((1, 50)), 10.0, [seed])
-
-
-@pytest.mark.parametrize("seeds", [[1], [1, 2, 3, 4]])
+@pytest.mark.parametrize("seeds", [[[1]], [[1], [2], [3], [4]]])
 def test_noise_needs_one_seed_per_row(seeds):
-    amps = np.ones((3, 50))
+    """Spectrum k's seed is [seed, *keys[k]]: one key per spectrum."""
     with pytest.raises(ValueError):
-        noisy_amps(amps, 10.0, seeds)
+        spectra.fit_noisy_doublets(FREQS, [EQ[1]] * 3, SYS.j_coupling, 1.0, 10.0, 3, seeds)
 
 
 # ---------------------------------------------------------------------- fit
@@ -261,23 +255,31 @@ def test_fit_non_finite_sample_is_not_converged():
 
 
 @pytest.mark.parametrize(
-    "pairs, snr, keys",
+    "pairs, snr, seed, keys",
     [
-        ([EQ[1]], 0.0, [[0]]),
-        ([EQ[1]], 100.0, [0]),
-        ([EQ[1]], 100.0, [[0], [1]]),
-        ([EQ[1]], 100.0, [[-1]]),
-        ([EQ[1]], 100.0, [[2**32]]),
-        ([EQ[1]], 100.0, [[0.5]]),
-        ([(1.0, 1.0, 1.0)], 100.0, [[0]]),
+        ([EQ[1]], 0.0, 3, [[0]]),
+        ([EQ[1]], 100.0, 3, [0]),
+        ([EQ[1]], 100.0, 3, [[0], [1]]),
+        ([EQ[1]], 100.0, 3, [[-1]]),
+        ([EQ[1]], 100.0, 3, [[2**32]]),
+        ([EQ[1]], 100.0, 3, [[0.5]]),
+        ([(1.0, 1.0, 1.0)], 100.0, 3, [[0]]),
+        ([EQ[1]], 100.0, -1, [[0]]),
+        ([EQ[1]], 100.0, 1.5, [[0]]),
+        ([EQ[1]], math.inf, -1, [[0]]),
+        ([EQ[1]], math.inf, 1.5, [[0]]),
     ],
-    ids=["snr", "keys-1d", "keys-count", "key-negative", "key-wide", "key-float", "pairs"],
+    ids=[
+        "snr", "keys-1d", "keys-count", "key-negative", "key-wide", "key-float", "pairs",
+        "seed-negative", "seed-float", "seed-negative-noiseless", "seed-float-noiseless",
+    ],
 )
-def test_fit_noisy_doublets_rejects_its_arguments(pairs, snr, keys):
+def test_fit_noisy_doublets_rejects_its_arguments(pairs, snr, seed, keys):
     """A key that does not fit one 32-bit word would wrap into another
-    spectrum's seed, not fail."""
+    spectrum's seed, not fail; the seed is checked at every snr, also
+    where no noise is drawn."""
     with pytest.raises(ValueError):
-        spectra.fit_noisy_doublets(FREQS, pairs, SYS.j_coupling, 1.0, snr, 3, keys)
+        spectra.fit_noisy_doublets(FREQS, pairs, SYS.j_coupling, 1.0, snr, seed, keys)
 
 
 def test_fit_rejects_short_spectrum():
@@ -454,7 +456,7 @@ def test_fit_memory_does_not_grow_with_the_batch_beyond_amps():
     rng = np.random.default_rng(11)
     pairs = rng.uniform(-1.0, 1.0, size=(256, 2))
     amps = spectra.doublet_amps(FREQS, pairs, SYS.j_coupling, 1.0)
-    amps = spectra.noisy_amps(amps, 100.0, range(len(amps)))
+    amps = noisy_amps(amps, 100.0, range(len(amps)))
     fit_batch(amps[:1])  # first-call imports are not the fit's
     tracemalloc.start()
     try:
