@@ -114,6 +114,15 @@ def test_add_noise_standard_deviation():
     assert np.std(noisy - 1.0) == pytest.approx(1.0 / 50.0, rel=0.02)
 
 
+@pytest.mark.parametrize("seed", [-1, [3, -1]])
+def test_negative_noise_seed_raises(seed):
+    """Spectrum k's noise seed is [seed, *keys[k]]; a negative part
+    anywhere in it raises ValueError rather than wrapping."""
+    seed, *key = np.atleast_1d(seed).tolist()
+    with pytest.raises(ValueError):
+        spectra.fit_noisy_doublets(FREQS, [EQ[1]], SYS.j_coupling, 1.0, 10.0, seed, [key])
+
+
 #: seeds of one to five 32-bit words
 PINNED_SEEDS = (0, 7, 2**31 - 1, 2**32, 2**40 + 17, 2**64 + 5, 2**96 + 3, 2**128 + 2**32)
 
@@ -264,14 +273,13 @@ def test_fit_non_finite_sample_is_not_converged():
         ([EQ[1]], 100.0, 3, [[2**32]]),
         ([EQ[1]], 100.0, 3, [[0.5]]),
         ([(1.0, 1.0, 1.0)], 100.0, 3, [[0]]),
-        ([EQ[1]], 100.0, -1, [[0]]),
         ([EQ[1]], 100.0, 1.5, [[0]]),
         ([EQ[1]], math.inf, -1, [[0]]),
         ([EQ[1]], math.inf, 1.5, [[0]]),
     ],
     ids=[
         "snr", "keys-1d", "keys-count", "key-negative", "key-wide", "key-float", "pairs",
-        "seed-negative", "seed-float", "seed-negative-noiseless", "seed-float-noiseless",
+        "seed-float", "seed-negative-noiseless", "seed-float-noiseless",
     ],
 )
 def test_fit_noisy_doublets_rejects_its_arguments(pairs, snr, seed, keys):
