@@ -7,12 +7,12 @@ For a freshly prepared state the triple is (k, 0, 0); relaxation lowers
 ``a`` and grows ``b`` and ``c``. The interference rates delta1/delta2
 shift these deviations with a sign that depends on the state label,
 which is what makes the four pseudo-pure states decay at four different
-rates.
+rates. Every command's trajectories are ``decompose_rows`` of the states
+``relaxation.propagate`` returns; ``compare_pps`` gives them per state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from .spins import PpsLabel, SpinSystem, equilibrium_modes, pps_modes
 
 __all__ = [
     "Deviation",
-    "PpsComparison",
     "decompose_rows",
     "closed_form_auto",
     "closed_form_cross",
@@ -83,36 +82,14 @@ def closed_form_cross(
     return _block_deviation(np.where(AUTO_BLOCK, 0.0, rates.matrix()), label, sys, tau)
 
 
-@dataclass(frozen=True)
-class PpsComparison:
-    """Mode and coefficient trajectories of several pseudo-pure states on
-    a shared time grid. ``states`` holds the mode rows [L, T, 3] of the L
-    requested states in request order, and ``coefficients`` maps each
-    state to its (a, b, c) rows [T, 3]."""
-
-    times: np.ndarray
-    states: np.ndarray
-    coefficients: dict[PpsLabel, np.ndarray]
-    k: float
-
-    def a(self, label: PpsLabel) -> np.ndarray:
-        return self.coefficients[label][:, 0]
-
-    def b(self, label: PpsLabel) -> np.ndarray:
-        return self.coefficients[label][:, 1]
-
-    def c(self, label: PpsLabel) -> np.ndarray:
-        return self.coefficients[label][:, 2]
-
-
 def compare_pps(
     gamma: RelaxationMatrix,
     sys: SpinSystem,
     times: Sequence[float],
     labels: Iterable[PpsLabel] = tuple(PpsLabel),
-) -> PpsComparison:
-    """Exact mode and (a, b, c) trajectories of the requested pseudo-pure
-    states."""
+) -> dict[PpsLabel, np.ndarray]:
+    """Exact (a, b, c) rows [T, 3] of each requested pseudo-pure state on
+    a nonempty, strictly increasing time grid, in a dict by state."""
     times_arr = np.asarray(times, dtype=float)
     if times_arr.size == 0:
         raise ValueError("times must be nonempty")
@@ -121,5 +98,4 @@ def compare_pps(
     labels = tuple(labels)
     m0 = [pps_modes(label, sys) for label in labels]
     states = propagate(gamma, m0, equilibrium_modes(sys), times_arr)
-    coefficients = {label: decompose_rows(s, label) for label, s in zip(labels, states)}
-    return PpsComparison(times=times_arr, states=states, coefficients=coefficients, k=sys.k)
+    return {label: decompose_rows(s, label) for label, s in zip(labels, states)}

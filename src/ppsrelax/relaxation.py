@@ -113,16 +113,15 @@ class RelaxationMatrix:
 
     ``entries`` is the 3x3 matrix, ``eigenvalues`` its eigenvalues in
     ascending order and ``eigenvectors`` the matching orthonormal columns.
-    ``positive_definite`` is False when any eigenvalue is <= 0. All three
-    arrays may carry the same leading batch dimensions (a stack of
-    matrices); ``positive_definite``, ``min_eigenvalue`` and
-    ``max_eigenvalue`` then cover the whole stack.
+    All three arrays may carry the same leading batch dimensions (a stack
+    of matrices); ``min_eigenvalue`` and ``max_eigenvalue`` then cover the
+    whole stack, and the stack is positive definite when
+    ``min_eigenvalue`` > 0.
     """
 
     entries: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    positive_definite: bool
 
     def __post_init__(self):
         for arr in (self.entries, self.eigenvalues, self.eigenvectors):
@@ -140,13 +139,11 @@ class RelaxationMatrix:
 def diagonalize(entries: np.ndarray) -> RelaxationMatrix:
     """Spectral decomposition of symmetric rate matrices [..., 3, 3].
 
-    A matrix with a non-positive eigenvalue marks the result; it does not
-    warn here, so that a caller diagonalizing a stack in parts can warn
-    once for all of them (``check_positive_definite``).
+    A matrix with a non-positive eigenvalue does not warn here, so that a
+    caller diagonalizing a stack in parts can warn once for all of them
+    (``check_positive_definite``).
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(entries)
-    positive = float(np.min(eigenvalues[..., 0])) > 0.0
-    return RelaxationMatrix(entries, eigenvalues, eigenvectors, positive)
+    return RelaxationMatrix(entries, *np.linalg.eigh(entries))
 
 
 def build_matrix(rates: RelaxationRates) -> RelaxationMatrix:

@@ -81,7 +81,8 @@ def _report_simulate(doc, columns, path, stream) -> None:
     print("initial slopes (1/s, first sampled interval):", file=stream)
     for label, (ts, coeffs) in series.items():
         if len(ts) < 2:
-            raise SchemaMismatch(f"{path}: need at least two rows per state")
+            print(f"  pps {label}: no slope (one row)", file=stream)
+            continue
         slope_a, slope_b, slope_c = (coeffs[1] - coeffs[0]) / (ts[1] - ts[0])
         print(
             f"  pps {label}: dA/dt={slope_a:+.6f} dB/dt={slope_b:+.6f} dC/dt={slope_c:+.6f}",
@@ -91,12 +92,13 @@ def _report_simulate(doc, columns, path, stream) -> None:
     if "00" in series and "11" in series:
         (t00, coeffs00), (_, coeffs11) = series["00"], series["11"]
         # verdicts at the second sample of each state
-        delta_a = coeffs00[1, 0] - coeffs11[1, 0]
-        if abs(delta_a) < 1e-12 * (abs(coeffs00[0, 0]) + 1e-30):
+        if min(len(coeffs00), len(coeffs11)) < 2:
+            print("00 vs 11: no verdicts (a state has one row)", file=stream)
+        elif abs(coeffs00[1, 0] - coeffs11[1, 0]) < 1e-12 * (abs(coeffs00[0, 0]) + 1e-30):
             print("00 vs 11: indistinguishable (no interference rates)", file=stream)
         else:
             checks = [
-                ("00 slower than 11 (A)", delta_a > 0),
+                ("00 slower than 11 (A)", coeffs00[1, 0] - coeffs11[1, 0] > 0),
                 ("B growth 00 < 11", coeffs00[1, 1] < coeffs11[1, 1]),
                 ("C growth 00 < 11", coeffs00[1, 2] < coeffs11[1, 2]),
             ]

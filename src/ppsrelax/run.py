@@ -116,20 +116,22 @@ def run_simulate(scenario: Scenario, out_dir, plot: bool = False) -> list[str]:
     sys_obj = scenario.sys
     labels = scenario.pps_labels
     gamma = relaxation.build_matrix(scenario.rates)
+    m_inf = equilibrium_modes(sys_obj)
     times = scenario.time_grid.times()
     kept = {label: [] for label in labels}  # coefficient rows, for the plot only
 
     def lines():
         for label in labels:
+            m0 = pps_modes(label, sys_obj)
             template = label.value + ",%.12g" * 8 + "\n"
             for start in range(0, len(times), SIMULATE_BLOCK_TIMES):
                 block = times[start : start + SIMULATE_BLOCK_TIMES]
-                part = analysis.compare_pps(gamma, sys_obj, block, (label,))
-                rows = part.coefficients[label]
+                states = relaxation.propagate(gamma, m0, m_inf, block)
+                rows = analysis.decompose_rows(states, label)
                 if plot:
                     kept[label].append(rows)
                 a_minus_a0 = rows[:, 0] - sys_obj.k
-                table = np.column_stack((part.times, part.states[0], rows, a_minus_a0))
+                table = np.column_stack((block, states, rows, a_minus_a0))
                 yield from _csv_text(template, table)
 
     out = Path(out_dir)
@@ -258,18 +260,16 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
     except ValueError as exc:
         raise ConfigError(f"spectrum: {exc}") from None
     labels = scenario.pps_labels
-    trajectories = analysis.compare_pps(
-        relaxation.build_matrix(scenario.rates), sys_obj, scenario.time_grid.times(), labels
-    )
+    times = scenario.time_grid.times()
+    m_inf = equilibrium_modes(sys_obj)
+    m0 = [pps_modes(label, sys_obj) for label in labels]
+    states = relaxation.propagate(relaxation.build_matrix(scenario.rates), m0, m_inf, times)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    times = trajectories.times
     # the equilibrium references of nucleus 1 and 2, then label by label,
     # time by time, nucleus 1 before 2; each spectrum's noise is keyed by
     # (state code, time index, nucleus), never by its place in this list
-    modes = np.concatenate(
-        ([equilibrium_modes(sys_obj)], trajectories.states.reshape(-1, 3))
-    )
+    modes = np.concatenate(([m_inf], states.reshape(-1, 3)))
     codes = [int(label.value, 2) for label in labels]
     grid = np.meshgrid(codes, np.arange(len(times)), (1, 2), indexing="ij")
     references = [(EQUILIBRIUM_STATE_CODE, 0, nucleus) for nucleus in (1, 2)]

@@ -237,7 +237,7 @@ def test_compare_pps_t0_rows():
     gamma = build_matrix(RATES)
     table = compare_pps(gamma, SYS, [0.0, 0.5, 1.0])
     for label in PpsLabel:
-        assert table.coefficients[label][0].tolist() == [SYS.k, 0.0, 0.0]
+        assert table[label][0].tolist() == [SYS.k, 0.0, 0.0]
 
 
 def test_compare_pps_degenerate_without_interference():
@@ -246,13 +246,13 @@ def test_compare_pps_degenerate_without_interference():
     times = np.linspace(0.0, 10.0, 41)
     table = compare_pps(gamma, SYS, times, (PpsLabel.P00, PpsLabel.P11))
     np.testing.assert_allclose(
-        table.a(PpsLabel.P00), table.a(PpsLabel.P11), atol=1e-12
+        table[PpsLabel.P00][:, 0], table[PpsLabel.P11][:, 0], atol=1e-12
     )
     np.testing.assert_allclose(
-        table.b(PpsLabel.P00), table.b(PpsLabel.P11), atol=1e-12
+        table[PpsLabel.P00][:, 1], table[PpsLabel.P11][:, 1], atol=1e-12
     )
     np.testing.assert_allclose(
-        table.c(PpsLabel.P00), table.c(PpsLabel.P11), atol=1e-12
+        table[PpsLabel.P00][:, 2], table[PpsLabel.P11][:, 2], atol=1e-12
     )
 
 
@@ -260,16 +260,16 @@ def test_compare_pps_interference_slows_00():
     gamma = build_matrix(RATES)
     tau = 0.05
     table = compare_pps(gamma, SYS, [0.0, tau], (PpsLabel.P00, PpsLabel.P11))
-    assert table.a(PpsLabel.P00)[1] - SYS.k > table.a(PpsLabel.P11)[1] - SYS.k
+    assert table[PpsLabel.P00][1, 0] - SYS.k > table[PpsLabel.P11][1, 0] - SYS.k
 
 
 def test_compare_pps_deviation_columns():
     gamma = build_matrix(RATES)
     table = compare_pps(gamma, SYS, [0.0, 0.5])
     for label in PpsLabel:
-        dev = table.a(label) - table.k
+        dev = table[label][:, 0] - SYS.k
         assert dev[0] == 0.0
-        assert dev[1] == table.a(label)[1] - SYS.k
+        assert dev[1] == table[label][1, 0] - SYS.k
 
 
 def test_compare_pps_validates_times():
@@ -300,8 +300,8 @@ def test_interference_ordering_inequalities():
             labels = (PpsLabel.P00, PpsLabel.P11)
             full = compare_pps(gamma, SYS, [0.0, tau], labels)
             auto = compare_pps(gamma_auto, SYS, [0.0, tau], labels)
-            f00, f11 = (full.coefficients[label][1] for label in labels)
-            a00, a11 = (auto.coefficients[label][1] for label in labels)
+            f00, f11 = (full[label][1] for label in labels)
+            a00, a11 = (auto[label][1] for label in labels)
             # 00 keeps more a and gains less b and c than 11 and than its
             # auto-only counterpart; 11 the reverse
             slower = np.array((1.0, -1.0, -1.0))
@@ -333,8 +333,8 @@ def test_excess_asymmetry_when_delta2_smaller():
     gamma = build_matrix(rates)
     times = np.arange(0.1, 2.51, 0.1)
     table = compare_pps(gamma, SYS, times, (PpsLabel.P00, PpsLabel.P11))
-    db = np.abs(table.b(PpsLabel.P00) - table.b(PpsLabel.P11))
-    dc = np.abs(table.c(PpsLabel.P00) - table.c(PpsLabel.P11))
+    db = np.abs(table[PpsLabel.P00][:, 1] - table[PpsLabel.P11][:, 1])
+    dc = np.abs(table[PpsLabel.P00][:, 2] - table[PpsLabel.P11][:, 2])
     assert np.all(db > dc)
 
 

@@ -21,6 +21,7 @@ from ppsrelax.relaxation import (
     NotPositiveDefiniteWarning,
     RelaxationRates,
     build_matrix,
+    propagate,
 )
 from ppsrelax import run as run_module
 from ppsrelax.report import run_report
@@ -41,7 +42,7 @@ from ppsrelax.scenario import (
     scenario_to_dict,
     sweep_rates,
 )
-from ppsrelax.spins import PpsLabel, SpinSystem
+from ppsrelax.spins import PpsLabel, SpinSystem, equilibrium_modes, pps_modes
 
 DATA = Path(__file__).parent / "data"
 
@@ -410,6 +411,35 @@ def test_simulate_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
         assert Path(golden).read_bytes() == (DATA / "golden_simulate.csv").read_bytes()
 
 
+def test_simulate_columns_are_the_library_view(tmp_path, monkeypatch):
+    """simulate's mode and A, B, C columns are, bit for bit, the states of
+    one ``propagate`` call of all four states and ``compare_pps``'s rows
+    on the whole grid, in blocks of 68 of 273 times: the last block holds
+    a single time."""
+    scenario = parse_scenario(
+        config_doc(pps_labels=["00", "01", "10", "11"], time_grid={"end": 2.72, "step": 0.01})
+    )
+    tables = []
+
+    def recording(template, table):
+        tables.append(table.copy())
+        return _csv_text(template, table)
+
+    monkeypatch.setattr("ppsrelax.run._csv_text", recording)
+    monkeypatch.setattr(run_module, "SIMULATE_BLOCK_TIMES", 68)
+    run_simulate(scenario, tmp_path)
+    assert [len(table) for table in tables] == [68, 68, 68, 68, 1] * 4
+    gamma, sys_obj, labels = build_matrix(scenario.rates), scenario.sys, scenario.pps_labels
+    times = scenario.time_grid.times()
+    m0 = [pps_modes(label, sys_obj) for label in labels]
+    states = propagate(gamma, m0, equilibrium_modes(sys_obj), times)
+    rows = compare_pps(gamma, sys_obj, times, labels)
+    for label, table, state in zip(labels, np.concatenate(tables).reshape(4, 273, 8), states):
+        np.testing.assert_array_equal(table[:, 0], times)
+        np.testing.assert_array_equal(table[:, 1:4], state)
+        np.testing.assert_array_equal(table[:, 4:7], rows[label])
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_outputs_and_linearity(tmp_path):
@@ -483,7 +513,7 @@ def test_sweep_probe_columns_are_the_simulated_differences(probe_time):
     labels = (PpsLabel.P00, PpsLabel.P11)
     for row, rates in zip(table, sweep_rates(sweep.base, sweep.parameter, values)):
         gamma = build_matrix(RelaxationRates(*rates.tolist()))
-        pair = compare_pps(gamma, sweep.base.sys, [0.0, probe_time], labels).coefficients
+        pair = compare_pps(gamma, sweep.base.sys, [0.0, probe_time], labels)
         a, b, c = (pair[labels[0]][1] - pair[labels[1]][1]).tolist()
         assert row[2:].tolist() == [a, abs(b), abs(c)]
 

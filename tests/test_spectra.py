@@ -589,15 +589,17 @@ def test_extraction_11_uses_swapped_lines():
 def test_extraction_matches_mode_decomposition():
     """Full noiseless chain agrees with the direct coefficient split."""
     from ppsrelax.analysis import compare_pps
-    from ppsrelax.relaxation import RelaxationRates, build_matrix
+    from ppsrelax.relaxation import RelaxationRates, build_matrix, propagate
 
     rates = RelaxationRates(
         rho1=0.3125, rho2=0.33, rho12=0.33, sigma12=0.02, delta1=0.15, delta2=0.05
     )
-    labels = (PpsLabel.P00, PpsLabel.P11)
-    table = compare_pps(build_matrix(rates), SYS, (0.0, 1.25, 2.5), labels)
-    for label, states in zip(labels, table.states):
-        for m, (a, b, c) in zip(states, table.coefficients[label]):
+    labels, times = (PpsLabel.P00, PpsLabel.P11), (0.0, 1.25, 2.5)
+    gamma = build_matrix(rates)
+    table = compare_pps(gamma, SYS, times, labels)
+    m0 = [pps_modes(label, SYS) for label in labels]
+    for label, states in zip(labels, propagate(gamma, m0, equilibrium_modes(SYS), times)):
+        for m, (a, b, c) in zip(states, table[label]):
             a2_fit, a1_fit, b_fit, c_fit = extract(m, label)
             assert a2_fit == pytest.approx(a / SYS.gamma2, abs=1e-6)
             assert a1_fit == pytest.approx(a / SYS.gamma1, abs=1e-6)
