@@ -89,7 +89,8 @@ def compare_pps(
     labels: Iterable[PpsLabel] = tuple(PpsLabel),
 ) -> dict[PpsLabel, np.ndarray]:
     """Exact (a, b, c) rows [T, 3] of each requested pseudo-pure state on
-    a nonempty, strictly increasing time grid, in a dict by state."""
+    a nonempty, strictly increasing 1-D grid of finite times, in a dict by
+    state."""
     times_arr = np.asarray(times, dtype=float)
     if times_arr.size == 0:
         raise ValueError("times must be nonempty")

@@ -11,8 +11,8 @@ import sys
 
 import numpy as np
 
-from . import report, run, scenario
-from .spectra import InconsistentEquilibrium, NotConverged
+from . import run, scenario
+from .relaxation import InconsistentEquilibrium, NotConverged
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -79,7 +79,9 @@ def main(argv=None) -> int:
             if not args.quiet:
                 print(f"wrote {path}")
         elif args.command == "report":
-            report.run_report(args.csvs)
+            from .report import run_report
+
+            run_report(args.csvs)
     except (scenario.ConfigError, run.SchemaMismatch) as exc:
         print(f"ppsrelax: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

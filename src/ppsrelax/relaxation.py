@@ -35,6 +35,8 @@ __all__ = [
     "RelaxationMatrix",
     "NotPositiveDefiniteWarning",
     "InitialRateWindowWarning",
+    "NotConverged",
+    "InconsistentEquilibrium",
     "rate_matrix",
     "invalid_rates",
     "diagonalize",
@@ -56,6 +58,16 @@ class NotPositiveDefiniteWarning(UserWarning):
 
 class InitialRateWindowWarning(UserWarning):
     """Linearized evolution requested outside the initial-rate window."""
+
+
+# The spectral chain's failures, defined here so that the CLI can catch
+# them without loading ppsrelax.spectra, which re-exports them.
+class NotConverged(RuntimeError):
+    """A doublet fit the run cannot do without did not converge."""
+
+
+class InconsistentEquilibrium(ValueError):
+    """Equilibrium doublet lines differ by more than the accepted asymmetry."""
 
 
 @dataclass(frozen=True)
@@ -171,7 +183,7 @@ def propagate(gamma: RelaxationMatrix, m0, m_inf, times) -> np.ndarray:
     """Closed-form states M_inf + exp(-G t) (M0 - M_inf) on a time grid.
 
     ``m0`` holds initial mode rows [..., 3], ``m_inf`` the equilibrium
-    row [3] and ``times`` the sample times [T] (all >= 0); the result has
+    row [3] and ``times`` the sample times [T] (finite, >= 0); the result has
     shape [..., T, 3]. A stacked ``gamma`` broadcasts its batch dimensions
     against the leading dimensions of ``m0``. The exponential is taken in
     the eigenbasis of G; rows at t = 0 are exactly ``m0``. A lone time's
@@ -184,6 +196,8 @@ def propagate(gamma: RelaxationMatrix, m0, m_inf, times) -> np.ndarray:
     """
     m0 = np.asarray(m0, dtype=float)
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.isfinite(times).all():
+        raise ValueError("times must be a 1-D grid of finite values")
     if (times < 0).any():
         raise ValueError(f"t must be >= 0, got {times.min()}")
     vecs = gamma.eigenvectors
@@ -211,6 +225,8 @@ def linear_step(entries: np.ndarray, m0, m_inf, tau: float) -> np.ndarray:
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     m0 = np.asarray(m0, dtype=float)
     return m0 - tau * (entries @ (m0 - m_inf)[..., None])[..., 0]
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import analysis, relaxation, spectra, svg
+from . import analysis, relaxation
 from .scenario import (
     SCHEMA_VERSION,
     SWEEP_BLOCK_VALUES,
@@ -140,6 +140,8 @@ def run_simulate(scenario: Scenario, out_dir, plot: bool = False) -> list[str]:
     _write_csv(csv_path, "simulate", scenario_to_dict(scenario), SIMULATE_COLUMNS, lines())
     written = [str(csv_path)]
     if plot:
+        from . import svg
+
         # A(t) - A(0), B(t), C(t)
         deviations = {
             label: np.concatenate(rows) - (sys_obj.k, 0.0, 0.0) for label, rows in kept.items()
@@ -242,6 +244,8 @@ def run_pipeline(scenario: Scenario, out_dir, seed_override: int | None = None) 
     continues, with one UserWarning at the written CSV that counts them;
     only a failed equilibrium reference fit ends it.
     """
+    from . import spectra
+
     if scenario.readout != "spectra":
         raise ConfigError(
             f'pipeline requires readout "spectra", got {scenario.readout!r}'

@@ -29,6 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .relaxation import InconsistentEquilibrium, NotConverged
 from .spins import PpsLabel
 
 __all__ = [
@@ -99,14 +100,6 @@ _POOL_ROWS = 8
 
 class GridTooCoarse(ValueError):
     """Frequency grid spacing exceeds fwhm/10."""
-
-
-class NotConverged(RuntimeError):
-    """A doublet fit the run cannot do without did not converge."""
-
-
-class InconsistentEquilibrium(ValueError):
-    """Equilibrium doublet lines differ by more than the accepted asymmetry."""
 
 
 def lorentzian(freqs: np.ndarray, center: float, integral: float, fwhm: float) -> np.ndarray:

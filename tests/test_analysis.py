@@ -3,7 +3,7 @@ import pytest
 
 from oracle import initial_rate, recompose
 from ppsrelax.analysis import closed_form_auto, closed_form_cross, compare_pps, decompose_rows
-from ppsrelax.relaxation import RelaxationRates, build_matrix
+from ppsrelax.relaxation import RelaxationRates, build_matrix, propagate
 from ppsrelax.spins import PpsLabel, SpinSystem, equilibrium_modes, pps_modes
 
 SYS = SpinSystem(gamma1=0.9407, gamma2=1.0, k=0.5)
@@ -278,6 +278,22 @@ def test_compare_pps_validates_times():
         compare_pps(gamma, SYS, [])
     with pytest.raises(ValueError):
         compare_pps(gamma, SYS, [1.0, 0.5])
+
+
+def test_grids_and_tau_that_are_not_finite_or_not_1d_raise():
+    """A time grid that is not 1-D or not finite, and a tau that is not
+    finite, are rejected as bad input, not carried into numpy."""
+    gamma = build_matrix(RATES)
+    m0, m_inf = pps_modes(PpsLabel.P00, SYS), equilibrium_modes(SYS)
+    for times in (0.5, [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="times must be"):
+            propagate(gamma, m0, m_inf, times)
+        with pytest.raises(ValueError, match="times must be"):
+            compare_pps(gamma, SYS, times)
+    for tau in (np.nan, np.inf):
+        for closed_form in (closed_form_auto, closed_form_cross):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                closed_form(PpsLabel.P00, RATES, SYS, tau)
 
 
 # --------------------------------------------------- ordering property suite

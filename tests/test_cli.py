@@ -65,6 +65,64 @@ def test_import_leaves_hashlib_and_numpy_random_unloaded():
     assert result.stdout == "[]\n", result.stderr
 
 
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        (["simulate"], []),
+        (["sweep"], []),
+        (["simulate", "--plot"], ["svg"]),
+        (["pipeline"], ["spectra"]),
+        (["report"], ["report"]),
+    ],
+    ids=["simulate", "sweep", "simulate-plot", "pipeline", "report"],
+)
+def test_each_command_loads_only_its_layers(tmp_path, command, loaded):
+    """``cli.main`` in a fresh interpreter loads the spectral chain, the
+    report and the SVG writer only for the command that runs each one:
+    simulate and sweep load none of them."""
+    if command == ["report"]:
+        main(["simulate", "--out", str(tmp_path), "--quiet"])
+        command = ["report", str(tmp_path / "simulate.csv")]
+    else:
+        command = [*command, "--out", str(tmp_path), "--quiet"]
+    env = {**os.environ, "PYTHONPATH": str(Path(ppsrelax.__file__).parents[1])}
+    probe = (
+        f"import sys; from ppsrelax import cli; code = cli.main({command!r}); "
+        "print(code, [m for m in ('report', 'spectra', 'svg') if 'ppsrelax.' + m in sys.modules])"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.stdout.splitlines()[-1] == f"{EXIT_OK} {loaded}", result.stderr
+
+
+def test_lazy_public_api():
+    """Every name ``ppsrelax`` exports resolves on first use to the object
+    of its home layer, ``dir`` lists it, an unknown name raises
+    AttributeError, and the failures the CLI catches are the classes the
+    spectral chain raises."""
+    from ppsrelax import cli, spectra
+
+    exported = {
+        "ConfigError", "Deviation", "GridTooCoarse", "InconsistentEquilibrium",
+        "InitialRateWindowWarning", "NotConverged", "NotPositiveDefiniteWarning",
+        "PpsLabel", "RelaxationMatrix", "RelaxationRates", "SchemaMismatch", "Scenario",
+        "SpinSystem", "SweepSpec", "build_matrix", "closed_form_auto", "closed_form_cross",
+        "compare_pps", "default_pipeline_scenario", "default_scenario", "default_sweep",
+        "equilibrium_modes", "load_scenario", "load_sweep", "pps_modes", "propagate",
+        "run_pipeline", "run_report", "run_simulate", "run_sweep",
+    }  # fmt: skip
+    assert set(ppsrelax.__all__) == exported
+    for name in ppsrelax.__all__:
+        value = getattr(ppsrelax, name)
+        assert value.__module__.startswith("ppsrelax.")
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name in dir(ppsrelax)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ppsrelax.no_such_name
+    assert cli.NotConverged is spectra.NotConverged is ppsrelax.NotConverged
+    assert cli.InconsistentEquilibrium is spectra.InconsistentEquilibrium
+    assert {"NotConverged", "InconsistentEquilibrium"} <= set(spectra.__all__)
+
+
 def test_simulate_subcommand(tmp_path, capsys):
     config = write_config(tmp_path)
     code = main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
