@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .relaxation import RelaxationMatrix, RelaxationRates, linear_step, propagate
-from .spins import PpsLabel, SpinSystem, equilibrium_modes, pps_modes
+from .spins import PpsLabel, SpinSystem, equilibrium_modes, mode_rows, pps_modes
 
 __all__ = [
     "Deviation",
@@ -44,7 +44,7 @@ def decompose_rows(modes, label: PpsLabel) -> np.ndarray:
     With sign pattern (s1, s2, s12): a = s12*c12, b = c1 - s1*a,
     c = c2 - s2*a.
     """
-    modes = np.asarray(modes, dtype=float)
+    modes = mode_rows(modes)
     s = label.sign_pattern
     a = s.s12 * modes[..., 2]
     return np.stack((a, modes[..., 0] - s.s1 * a, modes[..., 1] - s.s2 * a), axis=-1)

@@ -17,9 +17,9 @@ the two-spin order. With delta1 = delta2 = 0 the matrix is block
 diagonal and the two-spin order decays as a bare exponential.
 
 States are propagated on one route, the spectral decomposition of G
-(``propagate``, on mode rows [..., 3]). The fixed-step RK4
-cross-check that the tests hold it against lives in ``tests/oracle.py``,
-outside the package.
+(``propagate``, on mode rows [..., 3]), its products summed in numpy in
+one fixed order. The fixed-step RK4 cross-check that the tests hold it
+against lives in ``tests/oracle.py``, outside the package.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ import warnings
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
+
+from .spins import mode_rows
 
 __all__ = [
     "RelaxationRates",
@@ -179,6 +181,13 @@ def check_positive_definite(lowest: float) -> None:
         )
 
 
+def _product(matrices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """M r [..., 3] of matrices [..., 3, 3] and rows [..., 3], summed in one
+    fixed order; matmul goes to BLAS, which rounds per kernel and row count."""
+    terms = rows[..., None, :] * matrices  # M[i, j] r[j]
+    return terms[..., 0] + terms[..., 1] + terms[..., 2]
+
+
 def propagate(gamma: RelaxationMatrix, m0, m_inf, times) -> np.ndarray:
     """Closed-form states M_inf + exp(-G t) (M0 - M_inf) on a time grid.
 
@@ -186,27 +195,21 @@ def propagate(gamma: RelaxationMatrix, m0, m_inf, times) -> np.ndarray:
     row [3] and ``times`` the sample times [T] (finite, >= 0); the result has
     shape [..., T, 3]. A stacked ``gamma`` broadcasts its batch dimensions
     against the leading dimensions of ``m0``. The exponential is taken in
-    the eigenbasis of G; rows at t = 0 are exactly ``m0``. A lone time's
-    row enters the final matrix product twice, and one result is kept:
-    numpy takes a one-row product through BLAS gemv, which rounds
-    differently from gemm, so a state does not depend on how many times
-    the call holds. Raises FloatingPointError when a state overflows,
-    which happens for a matrix that is not positive definite over long
-    times.
+    the eigenbasis of G; rows at t = 0 are exactly ``m0``. With products
+    summed in one fixed order, a state depends neither on the times and
+    matrices the call holds nor on the BLAS kernel. Raises FloatingPointError
+    when a state overflows, as for a non-positive-definite G at long times.
     """
-    m0 = np.asarray(m0, dtype=float)
+    m0 = mode_rows(m0)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.isfinite(times).all():
         raise ValueError("times must be a 1-D grid of finite values")
     if (times < 0).any():
         raise ValueError(f"t must be >= 0, got {times.min()}")
-    vecs = gamma.eigenvectors
-    weights = (m0 - m_inf)[..., None, :] @ vecs
+    weights = _product(gamma.eigenvectors.swapaxes(-1, -2), m0 - m_inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = weights * np.exp(-times[:, None] * gamma.eigenvalues[..., None, :])
-        if len(times) == 1:
-            scaled = scaled.repeat(2, axis=-2)
-        out = m_inf + (scaled @ vecs.swapaxes(-1, -2))[..., : len(times), :]
+        scaled = weights[..., None, :] * np.exp(-times[:, None] * gamma.eigenvalues[..., None, :])
+        out = m_inf + _product(gamma.eigenvectors[..., None, :, :], scaled)
     out[..., times == 0, :] = m0[..., None, :]
     if not np.isfinite(out).all():
         raise FloatingPointError(
@@ -227,8 +230,8 @@ def linear_step(entries: np.ndarray, m0, m_inf, tau: float) -> np.ndarray:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    m0 = np.asarray(m0, dtype=float)
-    return m0 - tau * (entries @ (m0 - m_inf)[..., None])[..., 0]
+    m0 = mode_rows(m0)
+    return m0 - tau * _product(entries, m0 - m_inf)
 
 
 def check_initial_rate_window(lambda_max: float, tau: float) -> None:

@@ -1,7 +1,8 @@
 """The simulate, sweep and pipeline runners and the CSV format they share.
 
 Each runner turns a parsed config into one deterministic CSV: identical
-config and seed give byte-identical files. Every file opens with ``#``
+config and seed give byte-identical files, simulate's and sweep's under
+any BLAS kernel whose eigendecomposition agrees. Every file opens with ``#``
 lines (kind and schema version, units, the scenario as JSON), so a
 report needs nothing but the CSV; ``_read_csv`` reads that layout back.
 """

@@ -20,7 +20,6 @@ pseudo-pure-state coefficients normalized by equilibrium intensities.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
@@ -159,34 +158,25 @@ def _add_noise(amps: np.ndarray, snr: float, words: np.ndarray) -> np.ndarray:
     # each row's stream is drawn into a block of rows, which is scaled
     # and added in one call each
     block = np.empty((min(max(len(amps), 1), NORMAL_EQUATION_ROWS), amps.shape[-1]))
-    seed_words, generator, pcg64 = _seed_words_type(), np.random.Generator, np.random.PCG64
     for start in range(0, len(amps), len(block)):
         rows = amps[start : start + len(block)]
         noise = block[: len(rows)]
         for row, seeded in zip(noise, words[start : start + len(rows)]):
-            generator(pcg64(seed_words(seeded))).standard_normal(out=row)
+            np.random.Generator(np.random.PCG64(_SeedWords(seeded))).standard_normal(out=row)
         noise *= sd[start : start + len(rows), None]
         rows += noise
     return amps
 
 
-@functools.cache
-def _seed_words_type() -> type:
-    """The SeedSequence class whose state is the words [4] that it holds,
-    so that PCG64 seeds itself from a row of ``_keyed_seed_words`` as
-    from the SeedSequence it was hashed from. Made on first use, as only
-    noise needs numpy.random: made at import, it put numpy.random and the
-    hashlib it imports into every process, and perfbench sweep-wide,
-    which draws no noise, read peak_rss_mb +5 % and setup_s +5 %."""
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """The SeedSequence whose state is the words [4] it holds, so that PCG64
+    seeds itself from a row of ``_keyed_seed_words`` as from the row's SeedSequence."""
 
-    class SeedWords(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return self.words
-
-    return SeedWords
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 # SeedSequence's constants (numpy bit_generator.pyx), Python ints: numpy scalars warn on overflow
@@ -469,7 +459,7 @@ def _fit_batch(
     """Starts the fits of the spectra ``amps`` [S, N], whose outcomes are
     the rows from ``start`` on of ``fitted``, iterates them until at most
     ``handoff`` rows are live (0: until every row is done) and returns
-    those and a copy of their spectra [L, N], which ``live.rows`` indexes.
+    those and a copy of their spectra [L, N], row for row.
 
     Every row starts at the doublet geometry, so the first normal
     equations of the batch come from ``_start_equations``.
@@ -491,7 +481,7 @@ def _fit_batch(
     damping, escalation = np.full(size, 1e-3), np.full(size, 2.0)
     live = _Live(start + rows, rows, params, *equations, damping, escalation, np.zeros_like(rows))
     live = _levenberg_marquardt(setup, amps, live, fitted, work, handoff)
-    return live._replace(rows=np.arange(len(live.rows))), amps[live.rows]
+    return live, amps[live.rows]
 
 
 def _fit_pool(setup: _FitSetup, pool: Sequence[tuple[_Live, np.ndarray]], fitted: tuple) -> None:

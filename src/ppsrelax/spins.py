@@ -97,6 +97,13 @@ class SpinSystem:
             )
 
 
+def mode_rows(modes) -> np.ndarray:
+    """``modes`` as float mode rows [..., 3], or ValueError naming its shape."""
+    if (modes := np.asarray(modes, dtype=float)).shape[-1:] != (3,):
+        raise ValueError(f"need mode rows [..., 3], got shape {modes.shape}")
+    return modes
+
+
 def equilibrium_modes(sys: SpinSystem) -> np.ndarray:
     """Thermal-equilibrium mode row (g1, g2, 0); no two-spin order."""
     return np.array((sys.gamma1, sys.gamma2, 0.0))
@@ -118,7 +125,7 @@ def doublet_pairs(modes) -> np.ndarray:
     spin-2 (proton) lines with spin 1 in state 0/1. In modes they are
     f = c1 +- c12 and h = c2 +- c12.
     """
-    modes = np.asarray(modes, dtype=float)
+    modes = mode_rows(modes)
     c1, c2, c12 = modes[..., 0], modes[..., 1], modes[..., 2]
     return np.stack(
         (np.stack((c1 + c12, c1 - c12), axis=-1), np.stack((c2 + c12, c2 - c12), axis=-1)),

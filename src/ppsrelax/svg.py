@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 __all__ = ["line_plot"]
 
@@ -56,8 +57,6 @@ def line_plot(
     ``series`` is a list of (label, xs, ys) with equal-length xs/ys,
     drawn under ``title`` with the axis labels ``xlabel`` and ``ylabel``.
     """
-    from xml.sax.saxutils import escape  # imported here: it pulls in urllib.request
-
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracle import initial_rate, recompose
 from ppsrelax.analysis import closed_form_auto, closed_form_cross, compare_pps, decompose_rows
-from ppsrelax.relaxation import RelaxationRates, build_matrix, propagate
-from ppsrelax.spins import PpsLabel, SpinSystem, equilibrium_modes, pps_modes
+from ppsrelax.relaxation import RelaxationRates, build_matrix, linear_step, propagate
+from ppsrelax.spins import PpsLabel, SpinSystem, doublet_pairs, equilibrium_modes, pps_modes
 
 SYS = SpinSystem(gamma1=0.9407, gamma2=1.0, k=0.5)
 RATES = RelaxationRates(
@@ -294,6 +296,24 @@ def test_grids_and_tau_that_are_not_finite_or_not_1d_raise():
         for closed_form in (closed_form_auto, closed_form_cross):
             with pytest.raises(ValueError, match="tau must be finite"):
                 closed_form(PpsLabel.P00, RATES, SYS, tau)
+
+
+@pytest.mark.parametrize("modes", [[0.5], [[0.5, 0.5]] * 4, [0.5, 0.5, 0.0, 0.0], 0.5])
+def test_mode_rows_that_are_not_3_wide_raise(modes):
+    """Mode rows of width 1, 2 or 4, or a 0-d value, are rejected with a
+    ValueError naming their shape: width 1 used to broadcast to a row of
+    three equal modes, and the others to end in IndexError."""
+    gamma, m_inf = build_matrix(RATES), equilibrium_modes(SYS)
+    shape = str(np.shape(modes))
+    calls = (
+        lambda: propagate(gamma, modes, m_inf, [0.0, 1.0]),
+        lambda: linear_step(gamma.entries, modes, m_inf, 0.1),
+        lambda: decompose_rows(modes, PpsLabel.P00),
+        lambda: doublet_pairs(modes),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(shape)):
+            call()
 
 
 # --------------------------------------------------- ordering property suite

@@ -18,7 +18,14 @@ from oracle import evolve_ode, noisy_amps, recompose
 from ppsrelax import run, spectra
 from ppsrelax.analysis import compare_pps, decompose_rows
 from ppsrelax.cli import EXIT_OK, main
-from ppsrelax.relaxation import RelaxationRates, build_matrix, propagate
+from ppsrelax.relaxation import (
+    RelaxationRates,
+    build_matrix,
+    diagonalize,
+    linear_step,
+    propagate,
+    rate_matrix,
+)
 from ppsrelax.scenario import default_pipeline_scenario
 from ppsrelax.spins import PpsLabel, SpinSystem
 
@@ -80,6 +87,43 @@ def test_11_is_00_under_flipped_interference_rates(rates, times):
     state11 = compare_pps(build_matrix(rates), sys_obj, times, (PpsLabel.P11,))
     state00 = compare_pps(build_matrix(flipped), sys_obj, times, (PpsLabel.P00,))
     np.testing.assert_array_equal(state11[PpsLabel.P11], state00[PpsLabel.P00])
+
+
+@st.composite
+def safe_rate_tables(draw):
+    """Rate rows [1-5, 6] inside the benchmark's Gershgorin-safe ranges,
+    the interference rates up to its largest sweep scale (1.5): every
+    matrix is positive definite."""
+    bounds = [(0.28, 0.40)] * 3 + [(0.0, 0.03), (0.0, 0.18), (0.0, 0.06)]
+    count = draw(st.integers(1, 5))
+    return [[draw(st.floats(lo, hi)) for lo, hi in bounds] for _ in range(count)]
+
+
+@PROPERTY
+@given(
+    safe_rate_tables(),
+    st.lists(rows, min_size=1, max_size=4),
+    rows,
+    st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40),
+    st.data(),
+)
+def test_a_state_does_not_depend_on_what_else_the_call_holds(table, m0, m_inf, times, data):
+    """``propagate`` gives each state bit for bit on the whole grid, at
+    each time alone and on the grid split in two, for a stack of matrices
+    and for each matrix alone; ``linear_step`` gives a stack's states as
+    each matrix's."""
+    m0, split = np.array(m0), data.draw(st.integers(0, len(times)))
+    gamma = diagonalize(rate_matrix(table)[:, None])  # broadcast over the rows of m0
+    whole = propagate(gamma, m0, m_inf, times)
+    alone = np.concatenate([propagate(gamma, m0, m_inf, [t]) for t in times], axis=-2)
+    np.testing.assert_array_equal(alone, whole)
+    parts = [propagate(gamma, m0, m_inf, grid) for grid in (times[:split], times[split:])]
+    np.testing.assert_array_equal(np.concatenate(parts, axis=-2), whole)
+    steps = linear_step(gamma.entries, m0, m_inf, 0.1)
+    for rates, states, step in zip(table, whole, steps):
+        single = diagonalize(rate_matrix(rates))
+        np.testing.assert_array_equal(propagate(single, m0, m_inf, times), states)
+        np.testing.assert_array_equal(linear_step(single.entries, m0, m_inf, 0.1), step)
 
 
 @PROPERTY

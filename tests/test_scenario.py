@@ -396,8 +396,9 @@ def test_simulate_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
     times simulate propagates and formats at once: one, sizes that leave
     a last block of one time (2 and 272 of 273 times), a partial last
     block, the CSV block, and more than the grid. The 01 row of the last
-    time, 2.72, is one whose text numpy's one-row matrix product (BLAS
-    gemv) would change."""
+    time, 2.72, is one whose text changed when a block of one time was
+    multiplied out by BLAS, whose one-row kernel (gemv) rounds otherwise
+    than its many-row one (gemm)."""
     scenario = parse_scenario(
         config_doc(pps_labels=["00", "01", "10", "11"], time_grid={"end": 2.72, "step": 0.01})
     )
@@ -505,8 +506,9 @@ def test_sweep_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
 def test_sweep_probe_columns_are_the_simulated_differences(probe_time):
     """The three probe columns are, bit for bit, the 00 - 11 differences
     of ``compare_pps`` at the probe time of a grid from 0, one matrix per
-    swept value: the sweep's lone probe time rounds as a time of
-    simulate's grid does."""
+    swept value: a state rounds alike in the sweep's call, which holds one
+    time and a stack of matrices, and in a call of two times and one
+    matrix."""
     values = tuple(np.linspace(0.0, 1.5, 200).tolist())
     sweep = SweepSpec("delta_scale", values, default_scenario(), probe_time)
     table = run_module._sweep_table(sweep, values, [math.inf, 0.0])
