@@ -178,8 +178,8 @@ class SweepSpec:
     def __post_init__(self):
         if not self.values:
             raise ConfigError("sweep.values must be nonempty")
-        if not self.probe_time > 0:
-            raise ConfigError(f"sweep.probe_time must be > 0, got {self.probe_time}")
+        if not 0 < self.probe_time < math.inf:
+            raise ConfigError(f"sweep.probe_time must be finite and > 0, got {self.probe_time}")
         for start in range(0, len(self.values), SWEEP_BLOCK_VALUES):
             block = self.values[start : start + SWEEP_BLOCK_VALUES]
             error = invalid_rates(sweep_rates(self.base, self.parameter, block))

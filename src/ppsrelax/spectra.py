@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .relaxation import InconsistentEquilibrium, NotConverged
-from .spins import PpsLabel
+from .spins import PpsLabel, mode_rows
 
 __all__ = [
     "DoubletFits",
@@ -184,66 +184,46 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 
-def _words(part) -> list[int]:
-    """The 32-bit words of the non-negative int ``part``, least
-    significant first (ValueError if it is negative)."""
-    if (part := operator.index(part)) < 0:
-        raise ValueError(f"noise seeds must be non-negative, got {part}")
-    words = [part & _MASK32]
-    while part := part >> 32:
-        words.append(part & _MASK32)
-    return words
-
-
 def _keyed_seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
-    """``SeedSequence([seed, *key]).generate_state(4, np.uint64)`` for each
-    row of the non-negative int ``keys`` [K, W], each of whose entries fits
-    one 32-bit word, as uint64 rows [K, 4]. Such a seed's words are those
-    of ``seed`` followed by the key, so all K are hashed from one array,
-    never a Python list per seed: hashed one list at a time, the 4 010
-    seeds of ``fit_noisy_doublets`` on pipeline-dense took 8-10 ms, not
-    0.7-0.8, and raised peak RSS 0.5 MB."""
-    seed_words = _words(seed)
-    entropy = np.empty((len(seed_words) + keys.shape[1], len(keys)), np.uint32)
-    entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
-    entropy[len(seed_words) :] = keys.T
-    return _hashed_words(entropy)
-
-
-def _hashed_words(entropy: np.ndarray) -> np.ndarray:
-    """The ``_keyed_seed_words`` [S, 4] of the seeds whose 32-bit words,
-    least significant first, are the columns of ``entropy`` [W, S]:
-    SeedSequence's hash in uint32 array operations, its output words
-    joined into uint64 pairs. The hash constants do not depend on the
-    data, so the words that one step hashes, each under its own constant,
-    form one [W, S] array."""
-    # SeedSequence's pool of 4 words, zero-padded
-    entropy = np.pad(entropy, ((0, max(0, 4 - len(entropy))), (0, 0)))
+    """``SeedSequence([seed, *key]).generate_state(4, np.uint64)`` of each
+    row of the int ``keys`` [K, W], as C-contiguous uint64 rows [K, 4], for
+    a non-negative ``seed`` and key entries below 2^32: numpy's
+    ``mix_entropy`` and ``generate_state`` (bit_generator.pyx) step for
+    step, on a uint32 array [K] for each uint32 of its C code, so that all
+    K seeds are hashed at once (one list at a time, the 4 010 of
+    pipeline-dense took 8-10 ms, not 0.3-0.4, and 0.5 MB more peak RSS)."""
+    seed, size = operator.index(seed), len(keys)
+    # the entropy words: those of seed, least significant first, then the key's
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(size, word, np.uint32) for word in words] + list(keys.T.astype(np.uint32))
     hash_const = _INIT_A
 
-    def hashmix(value: np.ndarray, mult: int, count: int) -> np.ndarray:
-        """``value`` [count, S] or [S] hashed under the next ``count``
-        hash constants, one per row of the [count, S] result."""
+    def hashmix(value: np.ndarray, mult: int) -> np.ndarray:
         nonlocal hash_const
-        consts = [hash_const]
-        for _ in range(count):
-            consts.append(consts[-1] * mult & _MASK32)
-        hash_const = consts[-1]
-        consts = np.array(consts, np.uint32)[:, None]
-        value = (value ^ consts[:-1]) * consts[1:]
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
         return value ^ value >> 16
 
-    # mix_entropy (each pool word into every other, then further words into all)
-    pool = hashmix(entropy[:4], _MULT_A, 4)
-    for src in range(len(entropy)):
-        dst = [dst for dst in range(4) if dst != src]
-        word = hashmix(pool[src] if src < 4 else entropy[src], _MULT_A, len(dst))
-        mixed = _MIX_L * pool[dst] - _MIX_R * word
-        pool[dst] = mixed ^ mixed >> 16
-    hash_const = _INIT_B  # generate_state(4, np.uint64)
-    out = hashmix(np.tile(pool, (2, 1)), _MULT_B, 8).astype(np.uint64)
-    # little-endian uint32 pairs, in rows that PCG64 can read raw
-    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_L * x - _MIX_R * y
+        return result ^ result >> 16
+
+    # mix_entropy: 4 words (0 past the entropy) fill the pool, each pool
+    # word is mixed into every other, then each further word into all four
+    entropy += [np.zeros(size, np.uint32)] * (4 - len(entropy))
+    pool = [hashmix(word, _MULT_A) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], _MULT_A))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word, _MULT_A))
+    # generate_state(4, np.uint64): 8 words, cycling through the pool
+    hash_const = _INIT_B
+    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 class DoubletFits(NamedTuple):
@@ -563,9 +543,10 @@ def _levenberg_marquardt(
         ssr[accept] = trial_ssr[accept]
         gradient[accept] = trial_gradient[accept]
         hessian[accept] = trial_hessian[accept]
-        gain = (improvement[accept] / predicted[accept]).tolist()
-        # Python's float power: numpy's cube rounds differently now and then
-        damping[accept] *= [max(1.0 / 3.0, 1.0 - (2.0 * g - 1.0) ** 3) for g in gain]
+        gain = improvement[accept] / predicted[accept]
+        # float_power calls C pow(), as Python's float power does (np.power's
+        # cube rounds otherwise now and then); fmax keeps max's 1/3 for a NaN gain
+        damping[accept] *= np.fmax(1.0 / 3.0, 1.0 - np.float_power(2.0 * gain - 1.0, 3))
         escalation[accept] = 2.0
         done = accept & (improvement <= rtol * np.maximum(ssr, 1e-300))
 
@@ -778,13 +759,17 @@ def coefficient_rows(lines1, lines2, eq1, eq2, label: PpsLabel) -> np.ndarray:
     """Pseudo-pure coefficients (a_from_spin2, a_from_spin1, b, c) [..., 4]
     from fitted line integrals.
 
-    ``lines1`` [..., 2] holds (f0, f1) of nucleus 1 and ``lines2``
-    (h0, h1) of nucleus 2; ``eq1``/``eq2`` [2] are the equilibrium pairs
-    used for normalization. Raises InconsistentEquilibrium when an
-    equilibrium doublet is asymmetric beyond 5%.
+    ``lines1`` [..., 2] holds (f0, f1) of nucleus 1 and ``lines2``, of
+    the same shape, (h0, h1) of nucleus 2 (ValueError otherwise);
+    ``eq1``/``eq2`` [2] are the equilibrium pairs used for normalization.
+    Raises InconsistentEquilibrium when an equilibrium doublet is
+    asymmetric beyond 5%.
     """
-    for name, eq in (("nucleus 1", eq1), ("nucleus 2", eq2)):
-        line0, line1 = (float(v) for v in eq)
+    lines1, lines2, eq1, eq2 = (mode_rows(rows, 2) for rows in (lines1, lines2, eq1, eq2))
+    if lines2.shape != lines1.shape or eq1.shape != (2,) or eq2.shape != (2,):
+        shapes = ", ".join(str(rows.shape) for rows in (lines1, lines2, eq1, eq2))
+        raise ValueError(f"need lines1, lines2 [..., 2] of one shape, eq1, eq2 [2]; got {shapes}")
+    for name, (line0, line1) in (("nucleus 1", eq1.tolist()), ("nucleus 2", eq2.tolist())):
         mean = line0 / 2 + line1 / 2  # no overflow near the float maximum
         if mean == 0 or not abs(line0 - line1) / abs(mean) <= EQ_ASYMMETRY_LIMIT:
             raise InconsistentEquilibrium(
@@ -793,9 +778,8 @@ def coefficient_rows(lines1, lines2, eq1, eq2, label: PpsLabel) -> np.ndarray:
             )
     # halved first, exactly for normal floats, so that no sum of two
     # integrals near the float maximum overflows; every quotient is unchanged
-    lines1, lines2 = np.asarray(lines1, dtype=float) / 2, np.asarray(lines2, dtype=float) / 2
-    f0, f1 = lines1[..., 0], lines1[..., 1]
-    h0, h1 = lines2[..., 0], lines2[..., 1]
+    f0, f1 = np.moveaxis(lines1 / 2, -1, 0)
+    h0, h1 = np.moveaxis(lines2 / 2, -1, 0)
     denom_f = float(eq1[0]) / 2 + float(eq1[1]) / 2
     denom_h = float(eq2[0]) / 2 + float(eq2[1]) / 2
     s = label.sign_pattern

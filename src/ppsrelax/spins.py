@@ -97,10 +97,11 @@ class SpinSystem:
             )
 
 
-def mode_rows(modes) -> np.ndarray:
-    """``modes`` as float mode rows [..., 3], or ValueError naming its shape."""
-    if (modes := np.asarray(modes, dtype=float)).shape[-1:] != (3,):
-        raise ValueError(f"need mode rows [..., 3], got shape {modes.shape}")
+def mode_rows(modes, width: int = 3) -> np.ndarray:
+    """``modes`` as float rows [..., width], mode rows [..., 3] by default,
+    or ValueError naming its shape."""
+    if (modes := np.asarray(modes, dtype=float)).shape[-1:] != (width,):
+        raise ValueError(f"need rows [..., {width}], got shape {modes.shape}")
     return modes
 
 

@@ -6,6 +6,7 @@ import pytest
 from oracle import initial_rate, recompose
 from ppsrelax.analysis import closed_form_auto, closed_form_cross, compare_pps, decompose_rows
 from ppsrelax.relaxation import RelaxationRates, build_matrix, linear_step, propagate
+from ppsrelax.spectra import coefficient_rows
 from ppsrelax.spins import PpsLabel, SpinSystem, doublet_pairs, equilibrium_modes, pps_modes
 
 SYS = SpinSystem(gamma1=0.9407, gamma2=1.0, k=0.5)
@@ -296,20 +297,33 @@ def test_grids_and_tau_that_are_not_finite_or_not_1d_raise():
         for closed_form in (closed_form_auto, closed_form_cross):
             with pytest.raises(ValueError, match="tau must be finite"):
                 closed_form(PpsLabel.P00, RATES, SYS, tau)
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        linear_step(gamma.entries, m0, m_inf, -1)
 
 
-@pytest.mark.parametrize("modes", [[0.5], [[0.5, 0.5]] * 4, [0.5, 0.5, 0.0, 0.0], 0.5])
+@pytest.mark.parametrize(
+    "modes",
+    [[0.5], [[0.5, 0.5]] * 4, [0.5, 0.5, 0.0, 0.0], 0.5, [[1.0, 1.0]], [[0.9, 0.1, 0.0, 0.0]] * 3],
+)
 def test_mode_rows_that_are_not_3_wide_raise(modes):
     """Mode rows of width 1, 2 or 4, or a 0-d value, are rejected with a
     ValueError naming their shape: width 1 used to broadcast to a row of
-    three equal modes, and the others to end in IndexError."""
+    three equal modes, and the others to end in IndexError. So are line
+    pairs that are not [..., 2] rows of the other nucleus's shape [3, 2],
+    and an equilibrium pair that is not [2]: rows [1, 2] used to broadcast,
+    rows [3, 4] to be read by their first two columns, and an equilibrium
+    [1, 2] to end in TypeError."""
     gamma, m_inf = build_matrix(RATES), equilibrium_modes(SYS)
     shape = str(np.shape(modes))
+    lines, eq = [[0.9, 0.1]] * 3, [1.0, 1.0]
     calls = (
         lambda: propagate(gamma, modes, m_inf, [0.0, 1.0]),
         lambda: linear_step(gamma.entries, modes, m_inf, 0.1),
         lambda: decompose_rows(modes, PpsLabel.P00),
         lambda: doublet_pairs(modes),
+        lambda: coefficient_rows(modes, lines, eq, eq, PpsLabel.P00),
+        lambda: coefficient_rows(lines, modes, eq, eq, PpsLabel.P00),
+        lambda: coefficient_rows(lines, lines, eq, modes, PpsLabel.P00),
     )
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(shape)):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -290,6 +291,22 @@ def test_fit_noisy_doublets_rejects_its_arguments(pairs, snr, seed, keys):
         spectra.fit_noisy_doublets(FREQS, pairs, SYS.j_coupling, 1.0, snr, seed, keys)
 
 
+@pytest.mark.parametrize("shape", [(801,), (3, 800)])
+def test_fit_rejects_amps_that_are_not_rows_on_the_grid(shape):
+    with pytest.raises(ValueError, match=re.escape(f"need amps [S, 801], got {shape}")):
+        fit_doublets(FREQS, np.zeros(shape), SYS.j_coupling, 1.0)
+
+
+def test_numpy_int_seed_draws_the_noise_of_its_python_int():
+    """An np.int64 seed, which has no ``bit_length``, is hashed as the
+    Python int of its value: the fits are those of that int."""
+    pairs, keys, seed = [EQ[0], EQ[1]], [[0, 0, 1], [0, 0, 2]], 2**40 + 5
+    want = spectra.fit_noisy_doublets(FREQS, pairs, SYS.j_coupling, 1.0, 50.0, seed, keys)
+    got = spectra.fit_noisy_doublets(FREQS, pairs, SYS.j_coupling, 1.0, 50.0, np.int64(seed), keys)
+    for field, value in zip(want._fields, got):
+        np.testing.assert_array_equal(value, getattr(want, field), err_msg=field)
+
+
 def test_fit_rejects_short_spectrum():
     with pytest.raises(ValueError):
         fit_doublets(np.linspace(-20, 20, 40), np.zeros((1, 40)), SYS.j_coupling, 1.0)
@@ -309,6 +326,20 @@ def test_fit_rejects_a_grid_that_is_not_increasing_and_uniform(freqs):
     step, so a reversed or uneven grid would give it wrong ones."""
     with pytest.raises(ValueError, match="strictly increasing and uniform"):
         fit_doublets(freqs, spectrum(EQ[1])[None], SYS.j_coupling, 1.0)
+
+
+def test_damping_factor_rounds_as_python_float_power():
+    """The fit scales an accepted row's damping by max(1/3, 1 - (2 g - 1)^3)
+    of its gain ratio g in numpy, through ``np.float_power`` (C ``pow``)
+    and ``np.fmax``: bit for bit the Python float loop it replaced, a NaN
+    gain included, from which ``np.power``'s cube differs now and then."""
+    rng = np.random.default_rng(11)
+    gain = np.concatenate(
+        (rng.uniform(-2.0, 3.0, 100_000), rng.normal(0.5, 1e-3, 10_000), [np.nan])
+    )
+    want = [max(1.0 / 3.0, 1.0 - (2.0 * g - 1.0) ** 3) for g in gain.tolist()]
+    got = np.fmax(1.0 / 3.0, 1.0 - np.float_power(2.0 * gain - 1.0, 3))
+    np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
 def test_fit_peaks_ordered_by_center():
@@ -618,6 +649,13 @@ def test_equilibrium_asymmetry_is_judged_near_float_max():
     overflow to inf, so a 41 % asymmetry there is still rejected."""
     with pytest.raises(InconsistentEquilibrium):
         coefficient_rows([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.7e308, 1e308], PpsLabel.P00)
+
+
+def test_coefficient_rows_reject_line_rows_3_wide():
+    """Rows [4, 3] are mode rows, not line pairs: they used to be read by
+    their first two columns."""
+    with pytest.raises(ValueError, match=re.escape("(4, 3)")):
+        coefficient_rows([[0.9, 0.1, 0.0]] * 4, [[0.9, 0.1]] * 4, EQ[0], EQ[1], PpsLabel.P00)
 
 
 @pytest.mark.parametrize("eq2", [(np.nan, np.nan), (1.0, np.nan), (0.0, 0.0)])
