@@ -37,15 +37,16 @@ class Deviation(NamedTuple):
     c: float
 
 
-def decompose_rows(modes, label: PpsLabel) -> np.ndarray:
+def decompose_rows(modes, label: PpsLabel | str) -> np.ndarray:
     """Coefficient rows (a, b, c) [..., 3] of mode rows [..., 3] read
-    against a state label.
+    against a state label, a PpsLabel or its value ("00" to "11";
+    ValueError otherwise).
 
     With sign pattern (s1, s2, s12): a = s12*c12, b = c1 - s1*a,
     c = c2 - s2*a.
     """
     modes = mode_rows(modes)
-    s = label.sign_pattern
+    s = PpsLabel(label).sign_pattern
     a = s.s12 * modes[..., 2]
     return np.stack((a, modes[..., 0] - s.s1 * a, modes[..., 1] - s.s2 * a), axis=-1)
 
@@ -86,17 +87,18 @@ def compare_pps(
     gamma: RelaxationMatrix,
     sys: SpinSystem,
     times: Sequence[float],
-    labels: Iterable[PpsLabel] = tuple(PpsLabel),
+    labels: Iterable[PpsLabel | str] = tuple(PpsLabel),
 ) -> dict[PpsLabel, np.ndarray]:
     """Exact (a, b, c) rows [T, 3] of each requested pseudo-pure state on
     a nonempty, strictly increasing 1-D grid of finite times, in a dict by
-    state."""
+    state. A state is a PpsLabel or its value ("00" to "11"; ValueError
+    otherwise); the keys are PpsLabel members."""
     times_arr = np.asarray(times, dtype=float)
     if times_arr.size == 0:
         raise ValueError("times must be nonempty")
     if times_arr.size > 1 and not np.all(np.diff(times_arr) > 0):
         raise ValueError("times must be strictly increasing")
-    labels = tuple(labels)
+    labels = tuple(map(PpsLabel, labels))
     m0 = [pps_modes(label, sys) for label in labels]
     states = propagate(gamma, m0, equilibrium_modes(sys), times_arr)
     return {label: decompose_rows(s, label) for label, s in zip(labels, states)}

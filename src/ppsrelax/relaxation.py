@@ -188,11 +188,21 @@ def _product(matrices: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return terms[..., 0] + terms[..., 1] + terms[..., 2]
 
 
+def _finite_rows(name: str, modes) -> np.ndarray:
+    """``spins.mode_rows(modes)``, or ValueError naming ``name`` when a
+    value is NaN or inf."""
+    modes = mode_rows(modes)
+    if not np.isfinite(modes).all():
+        raise ValueError(f"{name} must be finite")
+    return modes
+
+
 def propagate(gamma: RelaxationMatrix, m0, m_inf, times) -> np.ndarray:
     """Closed-form states M_inf + exp(-G t) (M0 - M_inf) on a time grid.
 
     ``m0`` holds initial mode rows [..., 3], ``m_inf`` the equilibrium
-    row [3] and ``times`` the sample times [T] (finite, >= 0); the result has
+    row [3] and ``times`` the sample times [T] (finite, >= 0), ValueError
+    otherwise, as for a NaN or inf in ``m0`` or ``m_inf``; the result has
     shape [..., T, 3]. A stacked ``gamma`` broadcasts its batch dimensions
     against the leading dimensions of ``m0``. The exponential is taken in
     the eigenbasis of G; rows at t = 0 are exactly ``m0``. With products
@@ -200,7 +210,7 @@ def propagate(gamma: RelaxationMatrix, m0, m_inf, times) -> np.ndarray:
     matrices the call holds nor on the BLAS kernel. Raises FloatingPointError
     when a state overflows, as for a non-positive-definite G at long times.
     """
-    m0 = mode_rows(m0)
+    m0, m_inf = _finite_rows("m0", m0), _finite_rows("m_inf", m_inf)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.isfinite(times).all():
         raise ValueError("times must be a 1-D grid of finite values")
@@ -223,14 +233,15 @@ def linear_step(entries: np.ndarray, m0, m_inf, tau: float) -> np.ndarray:
     """Linearized state M0 - tau E (M0 - M_inf) under rate blocks E.
 
     ``entries`` [..., 3, 3] broadcasts against the mode rows ``m0``
-    [..., 3]; ``m_inf`` is one row [3]. The result is linear in E, so
+    [..., 3]; ``m_inf`` is one row [3]. Both must be finite, and ``tau``
+    finite and >= 0 (ValueError otherwise). The result is linear in E, so
     masking E to a block of rates isolates that block's contribution.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    m0 = mode_rows(m0)
+    m0, m_inf = _finite_rows("m0", m0), _finite_rows("m_inf", m_inf)
     return m0 - tau * _product(entries, m0 - m_inf)
 
 

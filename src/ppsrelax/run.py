@@ -168,20 +168,26 @@ def run_simulate(scenario: Scenario, out_dir, plot: bool = False) -> list[str]:
     return written
 
 
-def _sweep_table(sweep: SweepSpec, values: Sequence[float], seen: list) -> np.ndarray:
+def _sweep_matrices(sweep: SweepSpec, values: Sequence[float]) -> relaxation.RelaxationMatrix:
+    """The diagonalized rate matrices [B, 1, 3, 3] of ``values``, a block
+    of the swept values: one per value, broadcast over the two states."""
+    rates = sweep_rates(sweep.base, sweep.parameter, values)
+    return relaxation.diagonalize(relaxation.rate_matrix(rates)[:, None])
+
+
+def _sweep_table(
+    sweep: SweepSpec, values: Sequence[float], gamma: relaxation.RelaxationMatrix, seen: list
+) -> np.ndarray:
     """Rows (value, a_diff_initial, a_diff_probe, b_absdiff_probe,
     c_absdiff_probe) [B, 5] of the 00 / 11 pair, one per value of
-    ``values``, a block of the swept values.
+    ``values``, a block of the swept values, whose matrices ``gamma``
+    (``_sweep_matrices``) may have been diagonalized on another thread.
 
     It does not warn: ``seen`` holds the lowest eigenvalue and the largest
-    |eigenvalue| of the matrices diagonalized so far, and takes this
-    block's before any state is propagated, so a block that overflows
-    counts too.
+    |eigenvalue| of the blocks tabulated so far, and takes this block's
+    before any state is propagated, so a block that overflows counts too.
     """
     base = sweep.base
-    rates = sweep_rates(base, sweep.parameter, values)
-    # one matrix per swept value, broadcast over the two states
-    gamma = relaxation.diagonalize(relaxation.rate_matrix(rates)[:, None])
     seen[:] = min(seen[0], gamma.min_eigenvalue), max(seen[1], gamma.max_eigenvalue)
     labels = (PpsLabel.P00, PpsLabel.P11)
     m0 = [pps_modes(label, base.sys) for label in labels]
@@ -210,28 +216,41 @@ def run_sweep(sweep: SweepSpec, out_dir) -> str:
 
     Writes ``sweep.csv`` and returns its path. Values are turned into
     matrices, states, rows and text SWEEP_BLOCK_VALUES at a time, so only
-    one block of them is held; what still grows with the values is the
-    config's values themselves and the ``# scenario:`` line that repeats
-    them. The run warns at most once per category, after its last block
-    or its failure: of the lowest eigenvalue and of the largest
-    |eigenvalue| over every value.
+    a few blocks of them are held; what still grows with the values is
+    the config's values themselves and the ``# scenario:`` line that
+    repeats them. When the process may use two or more CPUs and there is
+    more than one block, the blocks' matrices are built and diagonalized
+    on one worker thread (``_threads._ahead``), which starts before the
+    ``# scenario:`` line is encoded and runs at most two finished blocks
+    ahead, while this thread propagates, decomposes and formats; the
+    bytes are the same on one thread. The run warns at most once per
+    category, after its last block or its failure, on this thread: of
+    the lowest eigenvalue and of the largest |eigenvalue| over every
+    value tabulated. A failure raises here at the block that fails, and
+    the worker is joined before the run returns or raises.
     """
+    from . import _threads
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     template = ",".join(["%.12g"] * 5) + "\n"
     values, seen = sweep.values, [math.inf, 0.0]
-    lines = (
-        text
-        for start in range(0, len(values), SWEEP_BLOCK_VALUES)
-        for text in _csv_text(
-            template, _sweep_table(sweep, values[start : start + SWEEP_BLOCK_VALUES], seen)
-        )
-    )
-    doc = scenario_to_dict(sweep.base)
-    doc["sweep"] = {k: v for k, v in _to_doc(sweep).items() if k != "base"}
+    starts = range(0, len(values), SWEEP_BLOCK_VALUES)
+
+    def block(start: int) -> Sequence[float]:
+        return values[start : start + SWEEP_BLOCK_VALUES]
+
     csv_path = out / "sweep.csv"
     try:
-        _write_csv(csv_path, "sweep", doc, SWEEP_COLUMNS, lines)
+        with _threads._ahead(lambda start: _sweep_matrices(sweep, block(start)), starts) as matrices:
+            lines = (
+                text
+                for start, gamma in zip(starts, matrices)
+                for text in _csv_text(template, _sweep_table(sweep, block(start), gamma, seen))
+            )
+            doc = scenario_to_dict(sweep.base)
+            doc["sweep"] = {k: v for k, v in _to_doc(sweep).items() if k != "base"}
+            _write_csv(csv_path, "sweep", doc, SWEEP_COLUMNS, lines)
     finally:
         _warn_sweep(*seen, sweep.base.tau)
     return str(csv_path)

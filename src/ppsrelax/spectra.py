@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import threading
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _threads
 from .relaxation import InconsistentEquilibrium, NotConverged
 from .spins import PpsLabel, mode_rows
 
@@ -409,7 +409,12 @@ _UNSCALED_BAND = (2.0**-300, 2.0**300)
 
 
 def _fit_setup(freqs, j_coupling: float, fwhm: float) -> _FitSetup:
-    """The ``_FitSetup`` of ``fit_doublets``' arguments."""
+    """The ``_FitSetup`` of ``fit_doublets``' arguments, or ValueError
+    naming the one it cannot fit with."""
+    if not (math.isfinite(fwhm) and fwhm > 0):
+        raise ValueError(f"fwhm must be finite and > 0, got {fwhm!r}")
+    if not math.isfinite(j_coupling):
+        raise ValueError(f"j_coupling must be finite, got {j_coupling!r}")
     freqs = np.asarray(freqs, dtype=float)
     if freqs.size < FIT_MIN_POINTS:
         raise ValueError(
@@ -584,57 +589,6 @@ def _doublet_fits(setup: _FitSetup, fitted: tuple) -> DoubletFits:
     )
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_threads(task, items: Sequence) -> list:
-    """``[task(item) for item in items]`` on one thread per usable CPU,
-    the calling thread among them; each thread takes the next item not
-    yet taken whenever it finishes one, so a slow item holds up only the
-    thread running it. The calling thread takes items rather than wait:
-    ``ThreadPoolExecutor.map``, under which it runs none, ran perfbench's
-    pipeline-dense as fast on a 2-vCPU VM but raised its peak RSS from
-    45.3 to 48.4 MB (6 of 6 pairs).
-
-    Once a call raises, no thread starts another item, and the first
-    exception raised (an interrupt of the calling thread before any) is
-    re-raised here after every thread has stopped.
-    """
-    results = [None] * len(items)
-    errors = []
-    count = min(_usable_cpus(), len(items))
-    indices = iter(range(len(items)))
-    taking = threading.Lock()
-
-    def work() -> None:
-        try:
-            while not errors:
-                with taking:
-                    index = next(indices, None)
-                if index is None:
-                    return
-                results[index] = task(items[index])
-        except Exception as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work) for _ in range(1, count)]
-    for thread in threads:
-        thread.start()
-    try:
-        work()
-    except BaseException as exc:  # an interrupt reaches the calling thread only
-        errors.insert(0, exc)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def _fit_in_batches(setup: _FitSetup, size: int, spectra_of) -> DoubletFits:
     """The fits of ``size`` spectra, made and fitted a batch of about
     BATCH_SAMPLES grid samples at a time: ``spectra_of(start, stop)``
@@ -677,7 +631,7 @@ def _fit_in_batches(setup: _FitSetup, size: int, spectra_of) -> DoubletFits:
                 pool.clear()
             _fit_pool(setup, full, fitted)
 
-    _map_threads(fit, range(0, size, batch))
+    _threads._map_threads(fit, range(0, size, batch))
     with np.errstate(all="ignore"):
         _fit_pool(setup, pool, fitted)
     return _doublet_fits(setup, fitted)

@@ -110,10 +110,11 @@ def equilibrium_modes(sys: SpinSystem) -> np.ndarray:
     return np.array((sys.gamma1, sys.gamma2, 0.0))
 
 
-def pps_modes(label: PpsLabel, sys: SpinSystem) -> np.ndarray:
+def pps_modes(label: PpsLabel | str, sys: SpinSystem) -> np.ndarray:
     """Freshly prepared pseudo-pure state: a mode row of amplitude k on
-    every mode, with the sign pattern belonging to ``label``."""
-    return sys.k * np.array(label.sign_pattern, float)
+    every mode, with the sign pattern belonging to ``label``, a PpsLabel
+    or its value ("00" to "11"; ValueError otherwise)."""
+    return sys.k * np.array(PpsLabel(label).sign_pattern, float)
 
 
 def doublet_pairs(modes) -> np.ndarray:

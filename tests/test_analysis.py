@@ -330,6 +330,48 @@ def test_mode_rows_that_are_not_3_wide_raise(modes):
             call()
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["m0", "m_inf"])
+def test_mode_rows_that_are_not_finite_raise_naming_the_argument(name, bad):
+    """A NaN or inf initial or equilibrium row is bad input, checked once
+    at entry: propagate used to blame the rate matrix with a
+    FloatingPointError, and linear_step to return NaN rows."""
+    gamma = build_matrix(RATES)
+    rows = {"m0": pps_modes(PpsLabel.P00, SYS), "m_inf": equilibrium_modes(SYS)}
+    rows[name] = np.where([False, False, True], bad, rows[name])
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        propagate(gamma, rows["m0"], rows["m_inf"], [0.0, 1.0])
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        linear_step(gamma.entries, rows["m0"], rows["m_inf"], 0.1)
+
+
+@pytest.mark.parametrize("label", list(PpsLabel))
+def test_a_label_may_be_given_by_its_value(label):
+    """"00" reads as PpsLabel.P00 in pps_modes, decompose_rows and
+    compare_pps, whose keys stay PpsLabel members; these used to end in
+    AttributeError on a str."""
+    gamma, rows = build_matrix(RATES), np.array([[0.4, -0.2, 0.1], [0.3, 0.2, -0.5]])
+    assert pps_modes(label.value, SYS).tolist() == pps_modes(label, SYS).tolist()
+    assert decompose_rows(rows, label.value).tolist() == decompose_rows(rows, label).tolist()
+    table = compare_pps(gamma, SYS, [0.0, 1.0], (label.value,))
+    assert list(table) == [label]
+    assert table[label].tolist() == compare_pps(gamma, SYS, [0.0, 1.0], (label,))[label].tolist()
+
+
+@pytest.mark.parametrize("label", ["02", "", 0, None])
+def test_an_unknown_label_raises(label):
+    gamma = build_matrix(RATES)
+    calls = (
+        lambda: pps_modes(label, SYS),
+        lambda: decompose_rows([0.1, 0.2, 0.3], label),
+        lambda: compare_pps(gamma, SYS, [0.0, 1.0], (label,)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="is not a valid PpsLabel"):
+            call()
+
+
 # --------------------------------------------------- ordering property suite
 
 def test_interference_ordering_inequalities():

@@ -338,7 +338,7 @@ def test_failure_in_a_threaded_fit_batch_is_numerical_failure(tmp_path, capsys, 
     ends the pipeline with exit 2: no traceback and no thread left over."""
     import threading
 
-    from ppsrelax import spectra
+    from ppsrelax import _threads, spectra
 
     add_noise = spectra._add_noise
     # spectrum 3 opens the second batch of three: state 00, time 0, nucleus 2
@@ -349,7 +349,7 @@ def test_failure_in_a_threaded_fit_batch_is_numerical_failure(tmp_path, capsys, 
             raise np.linalg.LinAlgError("Singular matrix in batch 2")
         return add_noise(amps, snr, words)
 
-    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_threads, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(spectra, "BATCH_SAMPLES", 3 * 801)
     monkeypatch.setattr(spectra, "_add_noise", second_batch_fails)
     config = write_config(tmp_path, readout="spectra", noise={"snr": 100.0, "seed": 11})
@@ -368,9 +368,9 @@ def test_failure_in_the_straggler_pool_is_numerical_failure(tmp_path, capsys, mo
     exit 2, no traceback and no thread left over."""
     import threading
 
-    from ppsrelax import spectra
+    from ppsrelax import _threads, spectra
 
-    map_threads, solve_rows = spectra._map_threads, spectra._solve_rows
+    map_threads, solve_rows = _threads._map_threads, spectra._solve_rows
     failed_on = []
 
     def threads_done(task, items):
@@ -386,9 +386,9 @@ def test_failure_in_the_straggler_pool_is_numerical_failure(tmp_path, capsys, mo
 
     # 38 spectra in batches of 32 and 6: at most 8 + 6 stragglers, fewer
     # than a batch, so the pool is left to the calling thread
-    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_threads, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(spectra, "BATCH_SAMPLES", 32 * 801)
-    monkeypatch.setattr(spectra, "_map_threads", threads_done)
+    monkeypatch.setattr(_threads, "_map_threads", threads_done)
     monkeypatch.setattr(spectra, "_solve_rows", pool_fails)
     config = write_config(
         tmp_path,

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import evolve_ode, noisy_amps, recompose
-from ppsrelax import run, spectra
+from ppsrelax import _threads, run, spectra
 from ppsrelax.analysis import compare_pps, decompose_rows
 from ppsrelax.cli import EXIT_OK, main
 from ppsrelax.relaxation import (
@@ -326,7 +326,7 @@ def test_a_fit_does_not_depend_on_where_it_runs(place):
         mock.patch.object(spectra, "NORMAL_EQUATION_ROWS", place["chunk"]),
         mock.patch.object(spectra, "BATCH_SAMPLES", place["batch_spectra"] * FREQS.size),
         mock.patch.object(spectra, "_POOL_ROWS", place["pool_rows"]),
-        mock.patch.object(spectra, "_usable_cpus", lambda: place["threads"]),
+        mock.patch.object(_threads, "_usable_cpus", lambda: place["threads"]),
     ):
         assert_alone(fit(amps[place["batch"]]), place["batch"])
         pairs = np.array(place["pairs"], dtype=float)

@@ -2,7 +2,10 @@ import ast
 import io
 import json
 import math
+import signal
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import noisy_amps
-from ppsrelax import spectra
+from ppsrelax import _threads, spectra
 from ppsrelax.analysis import compare_pps
 from ppsrelax.relaxation import (
     InitialRateWindowWarning,
@@ -478,28 +481,101 @@ def test_sweep_warns_like_the_scalar_path(tmp_path):
 
 def test_sweep_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
     """100 values in blocks of 7 (14 blocks and a tail of 2) write the bytes
-    of one block. A sweep whose non-positive-definite value (rho1 = 0.001,
-    block 0) and largest-eigenvalue value (rho1 = 5, block 1, outside the
-    initial-rate window at tau 0.1) fall in different blocks warns once
-    per category, with the text of the one-block run."""
+    of one block, whether the process may use one CPU, so that every
+    block's matrices are diagonalized on the calling thread, or two, so
+    that a worker thread diagonalizes them ahead of the caller. A sweep
+    whose non-positive-definite value (rho1 = 0.001, block 0) and
+    largest-eigenvalue value (rho1 = 5, block 1, outside the initial-rate
+    window at tau 0.1) fall in different blocks warns once per category,
+    with the text of the one-block run."""
     plain = config_doc()
     plain["sweep"] = {"parameter": "delta_scale", "values": np.linspace(0, 1.5, 100).tolist()}
     warned = config_doc()
     warned["sweep"] = {"parameter": "rates.rho1", "values": [0.001] + [0.3] * 10 + [5.0]}
+    sweep_matrices, on_caller = run_module._sweep_matrices, set()
+
+    def watched(sweep, values):
+        on_caller.add(threading.current_thread() is threading.main_thread())
+        return sweep_matrices(sweep, values)
+
+    monkeypatch.setattr(run_module, "_sweep_matrices", watched)
     runs = []
-    for block in (7, 100):
+    for block, cpus in ((7, 1), (7, 2), (100, 2)):
         monkeypatch.setattr(run_module, "SWEEP_BLOCK_VALUES", block)
-        out = tmp_path / str(block)
+        monkeypatch.setattr(_threads, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"{block}-{cpus}"
+        threads = threading.active_count()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             paths = [run_sweep(parse_sweep(plain), out / "plain"), run_sweep(parse_sweep(warned), out)]
+        assert threading.active_count() == threads
+        # a one-block sweep runs inline: a thread would have nothing to run ahead of
+        assert on_caller == {block == 100 or cpus == 1}
+        on_caller.clear()
         texts = [(w.category, str(w.message)) for w in caught]
         runs.append(([Path(p).read_bytes() for p in paths], texts))
-    assert runs[0] == runs[1]
+    assert runs[1:] == runs[:1] * 2
     assert [category for category, _ in runs[0][1]] == [
         NotPositiveDefiniteWarning,
         InitialRateWindowWarning,
     ]
+
+
+def test_a_threaded_sweep_fails_at_the_block_of_the_inline_run(tmp_path, monkeypatch):
+    """Four blocks of 4 values, the third of which holds delta1 = 900: its
+    matrices are not positive definite and its states overflow at the
+    probe time. On one CPU or two, the run raises FloatingPointError with
+    the same text and warns with the same eigenvalues, those of the
+    blocks up to the failing one: the fourth block's lower eigenvalue,
+    which the worker may have diagonalized ahead, counts in neither run.
+    It deletes its file and leaves no thread behind."""
+    doc = config_doc()
+    values = [0.1] * 8 + [900.0] * 4 + [2000.0] * 4
+    doc["sweep"] = {"parameter": "rates.delta1", "values": values, "probe_time": 1.0}
+    monkeypatch.setattr(run_module, "SWEEP_BLOCK_VALUES", 4)
+    outcomes = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(_threads, "_usable_cpus", lambda: cpus)
+        threads = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError) as failure:
+                run_sweep(parse_sweep(doc), tmp_path / str(cpus))
+        assert threading.active_count() == threads
+        assert not (tmp_path / str(cpus) / "sweep.csv").exists()
+        outcomes.append((str(failure.value), [(w.category, str(w.message)) for w in caught]))
+    assert outcomes[0] == outcomes[1]
+    message, texts = outcomes[0]
+    assert [category for category, _ in texts] == [
+        NotPositiveDefiniteWarning,
+        InitialRateWindowWarning,
+    ]
+    assert "-899.6" in message and "-899.6" in texts[0][1]
+
+
+def test_an_interrupted_sweep_leaves_no_thread_or_file(tmp_path, monkeypatch):
+    """A KeyboardInterrupt while the second block is formatted, with the
+    worker diagonalizing blocks ahead, deletes the file and joins the
+    worker before it reaches the caller."""
+    monkeypatch.setattr(run_module, "SWEEP_BLOCK_VALUES", 4)
+    monkeypatch.setattr(_threads, "_usable_cpus", lambda: 2)
+    csv_text, formatted = run_module._csv_text, []
+
+    def interrupted(template, table):
+        formatted.append(len(table))
+        if len(formatted) == 2:
+            raise KeyboardInterrupt
+        return csv_text(template, table)
+
+    monkeypatch.setattr(run_module, "_csv_text", interrupted)
+    doc = config_doc()
+    doc["sweep"] = {"parameter": "delta_scale", "values": np.linspace(0, 1.5, 40).tolist()}
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(parse_sweep(doc), tmp_path)
+    assert threading.active_count() == threads
+    assert formatted == [4, 4]
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("probe_time", [0.5, 2.0])
@@ -511,7 +587,8 @@ def test_sweep_probe_columns_are_the_simulated_differences(probe_time):
     matrix."""
     values = tuple(np.linspace(0.0, 1.5, 200).tolist())
     sweep = SweepSpec("delta_scale", values, default_scenario(), probe_time)
-    table = run_module._sweep_table(sweep, values, [math.inf, 0.0])
+    gamma = run_module._sweep_matrices(sweep, values)
+    table = run_module._sweep_table(sweep, values, gamma, [math.inf, 0.0])
     labels = (PpsLabel.P00, PpsLabel.P11)
     for row, rates in zip(table, sweep_rates(sweep.base, sweep.parameter, values)):
         gamma = build_matrix(RelaxationRates(*rates.tolist()))
@@ -692,7 +769,7 @@ def test_pipeline_bytes_do_not_depend_on_threads_or_batch_size(tmp_path, monkeyp
     """Nor on the rows whose normal equations the solver builds at once."""
     doc = pipeline_doc(noise={"snr": 100.0, "seed": 11}, pps_labels=["00", "01", "10", "11"])
     reference = Path(run_pipeline(parse_scenario(doc), tmp_path / "reference")).read_bytes()
-    monkeypatch.setattr(spectra, "_usable_cpus", lambda: threads)
+    monkeypatch.setattr(_threads, "_usable_cpus", lambda: threads)
     for batch in (1, 3, 7):
         monkeypatch.setattr(spectra, "BATCH_SAMPLES", batch * 801)
         path = run_pipeline(parse_scenario(doc), tmp_path / f"batch{batch}")
@@ -719,7 +796,7 @@ def test_straggler_pool_holds_less_than_a_batch_and_a_handoff(monkeypatch, point
         pooled.append(sum(len(amps) for _, amps in pool))
         return fit_pool(setup, pool, fitted)
 
-    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_threads, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(spectra, "BATCH_SAMPLES", 32 * 801)
     monkeypatch.setattr(spectra, "_fit_pool", counted)
     scenario = parse_scenario(
@@ -746,7 +823,7 @@ def test_map_threads_keeps_item_order_and_runs_the_caller(monkeypatch):
     import threading
     import time
 
-    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(_threads, "_usable_cpus", lambda: 8)
     seen = []  # holds the thread objects, so no two of them share an identity
 
     def task(item):
@@ -757,13 +834,91 @@ def test_map_threads_keeps_item_order_and_runs_the_caller(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = spectra._map_threads(task, range(500))
+        results = _threads._map_threads(task, range(500))
     finally:
         sys.setswitchinterval(interval)
     assert results == [item * item for item in range(500)]
     assert sorted(item for item, _ in seen) == list(range(500))
     assert len({thread for _, thread in seen}) == 8
     assert any(thread is threading.current_thread() for _, thread in seen)
+
+
+def test_ahead_keeps_order_and_runs_at_most_two_results_ahead(monkeypatch):
+    """Under a short switch interval the results come in item order, every
+    item runs on the worker, and the worker starts an item only while
+    fewer than AHEAD_RESULTS finished results wait: when it starts item i,
+    the caller has taken at least i - AHEAD_RESULTS results. A caller
+    that pauses lets it run that far ahead."""
+    monkeypatch.setattr(_threads, "_usable_cpus", lambda: 2)
+    taken, leads, runners = [0], [], set()
+
+    def task(item):
+        leads.append(item - taken[0])
+        runners.add(threading.current_thread())
+        return item * item
+
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _threads._ahead(task, range(300)) as results:
+            for value in results:
+                got.append(value)
+                if len(got) % 7 == 0:
+                    time.sleep(1e-3)
+                taken[0] += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [item * item for item in range(300)]
+    assert len(runners) == 1 and threading.current_thread() not in runners
+    assert max(leads) == _threads.AHEAD_RESULTS
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ahead_raises_a_failed_item_in_its_place(monkeypatch, cpus):
+    """An item's exception reaches the caller where its result would, and
+    no later item starts, inline or on the worker."""
+    monkeypatch.setattr(_threads, "_usable_cpus", lambda: cpus)
+    started, got = [], []
+
+    def task(item):
+        started.append(item)
+        if item == 3:
+            raise ZeroDivisionError("item 3")
+        return item
+
+    threads = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="item 3"):
+        with _threads._ahead(task, range(10)) as results:
+            got.extend(results)
+    assert threading.active_count() == threads
+    assert got == [0, 1, 2] and started == [0, 1, 2, 3]
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+def test_ahead_interrupted_while_waiting_joins_its_worker(monkeypatch):
+    """A SIGINT that reaches the calling thread while it waits for the
+    second result raises KeyboardInterrupt there; the worker finishes the
+    item it holds, starts no other, and is joined."""
+    monkeypatch.setattr(_threads, "_usable_cpus", lambda: 2)
+    caller, started, took = threading.get_ident(), [], threading.Event()
+
+    def task(item):
+        started.append(item)
+        if item == 1:
+            took.wait(10)
+            time.sleep(0.05)  # the caller goes on to wait for this result
+            signal.pthread_kill(caller, signal.SIGINT)
+            time.sleep(0.05)
+        return item
+
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        with _threads._ahead(task, range(10)) as results:
+            for _ in results:
+                took.set()
+    assert threading.active_count() == threads
+    assert started == [0, 1]
 
 
 def test_run_uses_no_private_name_of_spectra():

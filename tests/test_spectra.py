@@ -291,6 +291,32 @@ def test_fit_noisy_doublets_rejects_its_arguments(pairs, snr, seed, keys):
         spectra.fit_noisy_doublets(FREQS, pairs, SYS.j_coupling, 1.0, snr, seed, keys)
 
 
+@pytest.mark.parametrize(
+    "fwhm, j_coupling, name",
+    [
+        (0.0, SYS.j_coupling, "fwhm"),
+        (-1.0, SYS.j_coupling, "fwhm"),
+        (math.nan, SYS.j_coupling, "fwhm"),
+        (math.inf, SYS.j_coupling, "fwhm"),
+        (1.0, math.nan, "j_coupling"),
+        (1.0, math.inf, "j_coupling"),
+        (1.0, -math.inf, "j_coupling"),
+    ],
+)
+def test_fits_reject_a_width_or_coupling_they_cannot_fit(fwhm, j_coupling, name):
+    """Both fit calls raise ValueError naming the argument. A zero width
+    ended in ZeroDivisionError, a negative one in converged fits of
+    negated integrals, a NaN or inf width or a NaN coupling in every row
+    unconverged, and an infinite coupling in converged rows centred at
+    +-inf."""
+    pairs, keys = [EQ[0], EQ[1]], [[4, 0, 1], [4, 0, 2]]
+    amps = doublet_amps(FREQS, pairs, SYS.j_coupling, 1.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        fit_doublets(FREQS, amps, j_coupling, fwhm)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        spectra.fit_noisy_doublets(FREQS, pairs, j_coupling, fwhm, 100.0, 1, keys)
+
+
 @pytest.mark.parametrize("shape", [(801,), (3, 800)])
 def test_fit_rejects_amps_that_are_not_rows_on_the_grid(shape):
     with pytest.raises(ValueError, match=re.escape(f"need amps [S, 801], got {shape}")):
